@@ -97,14 +97,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tree_size(tree) -> int:
-    return sum(1 + _tree_size(child) for child in tree)
-
-
-def _tree_json(tree):
-    return [_tree_json(child) for child in tree]
-
-
 def _cmd_core(args: argparse.Namespace) -> int:
     m = decode_map(Path(args.infile).read_text().strip())
     dec = core(m)
@@ -114,8 +106,8 @@ def _cmd_core(args: argparse.Namespace) -> int:
     branches = []
     for i, (drt, attachment) in enumerate(zip(dec.branches, dec.attachments)):
         entry = {
-            "size": _tree_size(drt.tree),
-            "tree": {"children": _tree_json(drt.tree), "path": list(drt.path)},
+            "size": drt.n_edges,
+            "tree": {"children": drt.tree, "path": list(drt.path)},
             "attachment": list(attachment),
         }
         if i == dec.root_branch_index:

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DecompositionError, ParameterError
-from .maps import CombinatorialMap, face_order_form, face_order_relabeling, genus
+from .maps import CombinatorialMap, face_order_form, face_order_relabeling
 from .trees import DoublyRootedTree, Tree, children_to_map, entry_dart
 
 __all__ = [
@@ -116,10 +116,9 @@ class _Skeleton:
     """Peeled view of a map: surviving darts, chain sides, tree corners."""
 
     def __init__(self, m: CombinatorialMap) -> None:
-        if not m.is_dart_connected():
-            raise DecompositionError("decomposition needs a connected map")
-        if genus(m) < 1:
-            raise DecompositionError("genus-zero map has an empty core")
+        # one face implies connected
+        if m.n_faces() != 1:
+            raise DecompositionError("decomposition needs a one-face map")
         self.m = m
         self.alpha = m.alpha
         self.sigma = m.sigma
@@ -127,15 +126,19 @@ class _Skeleton:
         deg: dict[int, int] = {}
         for d in range(m.n_darts):
             deg[self.vertex_of[d]] = deg.get(self.vertex_of[d], 0) + 1
+        # one face: V - E + 1 = 2 - 2g, so V >= E exactly when g = 0
+        if len(deg) >= m.n_edges:
+            raise DecompositionError("genus-zero map has an empty core")
         alive = bytearray([1]) * m.n_darts
         queue = [v for v, k in deg.items() if k == 1]
         while queue:
             v = queue.pop()
             if deg[v] != 1:
                 continue
-            d = next(
-                e for e in range(m.n_darts) if alive[e] and self.vertex_of[e] == v
-            )
+            # a vertex id is its smallest dart, so v itself is on the rotation
+            d = v
+            while not alive[d]:
+                d = self.sigma[d]
             e = self.alpha[d]
             alive[d] = alive[e] = 0
             deg[v] -= 1
@@ -158,9 +161,6 @@ class _Skeleton:
                 self.sides[q] = side
                 self.mate[q] = self.alpha[side[-1]]
         self._assign_edges()
-
-    # the leaf peel above is quadratic in the worst case through the
-    # `next(...)` scan; fine at the sizes this module sees
 
     def next_alive(self, d: int) -> int:
         e = self.sigma[d]

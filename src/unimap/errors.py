@@ -11,6 +11,10 @@ class MalformedMapError(UnimapError, ValueError):
     """The permutation pair does not describe a map."""
 
 
+class MalformedGraphError(UnimapError, ValueError):
+    """The vertex count, edge list or edge-list text does not describe a multigraph."""
+
+
 class GenusError(UnimapError, ValueError):
     """An operation needs genus >= 1 (or a consistent genus) and did not get it."""
 

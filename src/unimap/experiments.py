@@ -30,13 +30,7 @@ from typing import Any
 from .core import branch_size_profile, core, core_less_M
 from .errors import EnumerationCapError, ParameterError
 from .expansion import branch_substitution_transfer_check, cheeger_exact, wilson_interval
-from .maps import (
-    Multigraph,
-    from_polygon_gluing,
-    genus,
-    underlying_graph,
-    vertex_degrees,
-)
+from .maps import Multigraph, from_polygon_gluing, genus, underlying_graph
 from .samplers import (
     DegreeSequence,
     count_one_vertex_maps,
@@ -69,6 +63,8 @@ __all__ = [
 
 _MODES = ("exact", "monte-carlo")
 _VERDICTS = ("pass", "fail", "informational")
+# largest edge count the exhaustive checks enumerate: (2*8-1)!! = 2,027,025 gluings
+_MAX_N = 8
 
 
 def _jsonable(x: Any) -> Any:
@@ -220,17 +216,17 @@ def persist_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, s
 
 
 @lru_cache(maxsize=None)
-def profile_census(n: int, cap: int = 8) -> dict:
+def profile_census(n: int) -> dict:
     """Branch-size profiles of every rooted one-face map with n edges.
 
     One pass over all (2n-1)!! polygon pairings.  Keys are
     (genus, core_edges, marked_size, sorted_other_sizes); plane trees are
     tallied under (0, 0, 0, ()) since they have no core.
     """
-    if n > cap:
-        raise EnumerationCapError(f"census needs n <= {cap}, got {n}")
+    if n > _MAX_N:
+        raise EnumerationCapError(f"census needs n <= {_MAX_N}, got {n}")
     counts: Counter = Counter()
-    for pairing in enumerate_pairings(n, cap=cap):
+    for pairing in enumerate_pairings(n, cap=_MAX_N):
         m = from_polygon_gluing(pairing, n)
         g = genus(m)
         if g == 0:
@@ -242,15 +238,18 @@ def profile_census(n: int, cap: int = 8) -> dict:
 
 
 @lru_cache(maxsize=None)
-def min_degree3_census(e: int, cap: int = 8) -> dict[int, int]:
-    """Count of rooted one-face maps with e edges and min degree 3, by genus."""
-    if e > cap:
-        raise EnumerationCapError(f"census needs e <= {cap}, got {e}")
+def min_degree3_census(e: int) -> dict[int, int]:
+    """Count of rooted one-face maps with e edges and min degree 3, by genus.
+
+    Read off `profile_census(e)` rather than enumerated again: a one-face
+    map has minimum degree 3 exactly when peeling leaves and contracting
+    degree-2 chains removes nothing, i.e. when its core keeps all e edges.
+    So N(e, g) sums the census entries keyed (g, e, ., .) with g >= 1.
+    """
     counts: Counter = Counter()
-    for pairing in enumerate_pairings(e, cap=cap):
-        m = from_polygon_gluing(pairing, e)
-        if min(vertex_degrees(m)) >= 3:
-            counts[genus(m)] += 1
+    for (g, core_edges, _marked, _others), cnt in profile_census(e).items():
+        if g >= 1 and core_edges == e:
+            counts[g] += cnt
     return dict(counts)
 
 
@@ -279,8 +278,8 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     for p in p_list:
         if p < 2 or p % 2 != 0:
             raise ParameterError(f"one-vertex gluings need even p >= 2, got {p}")
-        if p > 8:
-            raise EnumerationCapError(f"exhaustive check needs p <= 8, got {p}")
+        if p > _MAX_N:
+            raise EnumerationCapError(f"exhaustive check needs p <= {_MAX_N}, got {p}")
     config = ExperimentConfig(
         name="one-vertex-law", parameters={"p_list": list(p_list)}, mode="exact"
     )
@@ -464,8 +463,8 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
     sides by exhaustive enumeration plus exact series coefficients, every e.
     """
     t0 = time.perf_counter()
-    if n > 8:
-        raise EnumerationCapError(f"identity check needs n <= 8, got {n}")
+    if n > _MAX_N:
+        raise EnumerationCapError(f"identity check needs n <= {_MAX_N}, got {n}")
     if g < 1 or 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
     config = ExperimentConfig(
@@ -561,8 +560,8 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
     evaluated at two different beta values to confirm beta cancels.
     """
     t0 = time.perf_counter()
-    if n > 8:
-        raise EnumerationCapError(f"profile law check needs n <= 8, got {n}")
+    if n > _MAX_N:
+        raise EnumerationCapError(f"profile law check needs n <= {_MAX_N}, got {n}")
     if g < 1 or 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
     config = ExperimentConfig(
@@ -680,12 +679,12 @@ def _genus_for(theta: float, n: int) -> int:
     return math.ceil(Fraction(str(theta)) * n)
 
 
-def _cheeger_or_none(m, cap: int) -> Fraction | None:
+def _cheeger_or_none(m) -> Fraction | None:
     """Exact Cheeger constant of the underlying graph, None when no cut exists."""
     graph = underlying_graph(m)[0]
     if graph.n_vertices < 2:
         return None
-    return cheeger_exact(graph, cap=cap).h_value
+    return cheeger_exact(graph).h_value
 
 
 def run_core_expander_experiment(
@@ -694,8 +693,6 @@ def run_core_expander_experiment(
     n_list: tuple[int, ...],
     trials: int,
     seed: int,
-    *,
-    cheeger_cap: int = 24,
 ) -> ExperimentReport:
     """Sample U(n, ceil(theta n)) and measure the core's expansion behaviour.
 
@@ -706,7 +703,11 @@ def run_core_expander_experiment(
     verdict is informational (the expander statement is asymptotic) but any
     violation of the per-sample inequality or a non-positive core Cheeger
     constant flips it to fail.  Edge-fraction-versus-M curves are emitted as
-    long-format data rows.
+    long-format data rows.  Each point of a curve is read off the branch
+    sizes of the sample's `core`: trimming at M keeps sum_b (b if b < M
+    else 1) edges, which is `core_less_M(m, M).n_edges` by construction.
+    Only the trimmed core at the pipeline's M is rebuilt, for its Cheeger
+    constant.
 
     A core can collapse to a single vertex (every core edge a loop, which
     happens exactly when the core has 2g edges).  Such samples have no cut to
@@ -748,8 +749,8 @@ def run_core_expander_experiment(
             dec = core(m)
             core_map = dec.core
             trimmed = core_less_M(m, pipe.M)
-            h_core = _cheeger_or_none(core_map, cheeger_cap)
-            h_trim = _cheeger_or_none(trimmed, cheeger_cap)
+            h_core = _cheeger_or_none(core_map)
+            h_trim = _cheeger_or_none(trimmed)
             if h_core is None:
                 # single-vertex core: no cut exists, vacuously an expander
                 vacuous += 1
@@ -765,8 +766,9 @@ def run_core_expander_experiment(
                     any_transfer_violation = True
             if h_trim is not None:
                 h_trimmed.append(h_trim)
+            sizes = [b.n_edges for b in dec.branches]
             for mm in m_grid:
-                kept = core_less_M(m, mm).n_edges
+                kept = sum(b if b < mm else 1 for b in sizes)
                 fractions_at_m[mm] += Fraction(kept, n)
         mean_fraction = {mm: v / trials for mm, v in fractions_at_m.items()}
         observed[f"n={n}"] = {

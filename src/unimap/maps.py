@@ -22,7 +22,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DisconnectedGraphError, GenusError, MalformedMapError
+from .errors import (
+    DisconnectedGraphError,
+    GenusError,
+    MalformedGraphError,
+    MalformedMapError,
+)
 
 __all__ = [
     "CombinatorialMap",
@@ -209,12 +214,12 @@ class Multigraph:
 
     def __post_init__(self) -> None:
         if self.n_vertices <= 0:
-            raise ValueError("a multigraph needs at least one vertex")
+            raise MalformedGraphError("a multigraph needs at least one vertex")
         norm = []
         deg = [0] * self.n_vertices
         for u, v in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range")
+                raise MalformedGraphError(f"edge ({u},{v}) out of range")
             norm.append((u, v) if u <= v else (v, u))
             deg[u] += 1
             deg[v] += 1
@@ -382,16 +387,18 @@ def write_multigraph(g: Multigraph) -> str:
 def parse_multigraph(text: str) -> Multigraph:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines or not lines[0].startswith("p mg "):
-        raise ValueError("missing 'p mg <n_vertices> <n_edges>' header")
-    parts = lines[0].split()
-    n_vertices, n_edges = int(parts[2]), int(parts[3])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
+        raise MalformedGraphError("missing 'p mg <n_vertices> <n_edges>' header")
+    rows = [ln.split() for ln in lines]
+    if len(rows[0]) != 4 or any(len(row) != 2 for row in rows[1:]):
+        raise MalformedGraphError("expected a 4-field header, then 2 fields per edge")
+    try:
+        n_vertices, n_edges = int(rows[0][2]), int(rows[0][3])
+        edges = tuple((int(u), int(v)) for u, v in rows[1:])
+    except ValueError as exc:
+        raise MalformedGraphError(f"non-integer field: {exc}") from exc
     if len(edges) != n_edges:
-        raise ValueError(f"header promises {n_edges} edges, found {len(edges)}")
-    return Multigraph(n_vertices, tuple(edges))
+        raise MalformedGraphError(f"header promises {n_edges} edges, found {len(edges)}")
+    return Multigraph(n_vertices, edges)
 
 
 def _require_unicellular(m: CombinatorialMap, where: str) -> None:

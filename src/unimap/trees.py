@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ParameterError
 from .maps import CombinatorialMap, from_polygon_gluing
@@ -284,13 +284,3 @@ def sample_plane_tree(n_edges: int, rng: random.Random) -> CombinatorialMap:
     if n_edges < 1:
         raise ParameterError(f"n_edges must be positive, got {n_edges}")
     return children_to_map(sample_tree_children(n_edges, rng))
-
-
-def iter_subtree_addresses(tree: Tree) -> Iterator[tuple[int, ...]]:
-    """All node addresses of the tree in depth-first order, root first."""
-    stack: list[tuple[Tree, tuple[int, ...]]] = [(tree, ())]
-    while stack:
-        node, addr = stack.pop()
-        yield addr
-        for i in range(len(node) - 1, -1, -1):
-            stack.append((node[i], addr + (i,)))

@@ -74,28 +74,45 @@ def polygon_map(pairing, n: int) -> CombinatorialMap:
     return CombinatorialMap(2 * n, tuple(alpha), tuple(sigma), 0)
 
 
-def _cycle_count(perm: tuple[int, ...]) -> int:
+def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     seen = [False] * len(perm)
-    count = 0
+    lengths = []
     for start in range(len(perm)):
         if seen[start]:
             continue
-        count += 1
+        length = 0
         d = start
         while not seen[d]:
             seen[d] = True
+            length += 1
             d = perm[d]
-    return count
+        lengths.append(length)
+    return lengths
 
 
 def corner_genus(m: CombinatorialMap) -> int:
     """Genus by counting permutation cycles from scratch (Euler formula)."""
-    v = _cycle_count(m.sigma)
-    f = _cycle_count(tuple(m.sigma[m.alpha[d]] for d in range(m.n_darts)))
+    v = len(_cycle_lengths(m.sigma))
+    f = len(_cycle_lengths(tuple(m.sigma[m.alpha[d]] for d in range(m.n_darts))))
     e = m.n_darts // 2
     two_minus_2g = v - e + f
     assert (2 - two_minus_2g) % 2 == 0
     return (2 - two_minus_2g) // 2
+
+
+def min_degree3_counts(e: int) -> dict[int, int]:
+    """Rooted one-face maps with e edges and every vertex degree >= 3, by genus.
+
+    Every gluing of the 2e-gon; a vertex's degree is the length of its
+    sigma-cycle.
+    """
+    counts: dict[int, int] = {}
+    for pairing in all_matchings(tuple(range(2 * e))):
+        m = polygon_map(pairing, e)
+        if min(_cycle_lengths(m.sigma)) >= 3:
+            g = corner_genus(m)
+            counts[g] = counts.get(g, 0) + 1
+    return counts
 
 
 def brute_cheeger_value(g: Multigraph) -> Fraction:

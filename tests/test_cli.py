@@ -12,6 +12,8 @@ from unimap.core import core
 from unimap.maps import (
     Multigraph,
     decode_map,
+    encode_map,
+    from_polygon_gluing,
     genus,
     write_multigraph,
 )
@@ -102,6 +104,32 @@ def test_core_subcommand_files(tmp_path, capsys):
     for b in branches:
         assert set(b["tree"]) == {"children", "path"}
         assert len(b["attachment"]) == 2
+
+
+def test_core_branches_json_writes_trees_as_nested_arrays(tmp_path, capsys):
+    # torus square with a three-edge tree in the corner before dart 6
+    m = from_polygon_gluing(((0, 5), (1, 2), (3, 4), (6, 8), (7, 9)), 5)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(encode_map(m) + "\n")
+    branches_path = tmp_path / "branches.json"
+    code, _, _ = run(
+        capsys,
+        "core",
+        "--in", str(map_path),
+        "--out", str(tmp_path / "core.json"),
+        "--branches", str(branches_path),
+    )
+    assert code == 0
+    expected = [
+        {
+            "size": 4,
+            "tree": {"children": [[], [[], []]], "path": [0]},
+            "attachment": [0, 2],
+            "marked_edge": [1],
+        },
+        {"size": 1, "tree": {"children": [[]], "path": [0]}, "attachment": [1, 3]},
+    ]
+    assert branches_path.read_text() == json.dumps(expected, indent=2) + "\n"
 
 
 def test_core_subcommand_with_cutoff(tmp_path, capsys):
@@ -238,6 +266,28 @@ def test_experiment_core_expander(tmp_path, capsys):
 
 def test_library_errors_exit_2(capsys):
     code, _, err = run(capsys, "sample-unicellular", "--n", "4", "--genus", "3", "--seed", "1")
+    assert code == 2
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0 1\n",  # missing header
+        "p mg 2 one\n0 1\n",  # non-integer header field
+        "p mg 2 1\n0 x\n",  # non-integer endpoint
+        "p mg 2\n0 1\n",  # header field count
+        "p mg 2 1\n0 1 1\n",  # edge field count
+        "p mg 2 3\n0 1\n",  # edge count mismatch
+        "p mg 2 1\n0 5\n",  # endpoint out of range
+    ],
+)
+def test_malformed_graph_exits_2(tmp_path, capsys, text):
+    graph_path = tmp_path / "bad.mg"
+    graph_path.write_text(text)
+    code, _, err = run(
+        capsys, "cheeger", "--in", str(graph_path), "--out", str(tmp_path / "w.json")
+    )
     assert code == 2
     assert err.startswith("error:")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from unimap.core import (
     reconstruct,
 )
 from unimap.errors import DecompositionError, ParameterError
-from unimap.maps import from_polygon_gluing, genus, vertex_degrees
+from unimap.maps import CombinatorialMap, from_polygon_gluing, genus, vertex_degrees
 from unimap.samplers import enumerate_pairings, sample_polygon_gluing
 from unimap.trees import tree_edges
 
@@ -55,6 +56,28 @@ def test_core_rejects_genus_zero():
         core(tree)
     with pytest.raises(DecompositionError):
         branch_size_profile(tree)
+
+
+def test_core_rejects_multi_face_maps():
+    # one vertex, rotation (0 1 2 3 4 5): two faces, genus 1
+    m = CombinatorialMap(6, (1, 0, 4, 5, 2, 3), (1, 2, 3, 4, 5, 0), 0)
+    assert m.n_faces() == 2 and genus(m) == 1
+    with pytest.raises(DecompositionError):
+        branch_size_profile(m)
+    with pytest.raises(DecompositionError):
+        core(m)
+
+
+def test_leaf_peel_is_not_quadratic():
+    # torus square with k leaves folded into one corner
+    k = 20_000
+    pairs = [(2 * i, 2 * i + 1) for i in range(k)]
+    pairs += [(2 * k, 2 * k + 2), (2 * k + 1, 2 * k + 3)]
+    m = from_polygon_gluing(tuple(pairs), k + 2)
+    t0 = time.perf_counter()
+    assert branch_size_profile(m) == (k + 1, (1,))
+    assert reconstruct(core(m)) == m
+    assert time.perf_counter() - t0 < 5.0
 
 
 @pytest.mark.parametrize("n", range(2, 6))

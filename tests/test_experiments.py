@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from unimap.core import core_less_M
 from unimap.errors import EnumerationCapError, ParameterError
 from unimap.experiments import (
     ExperimentConfig,
@@ -21,9 +23,9 @@ from unimap.experiments import (
     verify_one_vertex_law,
     verify_substitution_transfer,
 )
-from unimap.samplers import double_factorial_odd
+from unimap.samplers import double_factorial_odd, sample_unicellular_fixed_genus
 
-from .oracles import harer_zagier_table
+from .oracles import harer_zagier_table, min_degree3_counts
 
 
 def test_config_validation_and_digest():
@@ -82,6 +84,11 @@ def test_min_degree3_census_spot_values():
     assert min_degree3_census(3).get(1, 0) == 1
     assert 0 not in min_degree3_census(3)
     assert sum(min_degree3_census(4).values()) > 0
+
+
+@pytest.mark.parametrize("e", range(1, 7))
+def test_min_degree3_census_matches_degree_enumeration(e):
+    assert min_degree3_census(e) == min_degree3_counts(e)
 
 
 def test_one_vertex_law_passes():
@@ -159,6 +166,22 @@ def test_core_expander_experiment_shape():
     quantities = {row["quantity"] for row in r.data}
     assert "min_h_core" in quantities
     assert any(q.startswith("edge_fraction[M=") for q in quantities)
+
+
+def test_core_expander_edge_fractions_match_trimmed_maps():
+    seed, trials = 4, 3
+    r = run_core_expander_experiment(0.4, 0.1, (12, 16), trials=trials, seed=seed)
+    rows = [row for row in r.data if row["quantity"].startswith("edge_fraction[M=")]
+    assert len(rows) >= 2 * 7
+    for row in rows:
+        n = row["n"]
+        mm = int(row["quantity"][len("edge_fraction[M=") : -1])
+        total = Fraction(0)
+        for t in range(trials):
+            rng = random.Random(f"{seed}:core:{n}:{t}")
+            m = sample_unicellular_fixed_genus(n, r.observed[f"n={n}"]["g"], rng)
+            total += Fraction(core_less_M(m, mm).n_edges, n)
+        assert row["value"] == float(total / trials)
 
 
 def test_core_expander_single_vertex_core_is_vacuous():
