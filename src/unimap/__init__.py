@@ -1,9 +1,9 @@
 """Laboratory for high-genus one-face maps.
 
-Sampling (polygon gluings, fixed-genus rejection, configuration model,
-random trees), the core/branch decomposition with its exact inverse,
-edge-expansion machinery, exact tree series, and a small experiment
-harness tying them together.
+Sampling (polygon gluings, fixed genus exact by trisection gluing,
+configuration model, random trees), the core/branch decomposition with its
+exact inverse, edge-expansion machinery, exact tree series, and a small
+experiment harness tying them together.
 """
 
 from __future__ import annotations

@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("sample-unicellular", help="rejection-sample U(n, g)")
+    p = sub.add_parser("sample-unicellular", help="sample U(n, g), exact, by trisection gluing")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)

@@ -23,23 +23,6 @@ class EnumerationCapError(UnimapError, ValueError):
     """An exhaustive enumeration was requested above its configured cap."""
 
 
-class SamplerExhaustedError(UnimapError, RuntimeError):
-    """A rejection sampler ran out of attempts.
-
-    Carries the attempt count and the acceptance rate observed so far so the
-    caller can judge whether the target was merely unlucky or infeasible.
-    """
-
-    def __init__(self, message: str, attempts: int, accepted: int) -> None:
-        super().__init__(message)
-        self.attempts = attempts
-        self.accepted = accepted
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accepted / self.attempts if self.attempts else 0.0
-
-
 class EmptySideError(UnimapError, ValueError):
     """A cut was evaluated with an empty side."""
 

@@ -679,12 +679,18 @@ def _genus_for(theta: float, n: int) -> int:
     return math.ceil(Fraction(str(theta)) * n)
 
 
-def _cheeger_or_none(m) -> Fraction | None:
-    """Exact Cheeger constant of the underlying graph, None when no cut exists."""
+def _cheeger_or_none(m, where: str) -> Fraction | None:
+    """Exact Cheeger constant of the underlying graph, None when no cut exists.
+
+    ``where`` names the graph in the error raised past the exact engine's cap.
+    """
     graph = underlying_graph(m)[0]
     if graph.n_vertices < 2:
         return None
-    return cheeger_exact(graph).h_value
+    try:
+        return cheeger_exact(graph).h_value
+    except EnumerationCapError as exc:
+        raise EnumerationCapError(f"{where}: {exc}") from exc
 
 
 def run_core_expander_experiment(
@@ -749,8 +755,8 @@ def run_core_expander_experiment(
             dec = core(m)
             core_map = dec.core
             trimmed = core_less_M(m, pipe.M)
-            h_core = _cheeger_or_none(core_map)
-            h_trim = _cheeger_or_none(trimmed)
+            h_core = _cheeger_or_none(core_map, f"n={n}, trial {t}, the core")
+            h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={pipe.M}")
             if h_core is None:
                 # single-vertex core: no cut exists, vacuously an expander
                 vacuous += 1

@@ -1,7 +1,8 @@
 """Random generation of maps, pairings and branch sizes.
 
 The samplers are all exact: uniform pairings drive the polygon-gluing and
-configuration models, rejection gives the fixed-genus law, and the branch
+configuration models, the fixed-genus law is exact by trisection gluing
+(a plane tree whose vertices are glued into a genus-g map), and the branch
 size laws use their exact weight tables (truncated where a certified
 geometric tail bound says the lost mass is below 1e-12).
 """
@@ -16,13 +17,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .errors import (
-    EnumerationCapError,
-    ParameterError,
-    SamplerExhaustedError,
-)
-from .maps import CombinatorialMap, from_polygon_gluing, genus
+from .errors import EnumerationCapError, MalformedMapError, ParameterError
+from .maps import CombinatorialMap, from_polygon_gluing
 from .series import eval_C, eval_D
+from .trees import sample_dyck_word
 
 _log = logging.getLogger(__name__)
 
@@ -166,31 +164,144 @@ def sample_polygon_gluing(n: int, rng: random.Random) -> CombinatorialMap:
     return from_polygon_gluing(sample_pairing(2 * n, rng), n)
 
 
-def sample_unicellular_fixed_genus(
-    n: int,
-    g: int,
-    rng: random.Random,
-    max_attempts: int = 10**7,
-) -> CombinatorialMap:
-    """A uniform one-face map with n edges and genus g, by rejection.
+@lru_cache(maxsize=64)
+def _harer_zagier_column(n: int) -> tuple[int, ...]:
+    """eps_h(n) for h = 0..n//2: the gluings of the 2n-gon with genus h.
 
-    Polygon gluings restricted to a genus class stay uniform on it, so the
-    loop below is exact.  Feasibility needs 0 <= g <= n/2; the acceptance
-    rate degrades quickly once g sits far below n/2 (the random gluing's
-    vertex count concentrates around log(2n)), hence the attempt cap.
+    Built bottom-up over m = 1..n from the Harer-Zagier recurrence
+    (m+1) eps_h(m) = (4m-2) eps_h(m-1) + (2m-1)(m-1)(2m-3) eps_{h-1}(m-2),
+    keeping only the two previous columns.  With eps_0(0) = 1 and
+    eps_{-1} = 0 its h = 0 row is the Catalan recurrence.  Every division
+    is checked to be exact.
     """
-    if not 0 <= 2 * g <= n:
+    before: tuple[int, ...] = ()  # column m-2
+    col: tuple[int, ...] = (1,)  # column m-1
+    for m in range(1, n + 1):
+        a = 4 * m - 2
+        b = (2 * m - 1) * (m - 1) * (2 * m - 3)
+        nxt = []
+        for h in range(m // 2 + 1):
+            total = a * col[h] if h < len(col) else 0
+            if 0 < h <= len(before):
+                total += b * before[h - 1]
+            q, r = divmod(total, m + 1)
+            if r:
+                raise ArithmeticError(f"Harer-Zagier recurrence not integral at m={m}, h={h}")
+            nxt.append(q)
+        before, col = col, tuple(nxt)
+    return col
+
+
+def _genus_step_weight(n: int, h: int, p: int) -> int:
+    """C(V, 2p+1) eps_{h-p}(n), V = n+1-2(h-p) the vertices at genus h-p.
+
+    Chapuy's trisection identity: summed over p >= 1 this is 2h eps_h(n).
+    """
+    return math.comb(n + 1 - 2 * (h - p), 2 * p + 1) * _harer_zagier_column(n)[h - p]
+
+
+def _vertex_corners(alpha: Sequence[int]) -> list[int]:
+    """One dart per vertex of a polygon gluing, sorted by face position.
+
+    ``alpha`` is the edge involution in face order (sigma(d) = alpha(d)+1
+    mod 2n).  Each vertex is represented by the dart d minimising
+    (d - 1) mod 2n, its first corner after the root corner; the root dart
+    0 ranks last.
+    """
+    n_darts = len(alpha)
+    seen = bytearray(n_darts)
+    corners = []
+    for r in range(1, n_darts + 1):
+        d = r % n_darts
+        if seen[d]:
+            continue
+        corners.append(d)
+        while not seen[d]:
+            seen[d] = 1
+            d = alpha[d] + 1
+            if d == n_darts:
+                d = 0
+    return corners
+
+
+def _glue_corners(alpha: Sequence[int], corners: Sequence[int]) -> list[int]:
+    """Merge the vertices at ``corners`` (2p+1 of them, in face order).
+
+    The new rotation is sigma' = tau∘sigma with tau the cycle
+    (c_1 c_2 ... c_{2p+1}), so the new face permutation is d -> tau(d+1).
+    The result is relabelled in face order from the root, i.e. returned as
+    the edge involution of the glued polygon.  It keeps one face, and its
+    genus grows by p.
+    """
+    n_darts = len(alpha)
+    tau = dict(zip(corners, [*corners[1:], corners[0]]))
+    pos = [-1] * n_darts
+    order = []
+    d = 0
+    for t in range(n_darts):
+        pos[d] = t
+        order.append(d)
+        d += 1
+        if d == n_darts:
+            d = 0
+        d = tau.get(d, d)
+    if -1 in pos:
+        raise MalformedMapError("vertex gluing split the face")
+    return [pos[alpha[d]] for d in order]
+
+
+def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> CombinatorialMap:
+    """A uniform one-face map with n edges and genus g, exact, by trisection gluing.
+
+    Chapuy's bijection (Adv. Appl. Math. 2011) behind
+    2g eps_g(n) = sum_{p>=1} C(n+1-2g+2p, 2p+1) eps_{g-p}(n): gluing 2p+1
+    vertices of a genus-(g-p) map into one gives every genus-g map exactly
+    2g times.  So the genus steps p are drawn top-down with those weights,
+    the genus-0 base is a uniform plane tree, and the steps are applied
+    bottom-up, each to a uniform (2p+1)-subset of the current vertices.
+    Weights are computed only as far as the walk over p reaches, and no
+    step recurses.  Feasibility needs n >= 1 and 0 <= g <= n/2.
+    """
+    if n < 1 or not 0 <= 2 * g <= n:
         raise ParameterError(f"genus {g} infeasible for {n} edges")
-    for attempt in range(1, max_attempts + 1):
-        m = sample_polygon_gluing(n, rng)
-        if genus(m) == g:
-            _log.debug("accepted genus-%d gluing after %d attempts", g, attempt)
-            return m
-    raise SamplerExhaustedError(
-        f"no genus-{g} gluing with {n} edges in {max_attempts} attempts",
-        attempts=max_attempts,
-        accepted=0,
-    )
+    steps = []
+    h = g
+    while h > 0:
+        u = rng.randrange(2 * h * _harer_zagier_column(n)[h])
+        for p in range(1, h + 1):
+            w = _genus_step_weight(n, h, p)
+            if u < w:
+                break
+            u -= w
+        else:
+            raise ArithmeticError(f"trisection weights fall short at n={n}, h={h}")
+        steps.append(p)
+        h -= p
+    if _log.isEnabledFor(logging.DEBUG):
+        log10_attempts = math.log10(double_factorial_odd(n)) - math.log10(
+            _harer_zagier_column(n)[g]
+        )
+        _log.debug(
+            "genus-%d map with %d edges by genus steps %s; rejection would need "
+            "10^%.2f attempts on average",
+            g,
+            n,
+            steps,
+            log10_attempts,
+        )
+    alpha = [0] * (2 * n)
+    opened = []
+    for i, step in enumerate(sample_dyck_word(n, rng)):
+        if step == 1:
+            opened.append(i)
+        else:
+            j = opened.pop()
+            alpha[i], alpha[j] = j, i
+    for p in reversed(steps):
+        corners = _vertex_corners(alpha)
+        chosen = sorted(rng.sample(range(len(corners)), 2 * p + 1))
+        alpha = _glue_corners(alpha, [corners[i] for i in chosen])
+    return from_polygon_gluing([(d, a) for d, a in enumerate(alpha) if d < a], n)
 
 
 def sample_configuration_model(

@@ -100,6 +100,24 @@ def corner_genus(m: CombinatorialMap) -> int:
     return (2 - two_minus_2g) // 2
 
 
+def rejection_fixed_genus(n: int, g: int, rng) -> CombinatorialMap:
+    """A uniform genus-g gluing of the 2n-gon, by rejecting uniform gluings.
+
+    A uniform pairing comes from matching the smallest free side with a
+    uniform partner; restricted to a genus class the gluings stay uniform.
+    The expected number of tries is (2n-1)!!/eps_g(n), so keep n small.
+    """
+    while True:
+        free = list(range(2 * n))
+        pairing = []
+        while free:
+            a = free.pop(0)
+            pairing.append((a, free.pop(rng.randrange(len(free)))))
+        m = polygon_map(pairing, n)
+        if corner_genus(m) == g:
+            return m
+
+
 def min_degree3_counts(e: int) -> dict[int, int]:
     """Rooted one-face maps with e edges and every vertex degree >= 3, by genus.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,16 @@ def test_sample_unicellular_deterministic(capsys):
         assert m.n_edges == 12
         assert m.n_faces() == 1
         assert genus(m) == 3
+
+
+def test_sample_unicellular_high_genus_is_fast(capsys):
+    # rejection needed 3.8e7 gluings on average here and spun for hours
+    t0 = time.perf_counter()
+    code, out, _ = run(capsys, "sample-unicellular", "--n", "100", "--genus", "40", "--seed", "1")
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 0
+    m = decode_map(out)
+    assert (m.n_edges, m.n_faces(), genus(m)) == (100, 1, 40)
 
 
 def test_sample_cm_respects_degrees(capsys):

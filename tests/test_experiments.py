@@ -193,6 +193,13 @@ def test_core_expander_single_vertex_core_is_vacuous():
     assert obs["kappa_satisfied"] == obs["trials"]
 
 
+def test_core_expander_names_the_graph_past_the_cheeger_cap():
+    # at n = 150 some sample's graph has more than 24 vertices
+    with pytest.raises(EnumerationCapError, match=r"n=150, trial \d+, the core") as info:
+        run_core_expander_experiment(0.4, 0.1, (150,), trials=3, seed=1)
+    assert "exceeds the exact cap 24" in str(info.value)
+
+
 def test_core_expander_reports_bit_identical():
     a = run_core_expander_experiment(0.4, 0.1, (16,), trials=2, seed=9)
     b = run_core_expander_experiment(0.4, 0.1, (16,), trials=2, seed=9)

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
+import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unimap.errors import EnumerationCapError, ParameterError, SamplerExhaustedError
+from unimap.errors import EnumerationCapError, ParameterError
 from unimap.maps import genus, vertex_degrees
 from unimap.samplers import (
     BranchSizeSampler,
@@ -22,10 +25,20 @@ from unimap.samplers import (
     sample_pairing,
     sample_polygon_gluing,
     sample_unicellular_fixed_genus,
+    _genus_step_weight,
+    _glue_corners,
+    _harer_zagier_column,
+    _vertex_corners,
 )
 from unimap.series import expected_marked_size, expected_plain_size
 
-from .oracles import all_matchings, harer_zagier_table
+from .oracles import (
+    all_matchings,
+    corner_genus,
+    harer_zagier_table,
+    polygon_map,
+    rejection_fixed_genus,
+)
 
 
 @pytest.mark.parametrize("p", range(0, 7))
@@ -89,13 +102,103 @@ def test_fixed_genus_sampler_logs_attempts(caplog):
     assert any("attempts" in rec.message for rec in caplog.records)
 
 
-def test_fixed_genus_sampler_exhausts():
+def test_fixed_genus_sampler_reaches_the_high_genus_regime():
+    # rejection needed 3.8e7 gluings on average here and spun for hours
     rng = random.Random(1)
-    with pytest.raises(SamplerExhaustedError) as info:
-        # genus 5 needs n >= 10; at n = 10 the class is tiny, one attempt
-        # will essentially never land there
-        sample_unicellular_fixed_genus(10, 5, rng, max_attempts=1)
-    assert info.value.attempts == 1
+    t0 = time.perf_counter()
+    m = sample_unicellular_fixed_genus(100, 40, rng)
+    assert time.perf_counter() - t0 < 5.0
+    assert (m.n_edges, m.n_faces(), genus(m)) == (100, 1, 40)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("g", [400, 500])
+def test_fixed_genus_sampler_large_n_without_recursion(g):
+    # 40 frames above this one: the count table, the genus steps and the
+    # base tree must all be loops, whatever n is
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    t0 = time.perf_counter()
+    try:
+        m = sample_unicellular_fixed_genus(1000, g, random.Random(g))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert time.perf_counter() - t0 < 30.0
+    assert (m.n_edges, m.n_faces(), genus(m)) == (1000, 1, g)
+
+
+def test_harer_zagier_column_matches_oracle():
+    table = harer_zagier_table(60)
+    for n in range(61):
+        assert _harer_zagier_column(n) == tuple(table[(n, g)] for g in range(n // 2 + 1))
+
+
+def test_genus_step_weights_sum_to_trisection_total():
+    # Chapuy: 2g eps_g(n) = sum_p C(n+1-2g+2p, 2p+1) eps_{g-p}(n)
+    table = harer_zagier_table(60)
+    for n in range(1, 61):
+        for g in range(1, n // 2 + 1):
+            total = sum(_genus_step_weight(n, g, p) for p in range(1, g + 1))
+            assert total == 2 * g * table[(n, g)]
+
+
+def _pairs(alpha):
+    return [(d, a) for d, a in enumerate(alpha) if d < a]
+
+
+def test_vertex_gluing_hits_every_genus_g_map_2g_times():
+    # every (2p+1)-subset of vertices of every genus-(g-p) map, for all p
+    for n in range(1, 7):
+        by_genus: dict[int, list[tuple[int, ...]]] = {}
+        for pairing in all_matchings(tuple(range(2 * n))):
+            m = polygon_map(pairing, n)
+            by_genus.setdefault(corner_genus(m), []).append(m.alpha)
+        hits: Counter = Counter()
+        for h, maps in by_genus.items():
+            for alpha in maps:
+                corners = _vertex_corners(alpha)
+                for p in range(1, (len(corners) - 1) // 2 + 1):
+                    for chosen in itertools.combinations(corners, 2 * p + 1):
+                        glued = tuple(_glue_corners(alpha, chosen))
+                        hits[glued] += 1
+                        assert corner_genus(polygon_map(_pairs(glued), n)) == h + p
+        expected = {a: 2 * g for g, maps in by_genus.items() if g for a in maps}
+        assert hits == expected
+
+
+def test_fixed_genus_sampler_chi_square_at_5_2():
+    # 483 genus-2 maps with 5 edges, 20,000 draws; 644 is about the
+    # 1e-6 upper quantile of chi-square with 482 degrees of freedom
+    gluings = [polygon_map(p, 5) for p in all_matchings(tuple(range(10)))]
+    classes = [m.alpha for m in gluings if corner_genus(m) == 2]
+    assert len(classes) == harer_zagier_table(5)[(5, 2)] == 483
+    rng = random.Random("chi2:5:2")
+    draws = 20_000
+    counts = Counter(sample_unicellular_fixed_genus(5, 2, rng).alpha for _ in range(draws))
+    assert set(counts) == set(classes)
+    expect = draws / len(classes)
+    stat = sum((counts[c] - expect) ** 2 / expect for c in classes)
+    assert stat < 644
+
+
+def test_fixed_genus_sampler_matches_rejection_oracle():
+    # two-sample chi-square over the 70 tori with 4 edges; 140 is about
+    # the 1e-6 upper quantile with 69 degrees of freedom
+    draws = 7000
+    rng = random.Random("trisection")
+    ours = Counter(sample_unicellular_fixed_genus(4, 1, rng).alpha for _ in range(draws))
+    rng = random.Random("rejection")
+    theirs = Counter(rejection_fixed_genus(4, 1, rng).alpha for _ in range(draws))
+    assert set(ours) == set(theirs)
+    assert len(ours) == harer_zagier_table(4)[(4, 1)]
+    stat = sum((ours[c] - theirs[c]) ** 2 / (ours[c] + theirs[c]) for c in ours)
+    assert stat < 140
 
 
 def test_fixed_genus_sampler_rejects_bad_genus():
@@ -104,6 +207,8 @@ def test_fixed_genus_sampler_rejects_bad_genus():
         sample_unicellular_fixed_genus(5, 3, rng)  # 2g > n
     with pytest.raises(ParameterError):
         sample_unicellular_fixed_genus(4, -1, rng)
+    with pytest.raises(ParameterError):
+        sample_unicellular_fixed_genus(0, 0, rng)
 
 
 def test_degree_sequence_validation():
