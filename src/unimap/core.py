@@ -105,6 +105,25 @@ class BranchDecomposition:
         """Edge count of the reconstructed map."""
         return sum(b.n_edges for b in self.branches)
 
+    def core_less_M(self, M: int) -> CombinatorialMap:
+        """Rebuild the map with every branch of >= M edges replaced by a
+        single edge.
+
+        With M = 2 this is the core itself up to the degree-2 chains; the
+        result keeps the root on its branch (collapsed branches move the
+        mark to their single surviving edge).
+        """
+        if M < 2:
+            raise ParameterError(f"M must be at least 2, got {M}")
+        branches = tuple(
+            DoublyRootedTree(((),), (0,)) if b.n_edges >= M else b
+            for b in self.branches
+        )
+        marked = self.marked_edge
+        if self.branches[self.root_branch_index].n_edges >= M:
+            marked = (0,)
+        return reconstruct(replace(self, branches=branches, marked_edge=marked))
+
 
 def _core_edges(m: CombinatorialMap) -> tuple[tuple[int, int], ...]:
     return tuple(
@@ -299,12 +318,7 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
     sigma_c = tuple(index[sk.next_alive(d)] for d in order)
     tmp = CombinatorialMap(len(order), alpha_c, sigma_c, index[chosen])
     relab = face_order_relabeling(tmp)
-    core_map = CombinatorialMap(
-        tmp.n_darts,
-        tuple(relab[tmp.alpha[i]] for i in _inverse(relab)),
-        tuple(relab[tmp.sigma[i]] for i in _inverse(relab)),
-        0,
-    )
+    core_map = face_order_form(tmp)
     side_of_new = {relab[index[d]]: d for d in order}
 
     edges = _core_edges(core_map)
@@ -323,13 +337,6 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
         marked_edge=addr,
         attachments=edges,
     )
-
-
-def _inverse(relab: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(relab)
-    for old, new in enumerate(relab):
-        inv[new] = old
-    return tuple(inv)
 
 
 def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
@@ -398,21 +405,10 @@ def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
 def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
     """Replace every branch of >= M edges by a single edge.
 
-    With M = 2 this is the core itself up to the degree-2 chains; the
-    result keeps the root on its branch (collapsed branches move the
-    mark to their single surviving edge).
+    Decomposes ``m`` first; a caller that already holds ``core(m)`` calls
+    :meth:`BranchDecomposition.core_less_M` on it instead.
     """
-    if M < 2:
-        raise ParameterError(f"M must be at least 2, got {M}")
-    dec = core(m)
-    branches = tuple(
-        DoublyRootedTree(((),), (0,)) if b.n_edges >= M else b
-        for b in dec.branches
-    )
-    marked = dec.marked_edge
-    if dec.branches[dec.root_branch_index].n_edges >= M:
-        marked = (0,)
-    return reconstruct(replace(dec, branches=branches, marked_edge=marked))
+    return core(m).core_less_M(M)
 
 
 def branch_size_profile(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:

@@ -27,15 +27,18 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
-from .core import branch_size_profile, core, core_less_M
+from .core import branch_size_profile, core
 from .errors import EnumerationCapError, ParameterError
 from .expansion import branch_substitution_transfer_check, cheeger_exact, wilson_interval
 from .maps import Multigraph, from_polygon_gluing, genus, underlying_graph
 from .samplers import (
+    ENUMERATION_CAP,
     DegreeSequence,
+    block_rotation,
     count_one_vertex_maps,
     double_factorial_odd,
     enumerate_pairings,
+    sample_pairing,
     sample_unicellular_fixed_genus,
 )
 from .series import (
@@ -63,8 +66,6 @@ __all__ = [
 
 _MODES = ("exact", "monte-carlo")
 _VERDICTS = ("pass", "fail", "informational")
-# largest edge count the exhaustive checks enumerate: (2*8-1)!! = 2,027,025 gluings
-_MAX_N = 8
 
 
 def _jsonable(x: Any) -> Any:
@@ -223,10 +224,8 @@ def profile_census(n: int) -> dict:
     (genus, core_edges, marked_size, sorted_other_sizes); plane trees are
     tallied under (0, 0, 0, ()) since they have no core.
     """
-    if n > _MAX_N:
-        raise EnumerationCapError(f"census needs n <= {_MAX_N}, got {n}")
     counts: Counter = Counter()
-    for pairing in enumerate_pairings(n, cap=_MAX_N):
+    for pairing in enumerate_pairings(n):
         m = from_polygon_gluing(pairing, n)
         g = genus(m)
         if g == 0:
@@ -278,8 +277,8 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     for p in p_list:
         if p < 2 or p % 2 != 0:
             raise ParameterError(f"one-vertex gluings need even p >= 2, got {p}")
-        if p > _MAX_N:
-            raise EnumerationCapError(f"exhaustive check needs p <= {_MAX_N}, got {p}")
+        if p > ENUMERATION_CAP:
+            raise EnumerationCapError(f"exhaustive check needs p <= {ENUMERATION_CAP}, got {p}")
     config = ExperimentConfig(
         name="one-vertex-law", parameters={"p_list": list(p_list)}, mode="exact"
     )
@@ -315,32 +314,20 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     )
 
 
-def _cm_map_is_unicellular(pairing, blocks) -> bool:
-    """One face test for a fixed-rotation gluing, without building a map.
-
-    ``blocks`` maps each dart to (block_start, block_len); the rotation is
-    the cyclic increasing order inside its block.
-    """
-    n_darts = 2 * len(pairing)
+def _cm_map_is_unicellular(pairing, sigma) -> bool:
+    """One-face test for gluing the rotation ``sigma`` along ``pairing``,
+    without building a map: the face of dart 0 must visit every dart."""
+    n_darts = len(sigma)
     alpha = [0] * n_darts
     for a, b in pairing:
         alpha[a] = b
         alpha[b] = a
-    count = 0
-    visited = bytearray(n_darts)
-    for start in range(n_darts):
-        if visited[start]:
-            continue
-        count += 1
-        if count > 1:
-            return False
-        d = start
-        while not visited[d]:
-            visited[d] = 1
-            e = alpha[d]
-            base, length = blocks[e]
-            d = base + (e - base + 1) % length
-    return count == 1
+    length = 1
+    d = sigma[alpha[0]]
+    while d != 0:
+        d = sigma[alpha[d]]
+        length += 1
+    return length == n_darts
 
 
 def verify_cm_unicellular(
@@ -367,12 +354,7 @@ def verify_cm_unicellular(
     if not exact and seed is None:
         raise ParameterError("monte-carlo path requires a seed")
 
-    blocks: dict[int, tuple[int, int]] = {}
-    base = 0
-    for deg in degrees.entries:
-        for off in range(deg):
-            blocks[base + off] = (base, deg)
-        base += deg
+    sigma = block_rotation(degrees.entries)
 
     params: dict = {"degrees": list(degrees.entries)}
     floor = Fraction(1, 6 * n)
@@ -405,7 +387,7 @@ def verify_cm_unicellular(
         count = 0
         for pairing in enumerate_pairings(n):
             count += 1
-            if _cm_map_is_unicellular(pairing, blocks):
+            if _cm_map_is_unicellular(pairing, sigma):
                 hits += 1
         prob = Fraction(hits, count)
         observed = {
@@ -420,16 +402,9 @@ def verify_cm_unicellular(
             name="cm-unicellular", parameters=params, mode="monte-carlo"
         )
         hits = 0
-        darts = list(range(total))
         for t in range(trials):
             rng = random.Random(f"{seed}:cm:{t}")
-            order = darts[:]
-            rng.shuffle(order)
-            pairing = tuple(
-                (min(order[2 * i], order[2 * i + 1]), max(order[2 * i], order[2 * i + 1]))
-                for i in range(n)
-            )
-            if _cm_map_is_unicellular(pairing, blocks):
+            if _cm_map_is_unicellular(sample_pairing(total, rng), sigma):
                 hits += 1
         lo, hi = wilson_interval(hits, trials)
         prob = Fraction(hits, trials)
@@ -463,8 +438,8 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
     sides by exhaustive enumeration plus exact series coefficients, every e.
     """
     t0 = time.perf_counter()
-    if n > _MAX_N:
-        raise EnumerationCapError(f"identity check needs n <= {_MAX_N}, got {n}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"identity check needs n <= {ENUMERATION_CAP}, got {n}")
     if g < 1 or 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
     config = ExperimentConfig(
@@ -560,8 +535,8 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
     evaluated at two different beta values to confirm beta cancels.
     """
     t0 = time.perf_counter()
-    if n > _MAX_N:
-        raise EnumerationCapError(f"profile law check needs n <= {_MAX_N}, got {n}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"profile law check needs n <= {ENUMERATION_CAP}, got {n}")
     if g < 1 or 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
     config = ExperimentConfig(
@@ -753,9 +728,8 @@ def run_core_expander_experiment(
             rng = random.Random(f"{seed}:core:{n}:{t}")
             m = sample_unicellular_fixed_genus(n, g, rng)
             dec = core(m)
-            core_map = dec.core
-            trimmed = core_less_M(m, pipe.M)
-            h_core = _cheeger_or_none(core_map, f"n={n}, trial {t}, the core")
+            trimmed = dec.core_less_M(pipe.M)
+            h_core = _cheeger_or_none(dec.core, f"n={n}, trial {t}, the core")
             h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={pipe.M}")
             if h_core is None:
                 # single-vertex core: no cut exists, vacuously an expander

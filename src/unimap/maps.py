@@ -11,9 +11,10 @@ composition ``sigma∘alpha`` (alpha first).  With this convention, gluing a
 construction.
 
 Maps are immutable; every mutating operation elsewhere in the package builds
-a new map.  Equality is dart-for-dart.  Two rooted maps that differ only by a
-relabelling of darts can be compared through :func:`canonical_form`, which
-relabels darts by a deterministic traversal from the root.
+a new map.  Equality is dart-for-dart.  A one-face map has one canonical
+labelling, :func:`face_order_form`, which numbers darts in face order from
+the root as a polygon gluing does; two one-face maps are rooted-isomorphic
+exactly when their face-order forms are equal.
 """
 
 from __future__ import annotations
@@ -22,30 +23,21 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import (
-    DisconnectedGraphError,
-    GenusError,
-    MalformedGraphError,
-    MalformedMapError,
-)
+from .errors import GenusError, MalformedGraphError, MalformedMapError
 
 __all__ = [
     "CombinatorialMap",
     "Multigraph",
-    "canonical_form",
-    "canonical_relabeling",
     "cycles_of",
     "decode_map",
     "encode_map",
     "face_order_form",
     "face_order_relabeling",
     "face_tour",
-    "faces",
     "from_polygon_gluing",
     "genus",
     "is_connected",
     "parse_multigraph",
-    "rooted_isomorphic",
     "underlying_graph",
     "vertex_degrees",
     "write_multigraph",
@@ -120,9 +112,6 @@ class CombinatorialMap:
     def face_permutation(self) -> tuple[int, ...]:
         return tuple(self.sigma[a] for a in self.alpha)
 
-    def face_cycles(self) -> list[list[int]]:
-        return cycles_of(self.face_permutation())
-
     def n_vertices(self) -> int:
         return _count_cycles(self.sigma)
 
@@ -137,26 +126,6 @@ class CombinatorialMap:
             for d in cyc:
                 ids[d] = v
         return tuple(ids)
-
-    def is_dart_connected(self) -> bool:
-        """True if the darts form a single orbit under ``sigma`` and ``alpha``."""
-        seen = bytearray(self.n_darts)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            d = stack.pop()
-            for nxt in (self.sigma[d], self.alpha[d]):
-                if not seen[nxt]:
-                    seen[nxt] = 1
-                    count += 1
-                    stack.append(nxt)
-        return count == self.n_darts
-
-
-def faces(m: CombinatorialMap) -> list[list[int]]:
-    """Face cycles of the map, i.e. orbits of ``sigma∘alpha``."""
-    return m.face_cycles()
 
 
 def genus(m: CombinatorialMap) -> int:
@@ -281,49 +250,6 @@ def is_connected(g: Multigraph) -> bool:
     return count == g.n_vertices
 
 
-def canonical_relabeling(m: CombinatorialMap) -> tuple[int, ...]:
-    """Old-dart -> new-label table for the canonical breadth-first order.
-
-    The traversal starts at the root and visits ``sigma`` before ``alpha``
-    at every dart, so the table is a pure function of the rooted
-    isomorphism class.  Requires a dart-connected map.
-    """
-    if not m.is_dart_connected():
-        raise DisconnectedGraphError("canonical_form needs a connected map")
-    new_label = [-1] * m.n_darts
-    order = [m.root]
-    new_label[m.root] = 0
-    head = 0
-    while head < len(order):
-        d = order[head]
-        head += 1
-        for nxt in (m.sigma[d], m.alpha[d]):
-            if new_label[nxt] < 0:
-                new_label[nxt] = len(order)
-                order.append(nxt)
-    return tuple(new_label)
-
-
-def canonical_form(m: CombinatorialMap) -> CombinatorialMap:
-    """Relabel darts by breadth-first order from the root; see
-    :func:`canonical_relabeling`.  Equal outputs mean rooted-isomorphic inputs."""
-    new_label = canonical_relabeling(m)
-    n = m.n_darts
-    alpha = [0] * n
-    sigma = [0] * n
-    for d in range(n):
-        alpha[new_label[d]] = new_label[m.alpha[d]]
-        sigma[new_label[d]] = new_label[m.sigma[d]]
-    return CombinatorialMap(n, tuple(alpha), tuple(sigma), 0)
-
-
-def rooted_isomorphic(m1: CombinatorialMap, m2: CombinatorialMap) -> bool:
-    """Equality of rooted maps up to dart relabelling."""
-    if m1.n_darts != m2.n_darts:
-        return False
-    return canonical_form(m1) == canonical_form(m2)
-
-
 def face_order_relabeling(m: CombinatorialMap) -> tuple[int, ...]:
     """Old-dart -> new-label table walking the single face from the root.
 
@@ -406,14 +332,13 @@ def _require_unicellular(m: CombinatorialMap, where: str) -> None:
         raise MalformedMapError(f"{where} needs a unicellular map, got {m.n_faces()} faces")
 
 
-def face_tour(m: CombinatorialMap, start: int | None = None) -> Iterator[int]:
-    """Darts of a unicellular map in face order, starting at ``start`` (default root)."""
+def face_tour(m: CombinatorialMap) -> Iterator[int]:
+    """Darts of a unicellular map in face order, starting at the root."""
     _require_unicellular(m, "face_tour")
     phi = m.face_permutation()
-    d0 = m.root if start is None else start
-    d = d0
+    d = m.root
     while True:
         yield d
         d = phi[d]
-        if d == d0:
+        if d == m.root:
             return

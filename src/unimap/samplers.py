@@ -1,10 +1,11 @@
 """Random generation of maps, pairings and branch sizes.
 
-The samplers are all exact: uniform pairings drive the polygon-gluing and
-configuration models, the fixed-genus law is exact by trisection gluing
-(a plane tree whose vertices are glued into a genus-g map), and the branch
-size laws use their exact weight tables (truncated where a certified
-geometric tail bound says the lost mass is below 1e-12).
+The samplers are all exact: one uniform pairing sampler (a shuffle paired
+off in order) drives the polygon-gluing and configuration models, the
+fixed-genus law is exact by trisection gluing (a plane tree whose vertices
+are glued into a genus-g map), and the branch size laws use their exact
+weight tables (truncated where a certified geometric tail bound says the
+lost mass is below 1e-12).
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .trees import sample_dyck_word
 _log = logging.getLogger(__name__)
 
 __all__ = [
+    "ENUMERATION_CAP",
     "BranchSizeSampler",
     "DegreeSequence",
+    "block_rotation",
     "count_one_vertex_maps",
     "double_factorial_odd",
     "enumerate_pairings",
@@ -36,6 +39,9 @@ __all__ = [
     "sample_polygon_gluing",
     "sample_unicellular_fixed_genus",
 ]
+
+# largest pair count enumerate_pairings walks: (2*8-1)!! = 2,027,025 matchings
+ENUMERATION_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -96,36 +102,33 @@ def count_one_vertex_maps(p: int) -> Fraction:
 
 
 def sample_pairing(n_points: int, rng: random.Random) -> tuple[tuple[int, int], ...]:
-    """A uniform perfect matching of 0..n_points-1.
+    """A uniform perfect matching of 0..n_points-1 as (min, max) pairs,
+    sorted by their first point.
 
-    Matching the smallest unmatched point with a uniformly random partner,
-    repeatedly, is uniform over all (n-1)!! matchings.
+    A uniform shuffle paired off in consecutive positions is uniform over
+    all (n-1)!! matchings: each matching comes from the same number of
+    orders, 2^(n/2) (n/2)!.
     """
     if n_points <= 0 or n_points % 2:
         raise ParameterError(f"n_points must be positive and even, got {n_points}")
-    free = list(range(n_points))
-    pairs: list[tuple[int, int]] = []
-    while free:
-        a = free.pop(0)
-        b = free.pop(rng.randrange(len(free)))
-        pairs.append((a, b))
-    return tuple(pairs)
+    order = list(range(n_points))
+    rng.shuffle(order)
+    pairs = ((a, b) if a < b else (b, a) for a, b in zip(order[0::2], order[1::2]))
+    return tuple(sorted(pairs))
 
 
-def enumerate_pairings(
-    n_pairs: int, cap: int = 8
-) -> Iterator[tuple[tuple[int, int], ...]]:
+def enumerate_pairings(n_pairs: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of 0..2*n_pairs-1, lexicographically.
 
     There are (2p-1)!! of them, so the generator refuses to start beyond
-    ``cap`` pairs; pass a larger cap explicitly to override.
+    ``ENUMERATION_CAP`` pairs.
     """
     if n_pairs < 0:
         raise ParameterError(f"n_pairs must be nonnegative, got {n_pairs}")
-    if n_pairs > cap:
+    if n_pairs > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{n_pairs} pairs means {double_factorial_odd(n_pairs)} matchings; "
-            f"raise cap={cap} explicitly if you mean it"
+            f"exhaustive enumeration stops at {ENUMERATION_CAP} pairs"
         )
 
     n = 2 * n_pairs
@@ -304,13 +307,27 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     return from_polygon_gluing([(d, a) for d, a in enumerate(alpha) if d < a], n)
 
 
+def block_rotation(degrees: Sequence[int]) -> list[int]:
+    """The configuration model's fixed rotation.
+
+    Vertex i owns the next ``degrees[i]`` darts and turns through them in
+    increasing order, back to the first.
+    """
+    sigma: list[int] = []
+    offset = 0
+    for d in degrees:
+        sigma.extend(range(offset + 1, offset + d))
+        sigma.append(offset)
+        offset += d
+    return sigma
+
+
 def sample_configuration_model(
     degrees: DegreeSequence | Sequence[int], rng: random.Random
 ) -> CombinatorialMap:
     """The map configuration model: fixed rotations, uniform pairing.
 
-    Vertex i owns a consecutive block of ``degrees[i]`` darts whose clockwise
-    rotation is the increasing order of the block; the edge involution is a
+    The rotation is :func:`block_rotation`; the edge involution is a
     uniform matching of all darts and the root is a uniform dart.  The
     outcome may be disconnected, so callers that need a surface should check
     connectivity (a one-face outcome always is connected).
@@ -324,21 +341,14 @@ def sample_configuration_model(
     n_darts = sum(degrees)
     if n_darts % 2:
         raise ParameterError(f"degree sum must be even, got {n_darts}")
-    sigma = [0] * n_darts
-    offset = 0
-    for d in degrees:
-        for j in range(d):
-            sigma[offset + j] = offset + (j + 1) % d
-        offset += d
-    pairing = sample_pairing(n_darts, rng)
     alpha = [0] * n_darts
-    for a, b in pairing:
+    for a, b in sample_pairing(n_darts, rng):
         alpha[a] = b
         alpha[b] = a
     return CombinatorialMap(
         n_darts=n_darts,
         alpha=tuple(alpha),
-        sigma=tuple(sigma),
+        sigma=tuple(block_rotation(degrees)),
         root=rng.randrange(n_darts),
     )
 
@@ -407,20 +417,6 @@ class BranchSizeSampler:
     def sample_marked(self, rng: random.Random) -> int:
         """A size from the marked law (an extra factor k for the marked edge)."""
         return self._draw(self._marked_cum, rng)
-
-    def plain_pmf(self, k: int) -> float:
-        if k < 1:
-            return 0.0
-        if k >= len(self._plain_cum):
-            return 0.0
-        return self._plain_cum[k] - self._plain_cum[k - 1]
-
-    def marked_pmf(self, k: int) -> float:
-        if k < 1:
-            return 0.0
-        if k >= len(self._marked_cum):
-            return 0.0
-        return self._marked_cum[k] - self._marked_cum[k - 1]
 
     def table_mean_plain(self) -> float:
         """Mean of the truncated plain table; equals beta D'(beta)/D(beta)

@@ -118,14 +118,6 @@ class TruncatedSeries:
     def scale(self, factor: Fraction | int) -> "TruncatedSeries":
         return TruncatedSeries([factor * c for c in self.coeffs])
 
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by z**k, keeping the truncation order."""
-        return TruncatedSeries(([0] * k + list(self.coeffs))[: self.order + 1])
-
-    def derivative(self) -> "TruncatedSeries":
-        """Formal derivative; the order drops by one."""
-        return TruncatedSeries([k * self.coeffs[k] for k in range(1, len(self.coeffs))])
-
     def z_derivative(self) -> "TruncatedSeries":
         """z * d/dz, which keeps the order."""
         return TruncatedSeries([k * self.coeffs[k] for k in range(len(self.coeffs))])
@@ -167,17 +159,6 @@ class TruncatedSeries:
             base = base * base
             e >>= 1
         return result
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(z)); inner must have zero constant term (Horner scheme)."""
-        if inner.coeffs and inner.coeffs[0]:
-            raise ArithmeticError("composition needs a zero constant term")
-        n = min(self.order, inner.order)
-        acc = TruncatedSeries([self.coeffs[n]] + [0] * n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * inner
-            acc = acc + TruncatedSeries([self.coeffs[k]] + [0] * n)
-        return acc
 
 
 def series_sqrt_one_minus_4z(order: int) -> TruncatedSeries:

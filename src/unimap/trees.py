@@ -204,10 +204,6 @@ class DoublyRootedTree:
     def n_edges(self) -> int:
         return tree_edges(self.tree)
 
-    @property
-    def path_length(self) -> int:
-        return len(self.path)
-
 
 def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
     """All doubly rooted trees with k edges, via their canonical form."""

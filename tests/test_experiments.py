@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import unimap.core
+import unimap.experiments
 from unimap.core import core_less_M
 from unimap.errors import EnumerationCapError, ParameterError
 from unimap.experiments import (
     ExperimentConfig,
     ExperimentReport,
+    _cm_map_is_unicellular,
     min_degree3_census,
     persist_report,
     profile_census,
@@ -23,7 +27,13 @@ from unimap.experiments import (
     verify_one_vertex_law,
     verify_substitution_transfer,
 )
-from unimap.samplers import double_factorial_odd, sample_unicellular_fixed_genus
+from unimap.maps import CombinatorialMap
+from unimap.samplers import (
+    block_rotation,
+    double_factorial_odd,
+    enumerate_pairings,
+    sample_unicellular_fixed_genus,
+)
 
 from .oracles import harer_zagier_table, min_degree3_counts
 
@@ -102,6 +112,42 @@ def test_one_vertex_law_passes():
         verify_one_vertex_law((10,))
 
 
+@pytest.mark.parametrize(
+    "degrees,one_face", [((4, 4, 4), 1440), ((3, 4, 5), 1440), ((3, 3, 6), 1350)]
+)
+def test_cm_face_walk_matches_built_maps(degrees, one_face):
+    sigma = block_rotation(degrees)
+    hits = 0
+    for pairing in enumerate_pairings(len(sigma) // 2):
+        alpha = [0] * len(sigma)
+        for a, b in pairing:
+            alpha[a], alpha[b] = b, a
+        slow = CombinatorialMap(len(sigma), alpha, sigma, 0).n_faces() == 1
+        assert _cm_map_is_unicellular(pairing, sigma) == slow
+        hits += slow
+    assert hits == one_face
+
+
+# Payload sha256 of two seeded runs.  They hold while the pairing sampler
+# and the core's face-order labelling keep their streams.
+@pytest.mark.parametrize(
+    "run,digest",
+    [
+        (
+            lambda: verify_cm_unicellular((3,) * 6, trials=4000, seed=13),
+            "894c0cfa3390a7631af6470d2129f36148d7cfab93c883cc1ce3657d24aa9ef6",
+        ),
+        (
+            lambda: run_core_expander_experiment(0.4, 0.1, (30, 40), trials=5, seed=1),
+            "1a67069efa5e6ed7cb5e16003159a54e8f48a73e1d3f6b4305a2de44dfc610c8",
+        ),
+    ],
+    ids=["cm-unicellular", "core-expander"],
+)
+def test_seeded_payloads_are_pinned(run, digest):
+    assert hashlib.sha256(run().payload_json().encode()).hexdigest() == digest
+
+
 def test_cm_unicellular_exact_small():
     r = verify_cm_unicellular((3, 3))
     assert r.verdict == "pass"
@@ -166,6 +212,20 @@ def test_core_expander_experiment_shape():
     quantities = {row["quantity"] for row in r.data}
     assert "min_h_core" in quantities
     assert any(q.startswith("edge_fraction[M=") for q in quantities)
+
+
+def test_core_expander_decomposes_each_sample_once(monkeypatch):
+    core = unimap.core.core
+    calls = []
+
+    def counting_core(m):
+        calls.append(m)
+        return core(m)
+
+    monkeypatch.setattr(unimap.core, "core", counting_core)
+    monkeypatch.setattr(unimap.experiments, "core", counting_core)
+    run_core_expander_experiment(0.4, 0.1, (12, 16), trials=3, seed=2)
+    assert len(calls) == 6
 
 
 def test_core_expander_edge_fractions_match_trimmed_maps():
