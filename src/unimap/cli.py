@@ -44,6 +44,7 @@ from .samplers import (
     sample_unicellular_fixed_genus,
 )
 from .series import derive_constants, series_C, series_D, series_T
+from .trees import Tree, children_to_map
 
 __all__ = ["main"]
 
@@ -97,6 +98,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _contour(tree: Tree) -> str:
+    """A tree's Dyck word as parentheses: "(" down an edge, ")" back up."""
+    return "".join("(" if d < a else ")" for d, a in enumerate(children_to_map(tree).alpha))
+
+
 def _cmd_core(args: argparse.Namespace) -> int:
     m = decode_map(Path(args.infile).read_text().strip())
     dec = core(m)
@@ -107,7 +113,7 @@ def _cmd_core(args: argparse.Namespace) -> int:
     for i, (drt, attachment) in enumerate(zip(dec.branches, dec.attachments)):
         entry = {
             "size": drt.n_edges,
-            "tree": {"children": drt.tree, "path": list(drt.path)},
+            "tree": {"contour": _contour(drt.tree), "path": list(drt.path)},
             "attachment": list(attachment),
         }
         if i == dec.root_branch_index:

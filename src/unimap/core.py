@@ -6,22 +6,26 @@ map with minimum degree 3 and the same genus; each core edge then
 carries a *branch*, the tree wrapped around that chain, recorded as a
 doubly rooted plane tree whose spine is the chain itself.
 
-Trees hang off the chain in corners.  The assignment rule is by the
-clockwise corner: a tree rooted in the corner immediately after a
-surviving dart q (in rotation order) belongs to q's branch.  Under this
-rule the branch of a chain v1 -> u_1 -> ... -> v2, seen from the v1 end,
-is exactly the doubly rooted tree with spine vertices u_i and, at each
-u_i, children = (trees after the incoming reversed dart) ++ (next spine
-edge) ++ (trees after the outgoing dart).
+Everything is read off one walk around the map's single face.  The
+*core darts* are the darts that survive the peel at a vertex of degree
+>= 3.  Cutting the face tour just before each core dart splits it into
+one *segment* per core dart.  From core dart q at v1, the tour runs down
+q's chain v1 -> ... -> v2 through the trees on one side of it, then
+through the trees that follow the chain around v2, and stops at the next
+core dart there.  The *mate* of q is the core dart at v2 that heads back
+along the chain: its segment holds the trees on the other side, alpha(q)
+and the trees that follow q around v1.  So the branch of q, presented
+from q's end, has the contour segment(q) ++ segment(mate(q)): a dart is
+a down-step when its partner comes later, and *v2's exit*, the up-step
+that leaves v2 along the chain, sits at position len(segment(q)).  The
+core darts in face order, paired by mate, are the core as a polygon
+gluing.
 
-The root dart of the map lives on some branch edge.  We store its
-position as the address of that edge in the branch's presentation,
-plus one orientation bit folded into the choice of presentation end:
-the presentation is taken from the end (v1 or v2) that makes the
-root dart agree with the marked edge's parent-side dart exactly when
-the edge sits on the v1 side of the branch (on the spine or hanging
-off its v1 flank).  Both `core` and `reconstruct` evaluate the same
-side predicate, so the round trip is exact on the nose, not just up
+The root dart of the map lies on some branch edge, the *marked edge*.
+Its orientation is folded into the choice of presentation end: the root
+is the marked edge's down dart exactly when that edge's up dart lies at
+or after v2's exit.  Exactly one end of the branch satisfies this rule,
+so `core` and `reconstruct` invert each other on the nose, not just up
 to rooted isomorphism.
 """
 
@@ -30,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import DecompositionError, ParameterError
-from .maps import CombinatorialMap, face_order_form, face_order_relabeling
-from .trees import DoublyRootedTree, Tree, children_to_map, entry_dart
+from .maps import CombinatorialMap, face_tour, from_polygon_gluing
+from .trees import DoublyRootedTree, children_to_map, dyck_to_children, entry_dart
 
 __all__ = [
     "BranchDecomposition",
@@ -40,24 +44,6 @@ __all__ = [
     "core_less_M",
     "reconstruct",
 ]
-
-
-def _marks_v1_side(path: tuple[int, ...], addr: tuple[int, ...]) -> bool:
-    """Whether the edge at `addr` sits on the v1 side of the doubly rooted tree.
-
-    Spine edges count as v1-side.  A hanging edge is v1-side when its
-    attachment to the spine comes clockwise after the spine continuation,
-    i.e. its address branches off above the path in address order.
-    """
-    if len(addr) <= len(path) and path[: len(addr)] == addr:
-        return True
-    i = 0
-    while i < len(path) and i < len(addr) and path[i] == addr[i]:
-        i += 1
-    if i == len(path):
-        # hangs below v2; v2's trees sit after the incoming spine dart
-        return False
-    return addr[i] > path[i]
 
 
 @dataclass(frozen=True)
@@ -72,7 +58,7 @@ class BranchDecomposition:
     root_branch_index: index of the branch carrying the original root.
     marked_edge: address of the root edge inside that branch.
     attachments: per branch, the (v1 dart, v2 dart) pair of core darts
-        whose corners the branch spine replaces.
+        whose face segments the branch contour fills.
     """
 
     core: CombinatorialMap
@@ -131,165 +117,99 @@ def _core_edges(m: CombinatorialMap) -> tuple[tuple[int, int], ...]:
     )
 
 
-class _Skeleton:
-    """Peeled view of a map: surviving darts, chain sides, tree corners."""
+class _Segments:
+    """The face tour of a one-face map, cut just before each core dart.
+
+    Segment j is ``tour[cut[j]:cut[j + 1]]`` and starts with the j-th
+    core dart met; ``owner[d]`` is the segment holding dart d and
+    ``mate[j]`` the segment holding alpha of segment j's core dart.
+    """
 
     def __init__(self, m: CombinatorialMap) -> None:
-        # one face implies connected
-        if m.n_faces() != 1:
+        n, alpha, sigma, root = m.n_darts, m.alpha, m.sigma, m.root
+        tour = [0] * n
+        d = root
+        for t in range(n):
+            tour[t] = d
+            d = sigma[alpha[d]]
+        # one face: the walk from the root first returns after all n darts
+        if d != root or root in tour[1:]:
             raise DecompositionError("decomposition needs a one-face map")
-        self.m = m
-        self.alpha = m.alpha
-        self.sigma = m.sigma
-        self.vertex_of = m.vertex_of()
-        deg: dict[int, int] = {}
-        for d in range(m.n_darts):
-            deg[self.vertex_of[d]] = deg.get(self.vertex_of[d], 0) + 1
+        cycles = m.vertex_cycles()
         # one face: V - E + 1 = 2 - 2g, so V >= E exactly when g = 0
-        if len(deg) >= m.n_edges:
+        if len(cycles) >= m.n_edges:
             raise DecompositionError("genus-zero map has an empty core")
-        alive = bytearray([1]) * m.n_darts
-        queue = [v for v, k in deg.items() if k == 1]
+        # a vertex is named by its smallest dart, the first of its cycle
+        vertex_of = [0] * n
+        deg = [0] * n
+        for cyc in cycles:
+            deg[cyc[0]] = len(cyc)
+            for d in cyc:
+                vertex_of[d] = cyc[0]
+        alive = bytearray([1]) * n
+        queue = [cyc[0] for cyc in cycles if len(cyc) == 1]
         while queue:
             v = queue.pop()
             if deg[v] != 1:
                 continue
-            # a vertex id is its smallest dart, so v itself is on the rotation
             d = v
             while not alive[d]:
-                d = self.sigma[d]
-            e = self.alpha[d]
+                d = sigma[d]
+            e = alpha[d]
             alive[d] = alive[e] = 0
             deg[v] -= 1
-            w = self.vertex_of[e]
+            w = vertex_of[e]
             deg[w] -= 1
             if deg[w] == 1:
                 queue.append(w)
-        self.alive = alive
-        self.deg = deg
+        is_core = [alive[d] and deg[vertex_of[d]] >= 3 for d in tour]
         # peeling leaves min degree 2; genus >= 1 guarantees some vertex of
         # degree >= 3, otherwise the surviving part would be a bare cycle
         # with genus 0
-        if not any(deg[self.vertex_of[d]] >= 3 for d in range(m.n_darts) if alive[d]):
+        if not any(is_core):
             raise DecompositionError("no degree-3 vertex survives peeling")
-        self.sides: dict[int, tuple[int, ...]] = {}
-        self.mate: dict[int, int] = {}
-        for q in range(m.n_darts):
-            if alive[q] and deg[self.vertex_of[q]] >= 3:
-                side = self._trace(q)
-                self.sides[q] = side
-                self.mate[q] = self.alpha[side[-1]]
-        self._assign_edges()
+        start = is_core.index(True)
+        tour = tour[start:] + tour[:start]
+        is_core = is_core[start:] + is_core[:start]
+        cut: list[int] = []
+        owner = [0] * n
+        j = -1
+        for t, d in enumerate(tour):
+            if is_core[t]:
+                cut.append(t)
+                j += 1
+            owner[d] = j
+        cut.append(n)
+        self.tour = tour
+        self.cut = cut
+        self.owner = owner
+        self.mate = [owner[alpha[tour[c]]] for c in cut[:-1]]
 
-    def next_alive(self, d: int) -> int:
-        e = self.sigma[d]
-        while not self.alive[e]:
-            e = self.sigma[e]
-        return e
+    def branch(self, j: int) -> tuple[list[int], int]:
+        """Contour of segment j's branch seen from its core dart, and v2's exit."""
+        cut, k = self.cut, self.mate[j]
+        head = self.tour[cut[j] : cut[j + 1]]
+        return head + self.tour[cut[k] : cut[k + 1]], len(head)
 
-    def _trace(self, q: int) -> tuple[int, ...]:
-        path = [q]
-        while True:
-            e = self.alpha[path[-1]]
-            if self.deg[self.vertex_of[e]] >= 3:
-                return tuple(path)
-            if len(path) > self.m.n_darts:
-                raise DecompositionError("chain trace failed to close")
-            path.append(self.next_alive(e))
+    def size(self, j: int) -> int:
+        """Edge count of segment j's branch."""
+        cut, k = self.cut, self.mate[j]
+        return (cut[j + 1] - cut[j] + cut[k + 1] - cut[k]) // 2
 
-    def _dead_run(self, q: int) -> list[int]:
-        """Tree roots in the corner clockwise after surviving dart q."""
-        run = []
-        e = self.sigma[q]
-        while not self.alive[e]:
-            run.append(e)
-            e = self.sigma[e]
-        return run
 
-    def _subtree_edge_count(self, t: int, key: int, tag: dict[int, int]) -> int:
-        count = 0
-        stack = [t]
-        while stack:
-            d = stack.pop()
-            tag[min(d, self.alpha[d])] = key
-            count += 1
-            e = self.sigma[self.alpha[d]]
-            while e != self.alpha[d]:
-                stack.append(e)
-                e = self.sigma[e]
-        return count
-
-    def _assign_edges(self) -> None:
-        """Branch key (smaller side dart) and edge count for every branch."""
-        sizes: dict[int, int] = {}
-        tag: dict[int, int] = {}
-        for q, side in self.sides.items():
-            key = min(q, self.mate[q])
-            bucket = sizes.get(key, 0)
-            if q == key:
-                bucket += len(side)
-                for p in side:
-                    tag[min(p, self.alpha[p])] = key
-            for p in side:
-                for t in self._dead_run(p):
-                    bucket += self._subtree_edge_count(t, key, tag)
-            sizes[key] = bucket
-        self.branch_sizes = sizes
-        self.branch_of_edge = tag
-
-    def present(
-        self, q_first: int
-    ) -> tuple[Tree, tuple[int, ...], dict[int, tuple[tuple[int, ...], int]]]:
-        """Branch of side q_first as seen from that end.
-
-        Returns (children tree, spine address, edge table), the table
-        mapping each edge (smaller original dart) to (address, dart on
-        the parent side of that edge in this presentation).
-        """
-        side = self.sides[q_first]
-        alpha, sigma = self.alpha, self.sigma
-        table: dict[int, tuple[tuple[int, ...], int]] = {}
-        spine: list[int] = [0]
-
-        def subtree(t: int, addr: tuple[int, ...]) -> Tree:
-            table[min(t, alpha[t])] = (addr, t)
-            kids: list[Tree] = []
-            back = alpha[t]
-            e = sigma[back]
-            while e != back:
-                kids.append(subtree(e, addr + (len(kids),)))
-                e = sigma[e]
-            return tuple(kids)
-
-        def spine_node(i: int, addr: tuple[int, ...]) -> Tree:
-            q_in = side[i - 1]
-            table[min(q_in, alpha[q_in])] = (addr, q_in)
-            back = alpha[q_in]
-            kids: list[Tree] = []
-            if i == len(side):
-                # far endpoint: only its own corner's trees belong here
-                e = sigma[back]
-                while not self.alive[e]:
-                    kids.append(subtree(e, addr + (len(kids),)))
-                    e = sigma[e]
-            else:
-                q_out = side[i]
-                e = sigma[back]
-                while e != back:
-                    if e == q_out:
-                        spine.append(len(kids))
-                        kids.append(spine_node(i + 1, addr + (len(kids),)))
-                    else:
-                        kids.append(subtree(e, addr + (len(kids),)))
-                    e = sigma[e]
-            return tuple(kids)
-
-        kids: list[Tree] = [spine_node(1, (0,))]
-        e = sigma[q_first]
-        while not self.alive[e]:
-            kids.append(subtree(e, (len(kids),)))
-            e = sigma[e]
-        return tuple(kids), tuple(spine), table
+def _address(word: list[int], steps: int) -> tuple[int, ...]:
+    """Address of the node a Dyck contour stands at after ``steps`` steps."""
+    addr: list[int] = []
+    seen = [0]  # children entered so far, per node on the current path
+    for s in word[:steps]:
+        if s == 1:
+            addr.append(seen[-1])
+            seen[-1] += 1
+            seen.append(0)
+        else:
+            addr.pop()
+            seen.pop()
+    return tuple(addr)
 
 
 def core(m: CombinatorialMap) -> BranchDecomposition:
@@ -298,108 +218,78 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
     The emitted core carries the face-order labelling of a polygon
     gluing; the inverse is `reconstruct`.
     """
-    sk = _Skeleton(m)
-    r = m.root
-    root_key = sk.branch_of_edge[min(r, m.alpha[r])]
-    side_a, side_b = root_key, sk.mate[root_key]
-    tree, path, table = sk.present(side_a)
-    addr, down = table[min(r, m.alpha[r])]
-    chosen = side_a
-    if (down == r) != _marks_v1_side(path, addr):
-        chosen = side_b
-        tree, path, table = sk.present(side_b)
-        addr, down = table[min(r, m.alpha[r])]
-        if (down == r) != _marks_v1_side(path, addr):
-            raise DecompositionError("root encoding failed on both chain ends")
-
-    order = sorted(sk.sides)
-    index = {d: i for i, d in enumerate(order)}
-    alpha_c = tuple(index[sk.mate[d]] for d in order)
-    sigma_c = tuple(index[sk.next_alive(d)] for d in order)
-    tmp = CombinatorialMap(len(order), alpha_c, sigma_c, index[chosen])
-    relab = face_order_relabeling(tmp)
-    core_map = face_order_form(tmp)
-    side_of_new = {relab[index[d]]: d for d in order}
-
-    edges = _core_edges(core_map)
+    segs = _Segments(m)
+    alpha, r = m.alpha, m.root
+    first = segs.owner[r]
+    contour, split = segs.branch(first)
+    if contour.index(r) < contour.index(alpha[r]) < split:
+        # seen from this end the root would be the down dart of an edge
+        # that closes before v2's exit, so the root's branch is presented
+        # from the other end
+        first = segs.mate[first]
+    # core dart i of the emitted core is the i-th segment from `first`
+    n_core = len(segs.mate)
+    order = [(first + i) % n_core for i in range(n_core)]
+    partner = [(segs.mate[j] - first) % n_core for j in order]
+    edges = tuple((i, a) for i, a in enumerate(partner) if i < a)
     branches: list[DoublyRootedTree] = []
-    for a, _b in edges:
-        q = side_of_new[a]
-        if q == chosen:
-            branches.append(DoublyRootedTree(tree, path))
-        else:
-            t, p, _ = sk.present(q)
-            branches.append(DoublyRootedTree(t, p))
+    marked: tuple[int, ...] = ()
+    for i, _ in edges:
+        contour, split = segs.branch(order[i])
+        at = {d: t for t, d in enumerate(contour)}
+        word = [1 if at[alpha[d]] > t else -1 for t, d in enumerate(contour)]
+        branches.append(DoublyRootedTree(dyck_to_children(word), _address(word, split)))
+        if i == 0:
+            marked = _address(word, min(at[r], at[alpha[r]]) + 1)
     return BranchDecomposition(
-        core=core_map,
+        core=from_polygon_gluing(edges, len(edges)),
         branches=tuple(branches),
         root_branch_index=0,
-        marked_edge=addr,
+        marked_edge=marked,
         attachments=edges,
     )
 
 
 def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
-    """Rebuild the one-face map; exact inverse of `core`."""
+    """Rebuild the one-face map; exact inverse of `core`.
+
+    The rebuilt face tour follows the core's: each core dart stands for
+    its half of its branch's contour, ``[0, split)`` for the smaller dart
+    of the edge and ``[split, 2k)`` for the larger, where ``split`` is
+    v2's exit.  The tour is then rotated to start at the root.
+    """
     cm = dec.core
-    edges = _core_edges(cm)
-    edge_index = {d: i for i, (a, b) in enumerate(edges) for d in (a, b)}
+    contours: list[tuple[int, ...]] = []
+    splits: list[int] = []
+    half: dict[int, tuple[int, int, int]] = {}
+    for i, (b, (lo, hi)) in enumerate(zip(dec.branches, _core_edges(cm))):
+        local = children_to_map(b.tree).alpha
+        split = local[entry_dart(b.tree, b.path)]
+        contours.append(local)
+        splits.append(split)
+        half[lo] = (i, 0, split)
+        half[hi] = (i, split, len(local))
 
-    locals_: list[CombinatorialMap] = []
-    entries: list[int] = []
-    offsets: list[int] = []
-    total = 0
-    for b in dec.branches:
-        lm = children_to_map(b.tree)
-        locals_.append(lm)
-        entries.append(entry_dart(b.tree, b.path))
-        offsets.append(total)
-        total += lm.n_darts
-
-    alpha = [0] * total
-    sigma = [0] * total
-    for lm, off in zip(locals_, offsets):
-        for d in range(lm.n_darts):
-            alpha[off + d] = off + lm.alpha[d]
-            sigma[off + d] = off + lm.sigma[d]
-
-    def end_segment(core_dart: int) -> list[int]:
-        """Rotation segment this core dart contributes at its vertex."""
-        i = edge_index[core_dart]
-        lm, off = locals_[i], offsets[i]
-        start = 0 if core_dart == edges[i][0] else lm.alpha[entries[i]]
-        seg = [start]
-        e = lm.sigma[start]
-        while e != start:
-            seg.append(e)
-            e = lm.sigma[e]
-        return [off + d for d in seg]
-
-    seen = [False] * cm.n_darts
-    for d0 in range(cm.n_darts):
-        if seen[d0]:
-            continue
-        cycle = [d0]
-        seen[d0] = True
-        e = cm.sigma[d0]
-        while e != d0:
-            cycle.append(e)
-            seen[e] = True
-            e = cm.sigma[e]
-        merged: list[int] = []
-        for c in cycle:
-            merged.extend(end_segment(c))
-        for t, d in enumerate(merged):
-            sigma[d] = merged[(t + 1) % len(merged)]
+    place = [[0] * len(local) for local in contours]
+    t = 0
+    for c in face_tour(cm):
+        i, start, stop = half[c]
+        row = place[i]
+        for d in range(start, stop):
+            row[d] = t
+            t += 1
 
     i0 = dec.root_branch_index
-    down = offsets[i0] + entry_dart(dec.branches[i0].tree, dec.marked_edge)
-    flag = _marks_v1_side(dec.branches[i0].path, dec.marked_edge)
-    root = down if flag else alpha[down]
-    raw = CombinatorialMap(total, tuple(alpha), tuple(sigma), root)
-    # one-face maps have a distinguished labelling (darts in face order from
-    # the root, as a polygon gluing); emitting it makes the round trip exact
-    return face_order_form(raw)
+    down = entry_dart(dec.branches[i0].tree, dec.marked_edge)
+    up = contours[i0][down]
+    root = place[i0][down if up >= splits[i0] else up]
+    pairing = [
+        ((row[d] - root) % t, (row[e] - root) % t)
+        for local, row in zip(contours, place)
+        for d, e in enumerate(local)
+        if d < e
+    ]
+    return from_polygon_gluing(pairing, t // 2)
 
 
 def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
@@ -414,10 +304,14 @@ def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
 def branch_size_profile(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:
     """Edge counts of the branches: (root's branch, the rest sorted).
 
-    Equivalent to reading sizes off `core(m)` but skips building the
-    tree tuples, so it stays cheap inside exhaustive scans.
+    A branch's size is half the summed lengths of its two face segments,
+    so this reads the sizes `core(m)` would give without building any
+    tree, which keeps it cheap inside exhaustive scans.
     """
-    sk = _Skeleton(m)
-    root_key = sk.branch_of_edge[min(m.root, m.alpha[m.root])]
-    others = sorted(v for k, v in sk.branch_sizes.items() if k != root_key)
-    return sk.branch_sizes[root_key], tuple(others)
+    segs = _Segments(m)
+    first = segs.owner[m.root]
+    root_pair = (first, segs.mate[first])
+    others = sorted(
+        segs.size(j) for j, k in enumerate(segs.mate) if j < k and j not in root_pair
+    )
+    return segs.size(first), tuple(others)

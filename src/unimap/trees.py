@@ -88,23 +88,23 @@ def sample_dyck_word(n: int, rng: random.Random) -> list[int]:
 
 
 def dyck_to_children(word: Sequence[int]) -> Tree:
-    """Parse a Dyck word into the children-tuple encoding of a plane tree."""
-    root: list = []
-    stack: list[list] = [root]
+    """Parse a Dyck word into the children-tuple encoding of a plane tree.
+
+    A ``1`` opens a child of the current node and any other step closes
+    the current node; a node is frozen into its tuple when it closes.
+    """
+    stack: list[list] = [[]]
     for s in word:
         if s == 1:
-            child: list = []
-            stack[-1].append(child)
-            stack.append(child)
+            stack.append([])
+        elif len(stack) > 1:
+            node = tuple(stack.pop())
+            stack[-1].append(node)
         else:
-            stack.pop()
+            raise ParameterError("Dyck word closes below ground level")
     if len(stack) != 1:
         raise ParameterError("unbalanced Dyck word")
-
-    def freeze(node: list) -> Tree:
-        return tuple(freeze(c) for c in node)
-
-    return freeze(root)
+    return tuple(stack[0])
 
 
 def sample_tree_children(n_edges: int, rng: random.Random) -> Tree:
@@ -119,23 +119,24 @@ def children_to_map(tree: Tree) -> CombinatorialMap:
     whose face cycle is the depth-first walk; the root dart points from the
     tree root at its first child.
     """
-    k = tree_edges(tree)
-    if k == 0:
-        raise ParameterError("a map needs at least one edge")
     pairing: list[tuple[int, int]] = []
+    downs: list[int] = []  # down dart of each open edge on the current path
+    stack = [iter(tree)]
     counter = 0
-
-    def walk(node: Tree) -> None:
-        nonlocal counter
-        for child in node:
-            down = counter
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            if downs:
+                pairing.append((downs.pop(), counter))
+                counter += 1
+        else:
+            downs.append(counter)
             counter += 1
-            walk(child)
-            pairing.append((down, counter))
-            counter += 1
-
-    walk(tree)
-    return from_polygon_gluing(pairing, k)
+            stack.append(iter(child))
+    if not pairing:
+        raise ParameterError("a map needs at least one edge")
+    return from_polygon_gluing(pairing, len(pairing))
 
 
 def entry_dart(tree: Tree, address: Sequence[int]) -> int:

@@ -4,16 +4,41 @@ Everything here is deliberately naive: direct recurrences, unrestricted
 brute-force searches, permutation walks over explicit dart lists.  Slow but
 short enough to audit by eye.  Nothing imports package internals beyond the
 public dataclasses, so a bug in the library cannot hide in its own oracle.
+The recursion bound at the top is the suite's one shared check that a walk
+over a map-sized input is a loop.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
 from unimap.maps import CombinatorialMap, Multigraph
+
+
+def _stack_depth() -> int:
+    """Frames on the call stack, this one included."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def call_with_recursion_bound(fn, *args):
+    """``fn(*args)`` with the recursion limit 40 frames above the caller.
+
+    Code that must not recurse on map-sized inputs runs under this bound,
+    so a walk whose depth grows with the input raises ``RecursionError``.
+    """
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def catalan(k: int) -> int:
@@ -72,6 +97,17 @@ def polygon_map(pairing, n: int) -> CombinatorialMap:
         alpha[b] = a
     sigma = [(alpha[d] + 1) % (2 * n) for d in range(2 * n)]
     return CombinatorialMap(2 * n, tuple(alpha), tuple(sigma), 0)
+
+
+def path_torus(length: int) -> CombinatorialMap:
+    """Torus square whose corner before dart 2L holds a path of L edges.
+
+    Genus 1 with one branch ``length + 1`` edges long and a single tree
+    ``length + 1`` levels deep; root dart 0 starts the path.
+    """
+    pairs = [(i, 2 * length - 1 - i) for i in range(length)]
+    pairs += [(2 * length, 2 * length + 2), (2 * length + 1, 2 * length + 3)]
+    return polygon_map(pairs, length + 2)
 
 
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:

@@ -18,6 +18,9 @@ from unimap.maps import (
     genus,
     write_multigraph,
 )
+from unimap.trees import children_to_map, dyck_to_children
+
+from .oracles import call_with_recursion_bound, path_torus
 
 
 def run(capsys, *argv):
@@ -113,11 +116,11 @@ def test_core_subcommand_files(tmp_path, capsys):
     marked = [b for b in branches if "marked_edge" in b]
     assert len(marked) == 1
     for b in branches:
-        assert set(b["tree"]) == {"children", "path"}
+        assert set(b["tree"]) == {"contour", "path"}
         assert len(b["attachment"]) == 2
 
 
-def test_core_branches_json_writes_trees_as_nested_arrays(tmp_path, capsys):
+def test_core_branches_json_writes_trees_as_contours(tmp_path, capsys):
     # torus square with a three-edge tree in the corner before dart 6
     m = from_polygon_gluing(((0, 5), (1, 2), (3, 4), (6, 8), (7, 9)), 5)
     map_path = tmp_path / "map.json"
@@ -131,16 +134,39 @@ def test_core_branches_json_writes_trees_as_nested_arrays(tmp_path, capsys):
         "--branches", str(branches_path),
     )
     assert code == 0
+    # the first tree is ((), ((), ())): root children a leaf and a cherry
     expected = [
         {
             "size": 4,
-            "tree": {"children": [[], [[], []]], "path": [0]},
+            "tree": {"contour": "()(()())", "path": [0]},
             "attachment": [0, 2],
             "marked_edge": [1],
         },
-        {"size": 1, "tree": {"children": [[]], "path": [0]}, "attachment": [1, 3]},
+        {"size": 1, "tree": {"contour": "()", "path": [0]}, "attachment": [1, 3]},
     ]
     assert branches_path.read_text() == json.dumps(expected, indent=2) + "\n"
+
+
+def test_core_subcommand_on_a_deep_branch(tmp_path):
+    m = path_torus(1501)
+    map_path = tmp_path / "map.json"
+    map_path.write_text(encode_map(m) + "\n")
+    branches_path = tmp_path / "branches.json"
+    argv = [
+        "core",
+        "--in", str(map_path),
+        "--out", str(tmp_path / "core.json"),
+        "--branches", str(branches_path),
+    ]
+    assert call_with_recursion_bound(main, argv) == 0
+    dec = core(m)
+    branches = json.loads(branches_path.read_text())
+    assert [b["size"] for b in branches] == [1502, 1]
+    for b, drt in zip(branches, dec.branches):
+        tree = dyck_to_children([1 if c == "(" else -1 for c in b["tree"]["contour"]])
+        # nested tuples compare recursively, so the trees are compared
+        # through their flat contour maps
+        assert children_to_map(tree) == children_to_map(drt.tree)
 
 
 def test_core_subcommand_with_cutoff(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 import time
 from collections import Counter
@@ -20,6 +22,8 @@ from unimap.maps import CombinatorialMap, from_polygon_gluing, genus, vertex_deg
 from unimap.samplers import enumerate_pairings, sample_polygon_gluing
 from unimap.trees import tree_edges
 
+from .oracles import call_with_recursion_bound, path_torus
+
 SQUARE = from_polygon_gluing(((0, 2), (1, 3)), 2)
 # hexagon with one pendant edge folded in: genus 1, one vertex of degree 2
 PENDANT = from_polygon_gluing(((0, 1), (2, 4), (3, 5)), 3)
@@ -30,6 +34,10 @@ def unicellular_maps(n: int, min_genus: int = 1):
         m = from_polygon_gluing(pairing, n)
         if genus(m) >= min_genus:
             yield m
+
+
+def round_trip(m: CombinatorialMap) -> CombinatorialMap:
+    return reconstruct(core(m))
 
 
 def test_square_decomposes_to_itself():
@@ -78,6 +86,42 @@ def test_leaf_peel_is_not_quadratic():
     assert branch_size_profile(m) == (k + 1, (1,))
     assert reconstruct(core(m)) == m
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_deep_branch_round_trip_without_recursion():
+    m = path_torus(1501)
+    assert call_with_recursion_bound(round_trip, m) == m
+    assert call_with_recursion_bound(branch_size_profile, m) == (1502, (1,))
+
+
+def test_deep_branch_round_trip_at_scale():
+    m = path_torus(100_000)
+    t0 = time.perf_counter()
+    assert call_with_recursion_bound(round_trip, m) == m
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_decomposition_is_pinned_exhaustively():
+    # one JSON line per positive-genus gluing with 2..6 edges, in
+    # enumeration order: every tree, address and core dart is pinned
+    digest = hashlib.sha256()
+    lines = 0
+    for n in range(2, 7):
+        for m in unicellular_maps(n):
+            dec = core(m)
+            row = [
+                dec.core.alpha,
+                [[b.tree, b.path] for b in dec.branches],
+                dec.root_branch_index,
+                dec.marked_edge,
+                branch_size_profile(m),
+            ]
+            digest.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
+            lines += 1
+    assert lines == 11_268
+    assert digest.hexdigest() == (
+        "d6f023cc9277b17a27aec65ba6d0300b1f3937ed7397c639e5ff631c488861c0"
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -4,7 +4,6 @@ import itertools
 import logging
 import math
 import random
-import sys
 import time
 from collections import Counter
 from fractions import Fraction
@@ -34,6 +33,7 @@ from unimap.series import expected_marked_size, expected_plain_size
 
 from .oracles import (
     all_matchings,
+    call_with_recursion_bound,
     corner_genus,
     harer_zagier_table,
     polygon_map,
@@ -123,24 +123,12 @@ def test_fixed_genus_sampler_reaches_the_high_genus_regime():
     assert (m.n_edges, m.n_faces(), genus(m)) == (100, 1, 40)
 
 
-def _stack_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
 @pytest.mark.parametrize("g", [400, 500])
 def test_fixed_genus_sampler_large_n_without_recursion(g):
     # 40 frames above this one: the count table, the genus steps and the
     # base tree must all be loops, whatever n is
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 40)
     t0 = time.perf_counter()
-    try:
-        m = sample_unicellular_fixed_genus(1000, g, random.Random(g))
-    finally:
-        sys.setrecursionlimit(limit)
+    m = call_with_recursion_bound(sample_unicellular_fixed_genus, 1000, g, random.Random(g))
     assert time.perf_counter() - t0 < 30.0
     assert (m.n_edges, m.n_faces(), genus(m)) == (1000, 1, g)
 

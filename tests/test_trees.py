@@ -24,7 +24,7 @@ from unimap.trees import (
     tree_edges,
 )
 
-from .oracles import brute_doubly_rooted_count, catalan
+from .oracles import brute_doubly_rooted_count, call_with_recursion_bound, catalan
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -64,6 +64,21 @@ def test_children_to_map_is_a_plane_tree(k):
         assert m.n_edges == k
         assert genus(m) == 0
         assert m.n_faces() == 1
+        # the contour's up/down steps are the tree's Dyck word
+        assert dyck_to_children([1 if d < a else -1 for d, a in enumerate(m.alpha)]) == tree
+
+
+@pytest.mark.parametrize("word", [[-1, 1], [1], [1, -1, -1]])
+def test_dyck_to_children_rejects_non_dyck_words(word):
+    with pytest.raises(ParameterError):
+        dyck_to_children(word)
+
+
+def test_sample_plane_tree_large_without_recursion():
+    # a uniform 20,000-edge tree is hundreds of levels deep: parsing its
+    # Dyck word and laying out its contour must both be loops
+    m = call_with_recursion_bound(sample_plane_tree, 20_000, random.Random(3))
+    assert (m.n_edges, m.n_faces(), genus(m)) == (20_000, 1, 0)
 
 
 def test_tree_edges_counts_whole_subtree():
