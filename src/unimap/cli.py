@@ -62,6 +62,13 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
+def _parse_fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"expected a number such as 1/3 or 0.2: {exc}")
+
+
 def _cmd_sample_unicellular(args: argparse.Namespace) -> int:
     rng = random.Random(args.seed)
     for _ in range(args.count):
@@ -71,7 +78,7 @@ def _cmd_sample_unicellular(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample_cm(args: argparse.Namespace) -> int:
-    degrees = DegreeSequence(_parse_int_list(args.degrees))
+    degrees = DegreeSequence(args.degrees)
     rng = random.Random(args.seed)
     for _ in range(args.count):
         print(encode_map(sample_configuration_model(degrees, rng)))
@@ -130,9 +137,8 @@ def _cmd_cheeger(args: argparse.Namespace) -> int:
         low, high = spectral_cheeger_bounds(g)
         payload = {"spectral_lower": low, "spectral_upper": high}
     elif args.kappa is not None:
-        kappa = Fraction(args.kappa)
-        ok, wit = is_kappa_expander(g, kappa, cap=args.cap)
-        payload = {"kappa": _frac_str(kappa), "is_expander": ok}
+        ok, wit = is_kappa_expander(g, args.kappa, cap=args.cap)
+        payload = {"kappa": _frac_str(args.kappa), "is_expander": ok}
         if wit is not None:
             payload.update(
                 {
@@ -194,9 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     elif claim == "cm-unicellular":
         if args.degrees is None:
             raise UnimapError("cm-unicellular needs --degrees")
-        report = verify_cm_unicellular(
-            _parse_int_list(args.degrees), trials=args.trials, seed=args.seed
-        )
+        report = verify_cm_unicellular(args.degrees, trials=args.trials, seed=args.seed)
     elif claim == "decomposition-identity":
         report = verify_decomposition_identity(args.n, args.genus)
     elif claim == "branch-profile":
@@ -240,7 +244,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sample_unicellular)
 
     p = sub.add_parser("sample-cm", help="configuration-model map for fixed degrees")
-    p.add_argument("--degrees", required=True, help="comma-separated, each >= 3")
+    p.add_argument(
+        "--degrees", type=_parse_int_list, required=True, help="comma-separated, each >= 3"
+    )
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.set_defaults(func=_cmd_sample_cm)
@@ -262,9 +268,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cheeger", help="exact or spectral edge expansion of a graph")
     p.add_argument("--in", dest="infile", required=True, metavar="GRAPH_EDGES")
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact search (default)")
     mode.add_argument("--spectral", action="store_true", help="eigenvalue bounds only")
-    p.add_argument("--kappa", default=None, help="test h >= kappa, e.g. 1/3 or 0.2")
+    mode.add_argument(
+        "--kappa", type=_parse_fraction, default=None, help="test h >= kappa, e.g. 1/3 or 0.2"
+    )
     p.add_argument("--cap", type=int, default=24, help="exact-search vertex cap")
     p.add_argument("--out", required=True, metavar="WITNESS_JSON")
     p.set_defaults(func=_cmd_cheeger)
@@ -295,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--p", type=int, nargs="*", default=(2, 4, 6))
-    p.add_argument("--degrees", default=None, help="for cm-unicellular")
+    p.add_argument("--degrees", type=_parse_int_list, default=None, help="for cm-unicellular")
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--genus", type=int, default=1)
     p.add_argument("--trials", type=int, default=100_000)
@@ -326,7 +333,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except UnimapError as exc:
+    except (UnimapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -86,11 +86,6 @@ class BranchDecomposition:
         # address must resolve inside the root branch
         entry_dart(self.branches[self.root_branch_index].tree, self.marked_edge)
 
-    @property
-    def total_size(self) -> int:
-        """Edge count of the reconstructed map."""
-        return sum(b.n_edges for b in self.branches)
-
     def core_less_M(self, M: int) -> CombinatorialMap:
         """Rebuild the map with every branch of >= M edges replaced by a
         single edge.

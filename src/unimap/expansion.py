@@ -30,17 +30,15 @@ from .errors import (
     ParameterError,
 )
 from .maps import Multigraph, is_connected
-from .samplers import DegreeSequence, enumerate_pairings, sample_pairing
+from .samplers import DegreeSequence
 from .trees import DoublyRootedTree, sample_doubly_rooted_tree
 
 __all__ = [
-    "BadEventEstimate",
     "CutWitness",
     "SubsetVolumeCount",
     "branch_substitution_transfer_check",
     "cheeger_exact",
     "count_subset_volumes",
-    "estimate_bad_event",
     "h_value",
     "is_kappa_expander",
     "spectral_cheeger_bounds",
@@ -283,124 +281,19 @@ def count_subset_volumes(
     return SubsetVolumeCount(V=V, count=dp[V], bound=bound)
 
 
-def wilson_interval(
-    successes: int, trials: int, z: float = 2.5758293035489004
-) -> tuple[float, float]:
-    """Wilson score interval; the default z is the two-sided 99% quantile."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval at 99% confidence."""
     if trials <= 0:
         raise ParameterError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ParameterError("successes outside [0, trials]")
     p = successes / trials
+    z = 2.5758293035489004  # two-sided 99% quantile of the standard normal
     z2 = z * z
     denom = 1.0 + z2 / trials
     center = (p + z2 / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
-
-
-@dataclass(frozen=True)
-class BadEventEstimate:
-    """Frequency of the sparse-cut event, exact or with a Wilson 99% CI."""
-
-    frequency: Fraction
-    ci_low: float
-    ci_high: float
-    exact: bool
-    trials: int
-
-
-def _volume_subsets(entries: tuple[int, ...], V: int) -> list[int]:
-    """Bitmasks of all vertex subsets with degree sum exactly V."""
-    out = []
-    k = len(entries)
-    for mask in range(1, 1 << k):
-        vol = 0
-        mm = mask
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            vol += entries[i]
-            if vol > V:
-                break
-            mm &= mm - 1
-        if vol == V:
-            out.append(mask)
-    return out
-
-
-def _has_sparse_subset(
-    pairing: Sequence[tuple[int, int]],
-    dart_vertex: Sequence[int],
-    subsets: Sequence[int],
-    max_boundary: int,
-) -> bool:
-    """Whether some listed subset has strictly fewer than ``max_boundary``+1
-    boundary darts, i.e. boundary <= max_boundary."""
-    for mask in subsets:
-        boundary = 0
-        ok = True
-        for a, b in pairing:
-            if (mask >> dart_vertex[a] & 1) != (mask >> dart_vertex[b] & 1):
-                boundary += 1
-                if boundary > max_boundary:
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
-
-
-def estimate_bad_event(
-    d: DegreeSequence | Sequence[int],
-    V: int,
-    delta: Fraction | float | str,
-    trials: int,
-    rng: random.Random,
-) -> BadEventEstimate:
-    """Probability that a configuration-model draw has a volume-V subset
-    whose boundary dart count is strictly below delta*V.
-
-    Small dart totals (<= 14, at most 135k pairings) are enumerated
-    exactly; otherwise ``trials`` Monte Carlo draws with a Wilson 99%
-    interval.  The threshold comparison is exact rational arithmetic.
-    """
-    if not isinstance(d, DegreeSequence):
-        d = DegreeSequence(tuple(d))
-    dq = Fraction(delta)
-    if not 0 < dq < 1:
-        raise ParameterError(f"delta must lie in (0, 1), got {delta}")
-    total = d.total
-    if total % 2:
-        raise ParameterError(f"degree sum must be even, got {total}")
-    if not 0 < 2 * V <= total:
-        raise ParameterError(f"volume {V} outside (0, {total}/2]")
-
-    dart_vertex = []
-    for i, di in enumerate(d.entries):
-        dart_vertex.extend([i] * di)
-    subsets = _volume_subsets(d.entries, V)
-    # boundary < delta*V  <=>  boundary <= ceil(delta*V) - 1
-    threshold = dq * V
-    max_boundary = math.ceil(threshold) - 1 if threshold != int(threshold) else int(threshold) - 1
-
-    if total <= 14:
-        hits = count = 0
-        for pairing in enumerate_pairings(total // 2):
-            count += 1
-            if subsets and _has_sparse_subset(pairing, dart_vertex, subsets, max_boundary):
-                hits += 1
-        freq = Fraction(hits, count)
-        return BadEventEstimate(freq, float(freq), float(freq), True, count)
-
-    if trials <= 0:
-        raise ParameterError("trials must be positive for the Monte Carlo path")
-    hits = 0
-    for _ in range(trials):
-        pairing = sample_pairing(total, rng)
-        if subsets and _has_sparse_subset(pairing, dart_vertex, subsets, max_boundary):
-            hits += 1
-    lo, hi = wilson_interval(hits, trials)
-    return BadEventEstimate(Fraction(hits, trials), lo, hi, False, trials)
 
 
 def _tree_as_edges(

@@ -41,13 +41,7 @@ from .samplers import (
     sample_pairing,
     sample_unicellular_fixed_genus,
 )
-from .series import (
-    derive_constants,
-    rate_function,
-    series_C,
-    series_D,
-    sup_rate_over_block,
-)
+from .series import derive_constants, series_C, series_D
 
 __all__ = [
     "ExperimentConfig",
@@ -56,7 +50,6 @@ __all__ = [
     "persist_report",
     "profile_census",
     "run_core_expander_experiment",
-    "sweep_rate_function",
     "verify_branch_profile_law",
     "verify_cm_unicellular",
     "verify_decomposition_identity",
@@ -94,14 +87,12 @@ class ExperimentConfig:
     """What was run: a name, its parameters, and the evaluation mode.
 
     ``parameters`` must be JSON-serializable.  The content digest covers the
-    name, parameters, and mode, but not the output directory, so moving the
-    results elsewhere does not change the config identity.
+    name, parameters, and mode.
     """
 
     name: str
     parameters: dict
     mode: str = "exact"
-    out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in _MODES:
@@ -274,6 +265,8 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     """
     t0 = time.perf_counter()
     p_list = tuple(p_list)
+    if not p_list:
+        raise ParameterError("need at least one p")
     for p in p_list:
         if p < 2 or p % 2 != 0:
             raise ParameterError(f"one-vertex gluings need even p >= 2, got {p}")
@@ -801,96 +794,6 @@ def run_core_expander_experiment(
         observed=observed,
         expected=expected,
         verdict=verdict,
-        data=tuple(data),
-        runtime_s=time.perf_counter() - t0,
-    )
-
-
-def sweep_rate_function(
-    eta_grid: tuple[float, ...],
-    delta_grid: tuple[float, ...],
-) -> ExperimentReport:
-    """Tabulate the bad-cut rate function and its (c, delta) frontier.
-
-    For each eta the frontier entry is the largest delta on the grid whose
-    block supremum sup f(u, y) over u in [eta, 1], y <= eta*delta stays below
-    -c(eta) with c(eta) = -f(eta, 0)/2.  Every accepted entry is recomputed
-    on a finer u-grid; the monotonicity of the frontier in eta is recorded
-    but not asserted.
-    """
-    t0 = time.perf_counter()
-    eta_grid = tuple(eta_grid)
-    delta_grid = tuple(delta_grid)
-    if not eta_grid or not delta_grid:
-        raise ParameterError("both grids must be nonempty")
-    for eta in eta_grid:
-        if not 0.0 < eta < 1.0:
-            raise ParameterError(f"eta must lie in (0, 1), got {eta}")
-    for delta in delta_grid:
-        if not 0.0 < delta <= 1.0:
-            raise ParameterError(f"delta must lie in (0, 1], got {delta}")
-    config = ExperimentConfig(
-        name="rate-function-sweep",
-        parameters={"eta_grid": list(eta_grid), "delta_grid": list(delta_grid)},
-        mode="exact",
-    )
-    data: list[dict] = []
-    frontier: dict[str, dict] = {}
-    rechecks_ok = True
-    prev_delta: float | None = None
-    nonincreasing = True
-    for eta in sorted(eta_grid):
-        c = -rate_function(eta, 0.0) / 2.0
-        best: float | None = None
-        for delta in sorted(delta_grid):
-            sup = sup_rate_over_block(eta, eta * delta)
-            data.append(
-                {
-                    "experiment": "rate-function-sweep",
-                    "n": None,
-                    "quantity": f"sup_f[eta={eta},delta={delta}]",
-                    "value": sup,
-                }
-            )
-            if sup < -c:
-                best = delta
-        if best is not None:
-            recheck = sup_rate_over_block(eta, eta * best, u_step=2.5e-4)
-            if not recheck < -c:
-                rechecks_ok = False
-            frontier[f"eta={eta}"] = {"c": c, "delta": best}
-            data.append(
-                {
-                    "experiment": "rate-function-sweep",
-                    "n": None,
-                    "quantity": f"frontier_delta[eta={eta}]",
-                    "value": best,
-                }
-            )
-            data.append(
-                {
-                    "experiment": "rate-function-sweep",
-                    "n": None,
-                    "quantity": f"c[eta={eta}]",
-                    "value": c,
-                }
-            )
-            if prev_delta is not None and best > prev_delta:
-                nonincreasing = False
-            prev_delta = best
-    observed = {"frontier": frontier, "frontier_nonincreasing_in_eta": nonincreasing}
-    expected = {
-        "recheck": {
-            "value": "sup f < -c on a 4x finer u-grid for every frontier entry",
-            "source": "closed-form",
-        }
-    }
-    return ExperimentReport(
-        config=config,
-        claim="rate-function-sweep",
-        observed=observed,
-        expected=expected,
-        verdict="pass" if rechecks_ok else "fail",
         data=tuple(data),
         runtime_s=time.perf_counter() - t0,
     )

@@ -299,7 +299,7 @@ def decode_map(text: str) -> CombinatorialMap:
             tuple(int(x) for x in obj["sigma"]),
             int(obj["root"]),
         )
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMapError(f"cannot decode map: {exc}") from exc
 
 

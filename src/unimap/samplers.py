@@ -364,14 +364,14 @@ class BranchSizeSampler:
     so the sampled law is within total variation 1e-12 of the true one.
     """
 
-    def __init__(self, beta: float, mass_tol: float = 1e-12):
+    def __init__(self, beta: float):
         if not 0.0 < beta < 0.25:
             raise ParameterError(f"beta must lie in (0, 1/4), got {beta}")
         self.beta = beta
         amp = 1.0 / (2.0 * math.sqrt(beta))  # geometric mean of 1 and 1/(4 beta)
         d_beta = eval_D(beta)
         tail_prefactor = eval_D(amp * beta) / d_beta
-        k_max = max(4, math.ceil(math.log(tail_prefactor / mass_tol) / math.log(amp)))
+        k_max = max(4, math.ceil(math.log(tail_prefactor / 1e-12) / math.log(amp)))
 
         weights = [0.0, beta]  # dt_1 beta^1
         for k in range(1, k_max):

@@ -169,7 +169,13 @@ def series_sqrt_one_minus_4z(order: int) -> TruncatedSeries:
 
 
 def series_T(order: int) -> TruncatedSeries:
-    """Rooted plane trees with >= 1 edge: coefficient of z^k is Cat(k)."""
+    """Rooted plane trees with >= 1 edge: coefficient of z^k is Cat(k).
+
+    D and C are built from T, so a negative order is rejected here for all
+    three.
+    """
+    if order < 0:
+        raise ParameterError(f"order must be nonnegative, got {order}")
     return TruncatedSeries([0] + [catalan(k) for k in range(1, order + 1)])
 
 
@@ -243,7 +249,7 @@ def expected_marked_size(beta: float) -> float:
     return 1.0 + 6.0 * beta / (1.0 - 4.0 * beta)
 
 
-def solve_beta(c: float, tol: float = 1e-15) -> float:
+def solve_beta(c: float) -> float:
     """The root of c*C(beta)/D(beta) = 1 in [0, 1/4), found by bisection.
 
     C/D is the mean branch size under the plain law; it increases from 1 at
@@ -268,7 +274,7 @@ def solve_beta(c: float, tol: float = 1e-15) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo < tol * max(1.0, hi):
+        if hi - lo < 1e-15:  # absolute: every root lies in [0, 1/4)
             break
     return 0.5 * (lo + hi)
 
@@ -334,17 +340,18 @@ def rate_function(u: float, y: float) -> float:
     )
 
 
-def sup_rate_over_block(eta: float, y_cap: float, u_step: float = 1e-3) -> float:
+def sup_rate_over_block(eta: float, y_cap: float) -> float:
     """sup of f(u, y) over u in [eta, 1], y in [0, y_cap].
 
     For fixed u the function is unimodal in y (its y-derivative is strictly
     decreasing), with maximiser y* = u - u^2/2, so the supremum over the
-    interval is attained at min(y_cap, y*).  Over u we scan a fixed grid.
+    interval is attained at min(y_cap, y*).  Over u we scan a grid of
+    step 1e-3.
     """
     best = -math.inf
-    steps = max(1, round((1.0 - eta) / u_step))
+    steps = max(1, round((1.0 - eta) / 1e-3))
     for i in range(steps + 1):
-        u = min(1.0, eta + i * u_step)
+        u = min(1.0, eta + i * 1e-3)
         y = min(y_cap, u - 0.5 * u * u)
         val = rate_function(u, y)
         if val > best:
@@ -390,16 +397,15 @@ def derive_constants(
     theta: float,
     epsilon: float,
     eta: float = 0.05,
-    delta_step: float = 1e-3,
 ) -> ConstantPipeline:
     """Run the full constant pipeline for genus rate theta and slack epsilon.
 
     Order of derivation: beta* from the branch-weight equation at c = theta;
     A the geometric mean of 1 and 1/(4 beta*) so that A*beta* stays below the
     singularity; B = (1+A)/2 and r = B/A; W the tail constant D(A beta*)/(A beta*);
-    c = -f(eta, 0)/2; delta the largest grid value whose bad-cut block keeps
-    sup f below -c; M the smallest integer killing the branch-tail factor up
-    to the epsilon budget; kappa = delta/(2M - 1).
+    c = -f(eta, 0)/2; delta the largest multiple of 1e-3 whose bad-cut block
+    keeps sup f below -c; M the smallest integer killing the branch-tail
+    factor up to the epsilon budget; kappa = delta/(2M - 1).
     """
     if not 0.0 < theta < 0.5:
         raise ParameterError(f"theta must lie in (0, 1/2), got {theta}")
@@ -415,16 +421,14 @@ def derive_constants(
     W = eval_D(A * beta_star) / (A * beta_star)
     c = -rate_function(eta, 0.0) / 2.0
 
-    # Largest delta on the grid keeping the whole block below -c; the
-    # feasible set is downward closed so a binary search over the grid index
-    # finds its top.  The y-interval [0, eta*delta) is open; by continuity
-    # its supremum equals the closed-interval supremum used here.
-    n_grid = round(1.0 / delta_step) - 1
-    lo_idx, hi_idx = 0, n_grid + 1
+    # Largest delta on the grid {1e-3, ..., 0.999} keeping the whole block
+    # below -c; the feasible set is downward closed so a binary search over
+    # the grid index finds its top.  The y-interval [0, eta*delta) is open; by
+    # continuity its supremum equals the closed-interval supremum used here.
+    lo_idx, hi_idx = 0, 1000
 
     def feasible(idx: int) -> bool:
-        delta_cand = idx * delta_step
-        return sup_rate_over_block(eta, eta * delta_cand) < -c
+        return sup_rate_over_block(eta, eta * (idx * 1e-3)) < -c
 
     if not feasible(1):
         raise InfeasibleConstantsError(
@@ -438,7 +442,7 @@ def derive_constants(
             hi_idx = mid
     if lo_idx == 0:
         raise InfeasibleConstantsError(f"no feasible delta at eta={eta}")
-    delta = lo_idx * delta_step
+    delta = lo_idx * 1e-3
 
     budget = (epsilon / 2.0) * math.log(B)
     M = 1

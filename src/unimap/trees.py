@@ -37,7 +37,6 @@ __all__ = [
     "Tree",
     "children_to_map",
     "doubly_rooted_count",
-    "doubly_rooted_to_map",
     "dyck_to_children",
     "entry_dart",
     "enumerate_doubly_rooted_trees",
@@ -261,19 +260,6 @@ def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
         path = (0, len(first_child)) + result.path[1:]
         result = DoublyRootedTree(tree, path)
     return result
-
-
-def doubly_rooted_to_map(drt: DoublyRootedTree) -> tuple[CombinatorialMap, int, int]:
-    """The underlying map plus the vertex ids of v1 and v2.
-
-    v1 is the root (the vertex of dart 0).  The entry dart of v2's address
-    sits at v2's parent, so v2 itself is the vertex of its alpha-partner.
-    """
-    m = children_to_map(drt.tree)
-    vertex_of = m.vertex_of()
-    v1 = vertex_of[0]
-    v2 = vertex_of[m.alpha[entry_dart(drt.tree, drt.path)]]
-    return m, v1, v2
 
 
 def sample_plane_tree(n_edges: int, rng: random.Random) -> CombinatorialMap:

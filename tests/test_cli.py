@@ -329,6 +329,52 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("core", "--in", "{map}", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"),
+        ("core", "--in", "{tmp}/missing.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"),
+        ("cheeger", "--in", "{graph}", "--kappa", "abc", "--out", "{tmp}/w.json"),
+        ("cheeger", "--in", "{graph}", "--kappa", "1/0", "--out", "{tmp}/w.json"),
+        ("cheeger", "--in", "{graph}", "--spectral", "--kappa", "1/2", "--out", "{tmp}/w.json"),
+        ("cheeger", "--in", "{tmp}/missing.mg", "--out", "{tmp}/w.json"),
+        ("sample-cm", "--degrees", "3,3,x", "--seed", "1"),
+        ("verify", "--claim", "cm-unicellular", "--degrees", "3,x"),
+        ("verify", "--claim", "one-vertex-law", "--p"),
+        ("series", "--which", "T", "--order", "-3"),
+        ("series", "--which", "D", "--order", "-3"),
+        ("series", "--which", "C", "--order", "-3"),
+    ],
+    ids=[
+        "map-field-not-int",
+        "missing-map",
+        "kappa-not-a-number",
+        "kappa-zero-denominator",
+        "kappa-with-spectral",
+        "missing-graph",
+        "sample-cm-degrees",
+        "verify-degrees",
+        "empty-p-list",
+        "negative-order-T",
+        "negative-order-D",
+        "negative-order-C",
+    ],
+)
+def test_bad_input_exits_2(tmp_path, capsys, argv):
+    map_path = tmp_path / "bad.json"
+    map_path.write_text('{"n_darts": "x", "alpha": [1, 0], "sigma": [0, 1], "root": 0}\n')
+    graph_path = tmp_path / "c4.mg"
+    graph_path.write_text(write_multigraph(cycle_graph(4)))
+    argv = [a.format(map=map_path, graph=graph_path, tmp=tmp_path) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(("error:", "usage:"))
+
+
 def test_verify_cm_needs_degrees(capsys):
     code, _, err = run(capsys, "verify", "--claim", "cm-unicellular")
     assert code == 2

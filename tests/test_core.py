@@ -150,7 +150,7 @@ def test_core_invariants(n):
         assert min(vertex_degrees(c)) >= 3
         assert genus(c) == genus(m)
         assert c.n_faces() == 1
-        assert dec.total_size == n
+        assert sum(b.n_edges for b in dec.branches) == n
         assert len(dec.branches) == c.n_edges
         # profile fast path agrees with the full decomposition
         marked, others = branch_size_profile(m)
@@ -259,4 +259,4 @@ def test_round_trip_property(n, rng):
         return
     dec = core(m)
     assert reconstruct(dec) == m
-    assert dec.total_size == n
+    assert sum(b.n_edges for b in dec.branches) == n

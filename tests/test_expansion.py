@@ -17,7 +17,6 @@ from unimap.expansion import (
     branch_substitution_transfer_check,
     cheeger_exact,
     count_subset_volumes,
-    estimate_bad_event,
     h_value,
     is_kappa_expander,
     spectral_cheeger_bounds,
@@ -168,24 +167,6 @@ def test_wilson_interval_known_values():
         wilson_interval(5, 0)
     with pytest.raises(ParameterError):
         wilson_interval(7, 5)
-
-
-def test_estimate_bad_event_exact_frozen():
-    # degrees (3,3): 15 pairings of 6 darts; V = 3 picks one vertex
-    est = estimate_bad_event((3, 3), 3, Fraction(2, 3), trials=0, rng=None)
-    assert est.exact
-    assert est.frequency == Fraction(9, 15)
-    est = estimate_bad_event((3, 3), 3, Fraction(1, 6), trials=0, rng=None)
-    assert est.frequency == 0
-
-
-def test_estimate_bad_event_monte_carlo_deterministic():
-    d = (3, 3, 3, 3, 3, 3)  # 18 darts: above the exact cutoff
-    a = estimate_bad_event(d, 9, Fraction(1, 3), trials=4000, rng=random.Random(3))
-    b = estimate_bad_event(d, 9, Fraction(1, 3), trials=4000, rng=random.Random(3))
-    assert not a.exact
-    assert (a.frequency, a.ci_low, a.ci_high) == (b.frequency, b.ci_low, b.ci_high)
-    assert a.ci_low <= float(a.frequency) <= a.ci_high
 
 
 def test_branch_substitution_transfer_on_cycles():

@@ -13,7 +13,6 @@ from unimap.trees import (
     DoublyRootedTree,
     children_to_map,
     doubly_rooted_count,
-    doubly_rooted_to_map,
     dyck_to_children,
     entry_dart,
     enumerate_doubly_rooted_trees,
@@ -124,16 +123,6 @@ def test_doubly_rooted_sampler_uniform(k):
     expected = draws / len(support)
     for c in counts.values():
         assert abs(c - expected) < 6 * math.sqrt(expected) + 10
-
-
-def test_doubly_rooted_to_map_shape():
-    for drt in enumerate_doubly_rooted_trees(3):
-        m, v1, v2 = doubly_rooted_to_map(drt)
-        assert genus(m) == 0
-        assert m.n_edges == 3
-        assert 0 <= v1 < m.n_darts and 0 <= v2 < m.n_darts
-        if len(drt.path) == 1 and drt.tree[0] == ():
-            assert v1 != v2  # v2 a child of the root
 
 
 @settings(max_examples=40, deadline=None)
