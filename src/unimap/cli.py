@@ -62,6 +62,16 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {exc}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -133,29 +143,24 @@ def _cmd_core(args: argparse.Namespace) -> int:
 
 def _cmd_cheeger(args: argparse.Namespace) -> int:
     g = parse_multigraph(Path(args.infile).read_text())
+    wit = None
     if args.spectral:
         low, high = spectral_cheeger_bounds(g)
         payload = {"spectral_lower": low, "spectral_upper": high}
     elif args.kappa is not None:
         ok, wit = is_kappa_expander(g, args.kappa, cap=args.cap)
         payload = {"kappa": _frac_str(args.kappa), "is_expander": ok}
-        if wit is not None:
-            payload.update(
-                {
-                    "h": _frac_str(wit.h_value),
-                    "subset": list(wit.subset),
-                    "boundary": wit.boundary,
-                    "vol": [wit.vol_x, wit.vol_complement],
-                }
-            )
     else:
-        wit = cheeger_exact(g, cap=args.cap)
-        payload = {
-            "h": _frac_str(wit.h_value),
-            "subset": list(wit.subset),
-            "boundary": wit.boundary,
-            "vol": [wit.vol_x, wit.vol_complement],
-        }
+        payload, wit = {}, cheeger_exact(g, cap=args.cap)
+    if wit is not None:
+        payload.update(
+            {
+                "h": _frac_str(wit.h_value),
+                "subset": list(wit.subset),
+                "boundary": wit.boundary,
+                "vol": [wit.vol_x, wit.vol_complement],
+            }
+        )
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -240,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sample_unicellular)
 
     p = sub.add_parser("sample-cm", help="configuration-model map for fixed degrees")
@@ -248,11 +253,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--degrees", type=_parse_int_list, required=True, help="comma-separated, each >= 3"
     )
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_positive_int, default=1)
     p.set_defaults(func=_cmd_sample_cm)
 
     p = sub.add_parser("enumerate", help="histogram over all gluings of the 2n-gon")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument(
         "--classify", choices=("genus", "faces", "vertices"), default="genus"
     )

@@ -32,6 +32,7 @@ to rooted isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .errors import DecompositionError, ParameterError
 from .maps import CombinatorialMap, face_tour, from_polygon_gluing
@@ -55,36 +56,33 @@ class BranchDecomposition:
     branches: one doubly rooted tree per core edge, listed in core edge
         order (edges sorted by their smaller dart); branch i's v1 end
         attaches at the smaller dart of edge i.
-    root_branch_index: index of the branch carrying the original root.
-    marked_edge: address of the root edge inside that branch.
-    attachments: per branch, the (v1 dart, v2 dart) pair of core darts
-        whose face segments the branch contour fills.
+    marked_edge: address of the root edge inside the root branch.
     """
 
     core: CombinatorialMap
     branches: tuple[DoublyRootedTree, ...]
-    root_branch_index: int
     marked_edge: tuple[int, ...]
-    attachments: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        edges = _core_edges(self.core)
-        if len(self.branches) != len(edges):
+        if len(self.branches) != len(self.attachments):
             raise DecompositionError(
-                f"{len(self.branches)} branches for {len(edges)} core edges"
+                f"{len(self.branches)} branches for {len(self.attachments)} core edges"
             )
-        if self.attachments != edges:
-            raise DecompositionError("attachments disagree with core edge list")
-        root_edge = edges.index(
-            (
-                min(self.core.root, self.core.alpha[self.core.root]),
-                max(self.core.root, self.core.alpha[self.core.root]),
-            )
-        )
-        if self.root_branch_index != root_edge:
-            raise DecompositionError("root branch is not the core root's edge")
         # address must resolve inside the root branch
         entry_dart(self.branches[self.root_branch_index].tree, self.marked_edge)
+
+    @cached_property
+    def attachments(self) -> tuple[tuple[int, int], ...]:
+        """Per branch, the (v1 dart, v2 dart) pair of core darts whose face
+        segments the branch contour fills: the core edges in core edge order."""
+        return tuple((d, a) for d, a in enumerate(self.core.alpha) if d < a)
+
+    @cached_property
+    def root_branch_index(self) -> int:
+        """Index of the branch carrying the original root: the core root's edge."""
+        r = self.core.root
+        a = self.core.alpha[r]
+        return self.attachments.index((min(r, a), max(r, a)))
 
     def core_less_M(self, M: int) -> CombinatorialMap:
         """Rebuild the map with every branch of >= M edges replaced by a
@@ -104,12 +102,6 @@ class BranchDecomposition:
         if self.branches[self.root_branch_index].n_edges >= M:
             marked = (0,)
         return reconstruct(replace(self, branches=branches, marked_edge=marked))
-
-
-def _core_edges(m: CombinatorialMap) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        sorted((d, m.alpha[d]) for d in range(m.n_darts) if d < m.alpha[d])
-    )
 
 
 class _Segments:
@@ -239,9 +231,7 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
     return BranchDecomposition(
         core=from_polygon_gluing(edges, len(edges)),
         branches=tuple(branches),
-        root_branch_index=0,
         marked_edge=marked,
-        attachments=edges,
     )
 
 
@@ -257,7 +247,7 @@ def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
     contours: list[tuple[int, ...]] = []
     splits: list[int] = []
     half: dict[int, tuple[int, int, int]] = {}
-    for i, (b, (lo, hi)) in enumerate(zip(dec.branches, _core_edges(cm))):
+    for i, (b, (lo, hi)) in enumerate(zip(dec.branches, dec.attachments)):
         local = children_to_map(b.tree).alpha
         split = local[entry_dart(b.tree, b.path)]
         contours.append(local)

@@ -29,7 +29,7 @@ from .errors import (
     EnumerationCapError,
     ParameterError,
 )
-from .maps import Multigraph, is_connected
+from .maps import Multigraph, components, is_connected
 from .samplers import DegreeSequence
 from .trees import DoublyRootedTree, sample_doubly_rooted_tree
 
@@ -54,23 +54,22 @@ class CutWitness:
     boundary: int
     vol_x: int
     vol_complement: int
-    h_value: Fraction
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "subset", tuple(sorted(self.subset)))
         if not self.subset:
             raise EmptySideError("witness subset is empty")
-        small = min(self.vol_x, self.vol_complement)
-        expect = Fraction(0) if self.boundary == 0 else Fraction(self.boundary, small)
-        if self.h_value != expect:
-            raise ParameterError("h_value inconsistent with cut fields")
 
+    @property
+    def h_value(self) -> Fraction:
+        """boundary / min(vol_x, vol_complement), and 0 when nothing crosses.
 
-def _edge_multiplicities(g: Multigraph) -> dict[tuple[int, int], int]:
-    mult: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        mult[(u, v)] = mult.get((u, v), 0) + 1
-    return mult
+        A boundary edge gives the smaller side a dart, so a zero volume
+        forces a zero boundary; h is defined as 0 there instead of dividing.
+        """
+        if self.boundary == 0:
+            return Fraction(0)
+        return Fraction(self.boundary, min(self.vol_x, self.vol_complement))
 
 
 def h_value(g: Multigraph, subset: Iterable[int]) -> CutWitness:
@@ -91,33 +90,7 @@ def h_value(g: Multigraph, subset: Iterable[int]) -> CutWitness:
         if (u in x) != (v in x):
             boundary += 1
     vol_x = g.volume(x)
-    vol_c = sum(g.degrees) - vol_x
-    small = min(vol_x, vol_c)
-    # a boundary edge gives the smaller side a dart, so small = 0 forces
-    # boundary = 0; define h = 0 there instead of dividing
-    h = Fraction(0) if boundary == 0 else Fraction(boundary, small)
-    return CutWitness(tuple(sorted(x)), boundary, vol_x, vol_c, h)
-
-
-def _components(g: Multigraph) -> list[list[int]]:
-    adj = g.adjacency()
-    seen = bytearray(g.n_vertices)
-    comps = []
-    for start in range(g.n_vertices):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
+    return CutWitness(tuple(sorted(x)), boundary, vol_x, sum(g.degrees) - vol_x)
 
 
 def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
@@ -133,25 +106,23 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         raise EmptySideError("expansion needs at least two vertices")
     if n > cap:
         raise EnumerationCapError(f"{n} vertices exceeds the exact cap {cap}")
-    if not is_connected(g):
-        return h_value(g, _components(g)[0])
+    comps = components(g)
+    if len(comps) > 1:
+        return h_value(g, comps[0])
 
     deg = g.degrees
     total = sum(deg)
     adj_mask = [0] * n
+    # degree toward a growing subset, rebuilt incrementally would need the
+    # full matrix anyway at these sizes; loops never cross a cut
+    mult_row = [[0] * n for _ in range(n)]
     for u, v in g.edges:
         if u != v:
             adj_mask[u] |= 1 << v
             adj_mask[v] |= 1 << u
-    mult = _edge_multiplicities(g)
-    # degree toward a growing subset, rebuilt incrementally would need the
-    # full matrix anyway at these sizes
-    mult_row = [[0] * n for _ in range(n)]
-    for (u, v), k in mult.items():
-        if u != v:
-            mult_row[u][v] = k
-            mult_row[v][u] = k
-    plain_deg = [deg[v] - 2 * mult.get((v, v), 0) for v in range(n)]
+            mult_row[u][v] += 1
+            mult_row[v][u] += 1
+    plain_deg = [sum(row) for row in mult_row]
 
     best: tuple[int, int, tuple[int, ...]] | None = None  # (boundary, small-vol, subset)
 

@@ -41,7 +41,7 @@ from .samplers import (
     sample_pairing,
     sample_unicellular_fixed_genus,
 )
-from .series import derive_constants, series_C, series_D
+from .series import derive_constants, series_D
 
 __all__ = [
     "ExperimentConfig",
@@ -57,7 +57,6 @@ __all__ = [
     "verify_substitution_transfer",
 ]
 
-_MODES = ("exact", "monte-carlo")
 _VERDICTS = ("pass", "fail", "informational")
 
 
@@ -84,23 +83,23 @@ def _canonical_json(obj: Any) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """What was run: a name, its parameters, and the evaluation mode.
+    """What was run: a name and its parameters.
 
-    ``parameters`` must be JSON-serializable.  The content digest covers the
-    name, parameters, and mode.
+    ``parameters`` must be JSON-serializable.  A run is Monte Carlo exactly
+    when its parameters carry a seed, which must be an int.  The content
+    digest covers the name, parameters, and mode.
     """
 
     name: str
     parameters: dict
-    mode: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.mode == "monte-carlo" and not isinstance(
-            self.parameters.get("seed"), int
-        ):
+        if "seed" in self.parameters and not isinstance(self.parameters["seed"], int):
             raise ParameterError("monte-carlo experiments require an integer seed")
+
+    @property
+    def mode(self) -> str:
+        return "monte-carlo" if "seed" in self.parameters else "exact"
 
     def canonical_json(self) -> str:
         return _canonical_json(
@@ -123,7 +122,6 @@ class ExperimentReport:
     """
 
     config: ExperimentConfig
-    claim: str
     observed: dict
     expected: dict
     verdict: str
@@ -135,6 +133,10 @@ class ExperimentReport:
             raise ParameterError(
                 f"verdict must be one of {_VERDICTS}, got {self.verdict!r}"
             )
+
+    @property
+    def claim(self) -> str:
+        return self.config.name
 
     def payload(self) -> dict:
         return {
@@ -243,14 +245,14 @@ def min_degree3_census(e: int) -> dict[int, int]:
     return dict(counts)
 
 
-@lru_cache(maxsize=None)
-def _d_power_coefficient(n: int, power: int) -> Fraction:
-    """[z^n] C(z) * D(z)**power, exact."""
-    prod = series_C(n)
-    d = series_D(n)
-    for _ in range(power):
-        prod = prod * d
-    return Fraction(prod[n])
+def _d_power_coefficient(n: int, power: int) -> int:
+    """[z^n] C(z) * D(z)**power, by the closed form: the sum over
+    i + j = n - power - 1 of binom(n-1+j, j) * binom(power+1+i, i) * 2^i."""
+    top = n - power - 1
+    return sum(
+        math.comb(n - 1 + top - i, top - i) * math.comb(power + 1 + i, i) * 2**i
+        for i in range(top + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +274,7 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
             raise ParameterError(f"one-vertex gluings need even p >= 2, got {p}")
         if p > ENUMERATION_CAP:
             raise EnumerationCapError(f"exhaustive check needs p <= {ENUMERATION_CAP}, got {p}")
-    config = ExperimentConfig(
-        name="one-vertex-law", parameters={"p_list": list(p_list)}, mode="exact"
-    )
+    config = ExperimentConfig(name="one-vertex-law", parameters={"p_list": list(p_list)})
     observed: dict = {}
     expected: dict = {}
     ok = True
@@ -299,7 +299,6 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
         ok = ok and prob == law and Fraction(ones) == formula
     return ExperimentReport(
         config=config,
-        claim="one-vertex-law",
         observed=observed,
         expected=expected,
         verdict="pass" if ok else "fail",
@@ -358,16 +357,13 @@ def verify_cm_unicellular(
     }
 
     if not degrees.admits_unicellular:
-        config = ExperimentConfig(
-            name="cm-unicellular", parameters=params, mode="exact"
-        )
+        config = ExperimentConfig(name="cm-unicellular", parameters=params)
         observed = {
             "probability": Fraction(0),
             "note": "no one-face map exists for this sequence (parity)",
         }
         return ExperimentReport(
             config=config,
-            claim="cm-unicellular",
             observed=observed,
             expected=expected,
             verdict="pass",
@@ -375,7 +371,7 @@ def verify_cm_unicellular(
         )
 
     if exact:
-        config = ExperimentConfig(name="cm-unicellular", parameters=params, mode="exact")
+        config = ExperimentConfig(name="cm-unicellular", parameters=params)
         hits = 0
         count = 0
         for pairing in enumerate_pairings(n):
@@ -391,9 +387,7 @@ def verify_cm_unicellular(
         verdict = "pass" if prob >= floor else "fail"
     else:
         params = dict(params, trials=trials, seed=seed)
-        config = ExperimentConfig(
-            name="cm-unicellular", parameters=params, mode="monte-carlo"
-        )
+        config = ExperimentConfig(name="cm-unicellular", parameters=params)
         hits = 0
         for t in range(trials):
             rng = random.Random(f"{seed}:cm:{t}")
@@ -415,7 +409,6 @@ def verify_cm_unicellular(
             verdict = "informational"
     return ExperimentReport(
         config=config,
-        claim="cm-unicellular",
         observed=observed,
         expected=expected,
         verdict=verdict,
@@ -435,9 +428,7 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
         raise EnumerationCapError(f"identity check needs n <= {ENUMERATION_CAP}, got {n}")
     if g < 1 or 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
-    config = ExperimentConfig(
-        name="decomposition-identity", parameters={"n": n, "g": g}, mode="exact"
-    )
+    config = ExperimentConfig(name="decomposition-identity", parameters={"n": n, "g": g})
     census = profile_census(n)
     by_edges: Counter = Counter()
     for (gg, e, _marked, _others), cnt in census.items():
@@ -449,16 +440,12 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
         n_eg = min_degree3_census(e).get(g, 0)
         if n_eg == 0:
             continue
-        coeff = _d_power_coefficient(n, e - 1)
-        if coeff.denominator != 1:
-            raise ParameterError("series coefficient is not an integer")
-        value = n_eg * coeff.numerator
+        value = n_eg * _d_power_coefficient(n, e - 1)
         if value:
             expected_counts[str(e)] = value
     ok = observed_counts == expected_counts
     return ExperimentReport(
         config=config,
-        claim="decomposition-identity",
         observed={"cores_with_e_edges": observed_counts},
         expected={
             "cores_with_e_edges": {
@@ -532,9 +519,7 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
         raise EnumerationCapError(f"profile law check needs n <= {ENUMERATION_CAP}, got {n}")
     if g < 1 or 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
-    config = ExperimentConfig(
-        name="branch-profile", parameters={"n": n, "g": g}, mode="exact"
-    )
+    config = ExperimentConfig(name="branch-profile", parameters={"n": n, "g": g})
     census = profile_census(n)
     by_e: dict[int, Counter] = {}
     for (gg, e, marked, others), cnt in census.items():
@@ -570,7 +555,6 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
     ok = ok and beta_independent
     return ExperimentReport(
         config=config,
-        claim="branch-profile",
         observed=observed,
         expected=expected,
         verdict="pass" if ok else "fail",
@@ -619,7 +603,6 @@ def verify_substitution_transfer(
             "max_m": max_m,
             "seed": seed,
         },
-        mode="monte-carlo",
     )
     violations = 0
     for i in range(instances):
@@ -634,7 +617,6 @@ def verify_substitution_transfer(
     }
     return ExperimentReport(
         config=config,
-        claim="substitution-transfer",
         observed=observed,
         expected=expected,
         verdict="pass" if violations == 0 else "fail",
@@ -702,7 +684,6 @@ def run_core_expander_experiment(
             "trials": trials,
             "seed": seed,
         },
-        mode="monte-carlo",
     )
     m_grid = sorted({2, 4, 8, 16, 32, 64, pipe.M})
     observed: dict = {}
@@ -790,7 +771,6 @@ def run_core_expander_experiment(
     verdict = "fail" if (any_transfer_violation or any_nonpositive) else "informational"
     return ExperimentReport(
         config=config,
-        claim="core-expander",
         observed=observed,
         expected=expected,
         verdict=verdict,

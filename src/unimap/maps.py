@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import GenusError, MalformedGraphError, MalformedMapError
 
 __all__ = [
     "CombinatorialMap",
     "Multigraph",
+    "components",
     "cycles_of",
     "decode_map",
     "encode_map",
@@ -80,19 +81,18 @@ def _count_cycles(perm: Sequence[int]) -> int:
 class CombinatorialMap:
     """A rooted map: dart involution ``alpha``, vertex rotation ``sigma``, root dart."""
 
-    n_darts: int
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
     root: int
 
     def __post_init__(self) -> None:
-        n = self.n_darts
         object.__setattr__(self, "alpha", tuple(self.alpha))
         object.__setattr__(self, "sigma", tuple(self.sigma))
+        n = self.n_darts
         if n <= 0 or n % 2:
             raise MalformedMapError(f"n_darts must be positive and even, got {n}")
-        if len(self.alpha) != n or len(self.sigma) != n:
-            raise MalformedMapError("alpha and sigma must have length n_darts")
+        if len(self.sigma) != n:
+            raise MalformedMapError("alpha and sigma must have the same length")
         if sorted(self.sigma) != list(range(n)):
             raise MalformedMapError("sigma is not a permutation of 0..n_darts-1")
         for d, a in enumerate(self.alpha):
@@ -100,6 +100,10 @@ class CombinatorialMap:
                 raise MalformedMapError("alpha is not a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise MalformedMapError(f"root dart {self.root} out of range")
+
+    @property
+    def n_darts(self) -> int:
+        return len(self.alpha)
 
     @property
     def n_edges(self) -> int:
@@ -117,15 +121,6 @@ class CombinatorialMap:
 
     def n_faces(self) -> int:
         return _count_cycles(self.face_permutation())
-
-    def vertex_of(self) -> tuple[int, ...]:
-        """Map each dart to a vertex id (the smallest dart on its sigma-cycle)."""
-        ids = [-1] * self.n_darts
-        for cyc in self.vertex_cycles():
-            v = cyc[0]
-            for d in cyc:
-                ids[d] = v
-        return tuple(ids)
 
 
 def genus(m: CombinatorialMap) -> int:
@@ -165,7 +160,7 @@ def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> Combinato
     if -1 in alpha:
         raise MalformedMapError("pairing does not cover every polygon side")
     sigma = tuple((alpha[d] + 1) % n_darts for d in range(n_darts))
-    return CombinatorialMap(n_darts, tuple(alpha), sigma, 0)
+    return CombinatorialMap(tuple(alpha), sigma, 0)
 
 
 @dataclass(frozen=True)
@@ -231,23 +226,32 @@ def underlying_graph(m: CombinatorialMap) -> tuple[Multigraph, tuple[int, ...]]:
     return Multigraph(len(cycles), tuple(edges)), tuple(dart_vertex)
 
 
-def is_connected(g: Multigraph) -> bool:
-    """Breadth-first connectivity over the multigraph (loops ignored)."""
-    if g.n_vertices == 1:
-        return True
+def components(g: Multigraph) -> list[list[int]]:
+    """Vertex sets of the connected components (loops ignored), each sorted,
+    listed by their smallest vertex."""
     adj = g.adjacency()
     seen = bytearray(g.n_vertices)
-    stack = [0]
-    seen[0] = 1
-    count = 1
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                stack.append(w)
-    return count == g.n_vertices
+    comps = []
+    for start in range(g.n_vertices):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def is_connected(g: Multigraph) -> bool:
+    """Whether the multigraph has exactly one component."""
+    return len(components(g)) == 1
 
 
 def face_order_relabeling(m: CombinatorialMap) -> tuple[int, ...]:
@@ -274,7 +278,7 @@ def face_order_form(m: CombinatorialMap) -> CombinatorialMap:
     for d in range(n):
         alpha[new_label[d]] = new_label[m.alpha[d]]
         sigma[new_label[d]] = new_label[m.sigma[d]]
-    return CombinatorialMap(n, tuple(alpha), tuple(sigma), 0)
+    return CombinatorialMap(tuple(alpha), tuple(sigma), 0)
 
 
 def encode_map(m: CombinatorialMap) -> str:
@@ -293,14 +297,17 @@ def encode_map(m: CombinatorialMap) -> str:
 def decode_map(text: str) -> CombinatorialMap:
     try:
         obj = json.loads(text)
-        return CombinatorialMap(
-            int(obj["n_darts"]),
+        n_darts = int(obj["n_darts"])
+        m = CombinatorialMap(
             tuple(int(x) for x in obj["alpha"]),
             tuple(int(x) for x in obj["sigma"]),
             int(obj["root"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMapError(f"cannot decode map: {exc}") from exc
+    if m.n_darts != n_darts:
+        raise MalformedMapError(f"n_darts is {n_darts} but alpha has {m.n_darts} darts")
+    return m
 
 
 def write_multigraph(g: Multigraph) -> str:
@@ -327,18 +334,17 @@ def parse_multigraph(text: str) -> Multigraph:
     return Multigraph(n_vertices, edges)
 
 
-def _require_unicellular(m: CombinatorialMap, where: str) -> None:
-    if m.n_faces() != 1:
-        raise MalformedMapError(f"{where} needs a unicellular map, got {m.n_faces()} faces")
-
-
-def face_tour(m: CombinatorialMap) -> Iterator[int]:
+def face_tour(m: CombinatorialMap) -> list[int]:
     """Darts of a unicellular map in face order, starting at the root."""
-    _require_unicellular(m, "face_tour")
-    phi = m.face_permutation()
-    d = m.root
-    while True:
-        yield d
-        d = phi[d]
-        if d == m.root:
-            return
+    alpha, sigma, root = m.alpha, m.sigma, m.root
+    tour = [root]
+    d = sigma[alpha[root]]
+    while d != root:
+        tour.append(d)
+        d = sigma[alpha[d]]
+    if len(tour) != m.n_darts:
+        raise MalformedMapError(
+            f"face_tour needs a unicellular map; the root's face has "
+            f"{len(tour)} of {m.n_darts} darts"
+        )
+    return tour

@@ -13,9 +13,11 @@ from __future__ import annotations
 import logging
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, MalformedMapError, ParameterError
@@ -27,7 +29,6 @@ _log = logging.getLogger(__name__)
 
 __all__ = [
     "ENUMERATION_CAP",
-    "BranchSizeSampler",
     "DegreeSequence",
     "block_rotation",
     "count_one_vertex_maps",
@@ -346,15 +347,15 @@ def sample_configuration_model(
         alpha[a] = b
         alpha[b] = a
     return CombinatorialMap(
-        n_darts=n_darts,
         alpha=tuple(alpha),
         sigma=tuple(block_rotation(degrees)),
         root=rng.randrange(n_darts),
     )
 
 
-class BranchSizeSampler:
-    """Samples the two branch-size laws at a fixed weight beta in (0, 1/4).
+@lru_cache(maxsize=64)
+def _branch_size_tables(beta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Cumulative tables of the plain and the marked branch-size law at beta.
 
     The plain law puts mass dt_k beta^k / D(beta) on size k, the marked law
     k dt_k beta^k / C(beta).  Weight tables follow the exact term ratio
@@ -362,75 +363,27 @@ class BranchSizeSampler:
     bound D(A beta)/(D(beta) A^K) with A = 1/(2 sqrt(beta)) certifies that
     the remaining mass is below 1e-12; the truncated table is renormalised,
     so the sampled law is within total variation 1e-12 of the true one.
+    Each table ends in exactly 1.0.
     """
+    if not 0.0 < beta < 0.25:
+        raise ParameterError(f"beta must lie in (0, 1/4), got {beta}")
+    amp = 1.0 / (2.0 * math.sqrt(beta))  # geometric mean of 1 and 1/(4 beta)
+    d_beta = eval_D(beta)
+    tail_prefactor = eval_D(amp * beta) / d_beta
+    k_max = max(4, math.ceil(math.log(tail_prefactor / 1e-12) / math.log(amp)))
 
-    def __init__(self, beta: float):
-        if not 0.0 < beta < 0.25:
-            raise ParameterError(f"beta must lie in (0, 1/4), got {beta}")
-        self.beta = beta
-        amp = 1.0 / (2.0 * math.sqrt(beta))  # geometric mean of 1 and 1/(4 beta)
-        d_beta = eval_D(beta)
-        tail_prefactor = eval_D(amp * beta) / d_beta
-        k_max = max(4, math.ceil(math.log(tail_prefactor / 1e-12) / math.log(amp)))
-
-        weights = [0.0, beta]  # dt_1 beta^1
-        for k in range(1, k_max):
-            weights.append(weights[-1] * beta * 2 * k * (2 * k + 1) / (k * (k + 1)))
-
-        plain_cum: list[float] = []
-        marked_cum: list[float] = []
-        acc_p = acc_m = acc_m2 = 0.0
-        for k, w in enumerate(weights):
-            acc_p += w
-            acc_m += k * w
-            acc_m2 += k * k * w
-            plain_cum.append(acc_p)
-            marked_cum.append(acc_m)
-        self._plain_cum = [c / acc_p for c in plain_cum]
-        self._marked_cum = [c / acc_m for c in marked_cum]
-        self._mean_plain = acc_m / acc_p
-        self._mean_marked = acc_m2 / acc_m
-        self.k_max = k_max
-        # sanity: the table must carry essentially all of D(beta) and C(beta)
-        if abs(acc_p - d_beta) > 1e-9 * d_beta:
-            raise ParameterError("branch-size table failed its D mass check")
-        if abs(acc_m - eval_C(beta)) > 1e-9 * eval_C(beta):
-            raise ParameterError("branch-size table failed its C mass check")
-
-    def _draw(self, cum: list[float], rng: random.Random) -> int:
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        lo, hi = 0, len(cum) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if cum[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def sample_plain(self, rng: random.Random) -> int:
-        """A size from the plain law (every doubly rooted tree weighted beta^k)."""
-        return self._draw(self._plain_cum, rng)
-
-    def sample_marked(self, rng: random.Random) -> int:
-        """A size from the marked law (an extra factor k for the marked edge)."""
-        return self._draw(self._marked_cum, rng)
-
-    def table_mean_plain(self) -> float:
-        """Mean of the truncated plain table; equals beta D'(beta)/D(beta)
-        up to the certified truncation mass."""
-        return self._mean_plain
-
-    def table_mean_marked(self) -> float:
-        """Mean of the truncated marked table; closed form 1 + 6 beta/(1-4 beta)."""
-        return self._mean_marked
-
-
-@lru_cache(maxsize=64)
-def _branch_size_tables(beta: float) -> BranchSizeSampler:
-    return BranchSizeSampler(beta)
+    weights = [0.0, beta]  # dt_1 beta^1
+    for k in range(1, k_max):
+        weights.append(weights[-1] * beta * 2 * k * (2 * k + 1) / (k * (k + 1)))
+    plain_cum = list(accumulate(weights))
+    marked_cum = list(accumulate(k * w for k, w in enumerate(weights)))
+    acc_p, acc_m = plain_cum[-1], marked_cum[-1]
+    # sanity: the table must carry essentially all of D(beta) and C(beta)
+    if abs(acc_p - d_beta) > 1e-9 * d_beta:
+        raise ParameterError("branch-size table failed its D mass check")
+    if abs(acc_m - eval_C(beta)) > 1e-9 * eval_C(beta):
+        raise ParameterError("branch-size table failed its C mass check")
+    return tuple(c / acc_p for c in plain_cum), tuple(c / acc_m for c in marked_cum)
 
 
 def sample_branch_size(law: str, beta: float, rng: random.Random) -> int:
@@ -439,9 +392,14 @@ def sample_branch_size(law: str, beta: float, rng: random.Random) -> int:
     ``law`` is "Y" for the plain law (mass dt_k beta^k) or "X" for the
     marked law (an extra factor k); the weight tables are cached per beta.
     """
-    sampler = _branch_size_tables(beta)
+    plain_cum, marked_cum = _branch_size_tables(beta)
     if law == "X":
-        return sampler.sample_marked(rng)
-    if law == "Y":
-        return sampler.sample_plain(rng)
-    raise ParameterError(f"law must be 'X' or 'Y', got {law!r}")
+        cum = marked_cum
+    elif law == "Y":
+        cum = plain_cum
+    else:
+        raise ParameterError(f"law must be 'X' or 'Y', got {law!r}")
+    u = rng.random()
+    while u == 0.0:
+        u = rng.random()
+    return bisect_left(cum, u)

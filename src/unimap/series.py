@@ -24,7 +24,7 @@ and must agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -377,20 +377,7 @@ class ConstantPipeline:
     kappa: float
 
     def as_dict(self) -> dict[str, float | int]:
-        return {
-            "theta": self.theta,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "beta_star": self.beta_star,
-            "A": self.A,
-            "B": self.B,
-            "r": self.r,
-            "W": self.W,
-            "c": self.c,
-            "delta": self.delta,
-            "M": self.M,
-            "kappa": self.kappa,
-        }
+        return asdict(self)
 
 
 def derive_constants(

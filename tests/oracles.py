@@ -96,7 +96,7 @@ def polygon_map(pairing, n: int) -> CombinatorialMap:
         alpha[a] = b
         alpha[b] = a
     sigma = [(alpha[d] + 1) % (2 * n) for d in range(2 * n)]
-    return CombinatorialMap(2 * n, tuple(alpha), tuple(sigma), 0)
+    return CombinatorialMap(tuple(alpha), tuple(sigma), 0)
 
 
 def path_torus(length: int) -> CombinatorialMap:
@@ -167,6 +167,22 @@ def min_degree3_counts(e: int) -> dict[int, int]:
             g = corner_genus(m)
             counts[g] = counts.get(g, 0) + 1
     return counts
+
+
+def c_times_d_power(n: int, power: int) -> int:
+    """[z^n] C(z) * D(z)**power by multiplying truncated series.
+
+    T_k = Cat(k) for k >= 1, D = T + T*D (the path decomposition) and
+    C = z*D'; every coefficient is an int.
+    """
+    t = [0] + [catalan(k) for k in range(1, n + 1)]
+    d = [0] * (n + 1)
+    for k in range(1, n + 1):
+        d[k] = t[k] + sum(t[i] * d[k - i] for i in range(1, k))
+    prod = [k * d[k] for k in range(n + 1)]
+    for _ in range(power):
+        prod = [sum(prod[i] * d[k - i] for i in range(k + 1)) for k in range(n + 1)]
+    return prod[n]
 
 
 def brute_cheeger_value(g: Multigraph) -> Fraction:

@@ -330,20 +330,25 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,names",
     [
-        ("core", "--in", "{map}", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"),
-        ("core", "--in", "{tmp}/missing.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"),
-        ("cheeger", "--in", "{graph}", "--kappa", "abc", "--out", "{tmp}/w.json"),
-        ("cheeger", "--in", "{graph}", "--kappa", "1/0", "--out", "{tmp}/w.json"),
-        ("cheeger", "--in", "{graph}", "--spectral", "--kappa", "1/2", "--out", "{tmp}/w.json"),
-        ("cheeger", "--in", "{tmp}/missing.mg", "--out", "{tmp}/w.json"),
-        ("sample-cm", "--degrees", "3,3,x", "--seed", "1"),
-        ("verify", "--claim", "cm-unicellular", "--degrees", "3,x"),
-        ("verify", "--claim", "one-vertex-law", "--p"),
-        ("series", "--which", "T", "--order", "-3"),
-        ("series", "--which", "D", "--order", "-3"),
-        ("series", "--which", "C", "--order", "-3"),
+        (("core", "--in", "{map}", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("core", "--in", "{tmp}/missing.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("cheeger", "--in", "{graph}", "--kappa", "abc", "--out", "{tmp}/w.json"), ""),
+        (("cheeger", "--in", "{graph}", "--kappa", "1/0", "--out", "{tmp}/w.json"), ""),
+        (("cheeger", "--in", "{graph}", "--spectral", "--kappa", "1/2", "--out", "{tmp}/w.json"), ""),
+        (("cheeger", "--in", "{tmp}/missing.mg", "--out", "{tmp}/w.json"), ""),
+        (("sample-cm", "--degrees", "3,3,x", "--seed", "1"), ""),
+        (("verify", "--claim", "cm-unicellular", "--degrees", "3,x"), ""),
+        (("verify", "--claim", "one-vertex-law", "--p"), ""),
+        (("series", "--which", "T", "--order", "-3"), ""),
+        (("series", "--which", "D", "--order", "-3"), ""),
+        (("series", "--which", "C", "--order", "-3"), ""),
+        (("enumerate", "--n", "0"), "--n"),
+        (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "0"), "--count"),
+        (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "-3"), "--count"),
+        (("sample-cm", "--degrees", "3,3", "--seed", "1", "--count", "0"), "--count"),
+        (("sample-cm", "--degrees", "3,3", "--seed", "1", "--count", "-3"), "--count"),
     ],
     ids=[
         "map-field-not-int",
@@ -358,9 +363,14 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
         "negative-order-T",
         "negative-order-D",
         "negative-order-C",
+        "enumerate-n-zero",
+        "sample-unicellular-count-zero",
+        "sample-unicellular-count-negative",
+        "sample-cm-count-zero",
+        "sample-cm-count-negative",
     ],
 )
-def test_bad_input_exits_2(tmp_path, capsys, argv):
+def test_bad_input_exits_2(tmp_path, capsys, argv, names):
     map_path = tmp_path / "bad.json"
     map_path.write_text('{"n_darts": "x", "alpha": [1, 0], "sigma": [0, 1], "root": 0}\n')
     graph_path = tmp_path / "c4.mg"
@@ -373,6 +383,7 @@ def test_bad_input_exits_2(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(("error:", "usage:"))
+    assert names in err  # the message names the option the user gave
 
 
 def test_verify_cm_needs_degrees(capsys):

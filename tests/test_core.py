@@ -68,7 +68,7 @@ def test_core_rejects_genus_zero():
 
 def test_core_rejects_multi_face_maps():
     # one vertex, rotation (0 1 2 3 4 5): two faces, genus 1
-    m = CombinatorialMap(6, (1, 0, 4, 5, 2, 3), (1, 2, 3, 4, 5, 0), 0)
+    m = CombinatorialMap((1, 0, 4, 5, 2, 3), (1, 2, 3, 4, 5, 0), 0)
     assert m.n_faces() == 2 and genus(m) == 1
     with pytest.raises(DecompositionError):
         branch_size_profile(m)
@@ -209,13 +209,7 @@ def test_core_less_m_interpolates_edge_count():
 def test_decomposition_validation():
     dec = core(PENDANT)
     with pytest.raises(DecompositionError):
-        BranchDecomposition(
-            dec.core,
-            dec.branches[:1],  # wrong branch count
-            dec.root_branch_index,
-            dec.marked_edge,
-            dec.attachments,
-        )
+        BranchDecomposition(dec.core, dec.branches[:1], dec.marked_edge)  # wrong branch count
     with pytest.raises((DecompositionError, ParameterError)):
         replace(dec, marked_edge=(9, 9, 9))  # unresolvable address
 

@@ -179,9 +179,14 @@ def test_branch_substitution_transfer_on_cycles():
         branch_substitution_transfer_check(C4, 0, rng)
 
 
-def test_cut_witness_validation():
-    with pytest.raises(ParameterError):
-        CutWitness((0, 1), 3, 4, 4, Fraction(1, 2))  # 3/4 != 1/2
+def test_cut_witness_derives_h():
+    # h = boundary / min(vol_x, vol_complement), read off the fields
+    assert CutWitness((1, 0), 3, 4, 6).h_value == Fraction(3, 4)
+    assert CutWitness((0,), 3, 8, 6).h_value == Fraction(1, 2)
+    assert CutWitness((0,), 0, 0, 6).h_value == 0  # nothing crosses: h = 0
+    assert CutWitness((2, 0, 1), 1, 5, 5).subset == (0, 1, 2)
+    with pytest.raises(EmptySideError):
+        CutWitness((), 1, 0, 4)
 
 
 @settings(max_examples=50, deadline=None)

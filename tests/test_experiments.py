@@ -17,6 +17,7 @@ from unimap.experiments import (
     ExperimentConfig,
     ExperimentReport,
     _cm_map_is_unicellular,
+    _d_power_coefficient,
     min_degree3_census,
     persist_report,
     profile_census,
@@ -37,33 +38,38 @@ from unimap.samplers import (
 )
 from unimap.series import derive_constants
 
-from .oracles import harer_zagier_table, min_degree3_counts
+from .oracles import c_times_d_power, harer_zagier_table, min_degree3_counts
 
 
 def test_config_validation_and_digest():
-    cfg = ExperimentConfig("demo", {"n": 4}, mode="exact")
-    assert cfg.digest() == ExperimentConfig("demo", {"n": 4}, mode="exact").digest()
-    other = ExperimentConfig("demo", {"n": 5}, mode="exact")
+    cfg = ExperimentConfig("demo", {"n": 4})
+    assert cfg.digest() == ExperimentConfig("demo", {"n": 4}).digest()
+    other = ExperimentConfig("demo", {"n": 5})
     assert cfg.digest() != other.digest()
+    # the mode is read off the parameters: a seed makes a run Monte Carlo
+    assert cfg.mode == "exact"
+    seeded = ExperimentConfig("demo", {"n": 4, "seed": 7})
+    assert seeded.mode == "monte-carlo"
+    assert json.loads(seeded.canonical_json())["mode"] == "monte-carlo"
     with pytest.raises(ParameterError):
-        ExperimentConfig("demo", {}, mode="bogus")
+        ExperimentConfig("demo", {"seed": "7"})  # seed must be an int
     with pytest.raises(ParameterError):
-        ExperimentConfig("demo", {}, mode="monte-carlo")  # seed missing
+        ExperimentConfig("demo", {"seed": None})
 
 
 def test_report_payload_excludes_runtime():
-    cfg = ExperimentConfig("demo", {"n": 4}, mode="exact")
-    a = ExperimentReport(cfg, "demo", {"x": 1}, {}, "pass", runtime_s=1.0)
-    b = ExperimentReport(cfg, "demo", {"x": 1}, {}, "pass", runtime_s=9.9)
+    cfg = ExperimentConfig("demo", {"n": 4})
+    a = ExperimentReport(cfg, {"x": 1}, {}, "pass", runtime_s=1.0)
+    b = ExperimentReport(cfg, {"x": 1}, {}, "pass", runtime_s=9.9)
     assert a.payload_json() == b.payload_json()
     assert a.to_dict()["meta"]["runtime_s"] == 1.0
     with pytest.raises(ParameterError):
-        ExperimentReport(cfg, "demo", {}, {}, "maybe")
+        ExperimentReport(cfg, {}, {}, "maybe")
 
 
 def test_report_serializes_fractions_exactly():
-    cfg = ExperimentConfig("demo", {}, mode="exact")
-    r = ExperimentReport(cfg, "demo", {"p": Fraction(1, 3)}, {}, "pass")
+    cfg = ExperimentConfig("demo", {})
+    r = ExperimentReport(cfg, {"p": Fraction(1, 3)}, {}, "pass")
     assert '"1/3"' in r.payload_json()
 
 
@@ -121,7 +127,7 @@ def test_cm_face_walk_matches_built_maps(degrees, one_face):
         alpha = [0] * len(sigma)
         for a, b in pairing:
             alpha[a], alpha[b] = b, a
-        slow = CombinatorialMap(len(sigma), alpha, sigma, 0).n_faces() == 1
+        slow = CombinatorialMap(alpha, sigma, 0).n_faces() == 1
         assert _cm_map_is_unicellular(pairing, sigma) == slow
         hits += slow
     assert hits == one_face
@@ -214,6 +220,12 @@ def test_decomposition_identity_small(n, g):
     r = verify_decomposition_identity(n, g)
     assert r.verdict == "pass"
     assert r.observed["cores_with_e_edges"] == r.expected["cores_with_e_edges"]["value"]
+
+
+def test_d_power_coefficient_closed_form_matches_series_products():
+    for n in range(31):
+        for power in range(12):
+            assert _d_power_coefficient(n, power) == c_times_d_power(n, power), (n, power)
 
 
 def test_decomposition_identity_validation():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -43,13 +44,17 @@ def test_square_is_the_torus_map():
 
 def test_malformed_inputs_rejected():
     with pytest.raises(MalformedMapError):
-        CombinatorialMap(4, (1, 0, 3, 3), (1, 2, 3, 0), 0)  # alpha not involution
+        CombinatorialMap((1, 0, 3, 3), (1, 2, 3, 0), 0)  # alpha not involution
     with pytest.raises(MalformedMapError):
-        CombinatorialMap(4, (0, 1, 3, 2), (1, 0, 3, 2), 0)  # alpha has fixed points
+        CombinatorialMap((0, 1, 3, 2), (1, 0, 3, 2), 0)  # alpha has fixed points
     with pytest.raises(MalformedMapError):
-        CombinatorialMap(4, (1, 0, 3, 2), (1, 2, 3, 0), 7)  # root out of range
+        CombinatorialMap((1, 0, 3, 2), (1, 2, 3, 0), 7)  # root out of range
     with pytest.raises(MalformedMapError):
-        CombinatorialMap(3, (1, 0, 2), (0, 1, 2), 0)  # odd dart count
+        CombinatorialMap((1, 0, 2), (0, 1, 2), 0)  # odd dart count
+    with pytest.raises(MalformedMapError):
+        CombinatorialMap((1, 0), (1, 2, 0), 0)  # sigma longer than alpha
+    with pytest.raises(MalformedMapError):
+        CombinatorialMap((1, 0, 3, 2), (1, 0, 1, 2), 0)  # sigma not a permutation
 
 
 def test_genus_agrees_with_corner_walk_oracle():
@@ -59,7 +64,7 @@ def test_genus_agrees_with_corner_walk_oracle():
 
 def test_genus_requires_connected():
     # two disjoint loops on one "map": sigma fixes each pair separately
-    m = CombinatorialMap(4, (1, 0, 3, 2), (0, 1, 2, 3), 0)
+    m = CombinatorialMap((1, 0, 3, 2), (0, 1, 2, 3), 0)
     with pytest.raises(GenusError):
         genus(m)
 
@@ -68,6 +73,9 @@ def test_face_tour_covers_polygon_in_order():
     assert list(face_tour(SQUARE)) == [0, 1, 2, 3]
     m = sample_polygon_gluing(9, random.Random(3))
     assert list(face_tour(m)) == list(range(18))
+    two_faces = CombinatorialMap((1, 0, 4, 5, 2, 3), (1, 2, 3, 4, 5, 0), 0)
+    with pytest.raises(MalformedMapError):
+        face_tour(two_faces)
 
 
 def test_encode_decode_round_trip():
@@ -77,6 +85,14 @@ def test_encode_decode_round_trip():
         decode_map("{not json")
     with pytest.raises(MalformedMapError):
         decode_map('{"n_darts": 2}')
+
+
+def test_decode_map_rejects_a_dart_count_that_disagrees_with_alpha():
+    text = encode_map(SQUARE)
+    assert json.loads(text)["n_darts"] == 4
+    for wrong in (2, 6, 0, -4):
+        with pytest.raises(MalformedMapError, match="n_darts"):
+            decode_map(text.replace('"n_darts":4', f'"n_darts":{wrong}'))
 
 
 def test_face_order_form_is_identity_on_gluings():
@@ -96,9 +112,7 @@ def test_face_order_form_canonicalizes_rooted_isomorphic_maps():
         for d in range(m.n_darts):
             alpha[perm[d]] = perm[m.alpha[d]]
             sigma[perm[d]] = perm[m.sigma[d]]
-        relabeled = CombinatorialMap(
-            m.n_darts, tuple(alpha), tuple(sigma), perm[m.root]
-        )
+        relabeled = CombinatorialMap(tuple(alpha), tuple(sigma), perm[m.root])
         assert face_order_form(relabeled) == m
 
 

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from unimap.errors import EnumerationCapError, ParameterError
 from unimap.maps import genus, vertex_degrees
 from unimap.samplers import (
-    BranchSizeSampler,
     DegreeSequence,
     count_one_vertex_maps,
     double_factorial_odd,
@@ -24,6 +23,7 @@ from unimap.samplers import (
     sample_pairing,
     sample_polygon_gluing,
     sample_unicellular_fixed_genus,
+    _branch_size_tables,
     _genus_step_weight,
     _glue_corners,
     _harer_zagier_column,
@@ -245,14 +245,15 @@ def test_configuration_model_accepts_plain_sequences():
 
 
 def test_branch_size_sampler_tables_match_closed_forms():
+    def mean(cum):
+        return sum(k * (cum[k] - cum[k - 1]) for k in range(1, len(cum)))
+
     for beta in (0.05, 0.1, 0.2, 0.24):
-        s = BranchSizeSampler(beta)
-        assert s.table_mean_plain() == pytest.approx(
-            expected_plain_size(beta), abs=1e-10
-        )
-        assert s.table_mean_marked() == pytest.approx(
-            expected_marked_size(beta), abs=1e-10
-        )
+        plain, marked = _branch_size_tables(beta)
+        # the draw bisects for u in (0, 1), so it never runs off the end
+        assert plain[0] == marked[0] == 0.0 and plain[-1] == marked[-1] == 1.0
+        assert mean(plain) == pytest.approx(expected_plain_size(beta), abs=1e-10)
+        assert mean(marked) == pytest.approx(expected_marked_size(beta), abs=1e-10)
 
 
 def test_sample_branch_size_laws_differ_correctly():
