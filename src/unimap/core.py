@@ -36,7 +36,7 @@ from functools import cached_property
 
 from .errors import DecompositionError, ParameterError
 from .maps import CombinatorialMap, face_tour, from_polygon_gluing
-from .trees import DoublyRootedTree, children_to_map, dyck_to_children, entry_dart
+from .trees import DoublyRootedTree, children_to_map, dyck_address, dyck_to_children, entry_dart
 
 __all__ = [
     "BranchDecomposition",
@@ -184,21 +184,6 @@ class _Segments:
         return (cut[j + 1] - cut[j] + cut[k + 1] - cut[k]) // 2
 
 
-def _address(word: list[int], steps: int) -> tuple[int, ...]:
-    """Address of the node a Dyck contour stands at after ``steps`` steps."""
-    addr: list[int] = []
-    seen = [0]  # children entered so far, per node on the current path
-    for s in word[:steps]:
-        if s == 1:
-            addr.append(seen[-1])
-            seen[-1] += 1
-            seen.append(0)
-        else:
-            addr.pop()
-            seen.pop()
-    return tuple(addr)
-
-
 def core(m: CombinatorialMap) -> BranchDecomposition:
     """Decompose a connected positive-genus one-face map.
 
@@ -225,9 +210,9 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
         contour, split = segs.branch(order[i])
         at = {d: t for t, d in enumerate(contour)}
         word = [1 if at[alpha[d]] > t else -1 for t, d in enumerate(contour)]
-        branches.append(DoublyRootedTree(dyck_to_children(word), _address(word, split)))
+        branches.append(DoublyRootedTree(dyck_to_children(word), dyck_address(word, split)))
         if i == 0:
-            marked = _address(word, min(at[r], at[alpha[r]]) + 1)
+            marked = dyck_address(word, min(at[r], at[alpha[r]]) + 1)
     return BranchDecomposition(
         core=from_polygon_gluing(edges, len(edges)),
         branches=tuple(branches),

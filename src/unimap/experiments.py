@@ -30,7 +30,7 @@ from typing import Any
 from .core import branch_size_profile, core
 from .errors import EnumerationCapError, ParameterError
 from .expansion import branch_substitution_transfer_check, cheeger_exact, wilson_interval
-from .maps import Multigraph, from_polygon_gluing, genus, underlying_graph
+from .maps import Multigraph, from_polygon_gluing, underlying_graph
 from .samplers import (
     ENUMERATION_CAP,
     DegreeSequence,
@@ -220,7 +220,7 @@ def profile_census(n: int) -> dict:
     counts: Counter = Counter()
     for pairing in enumerate_pairings(n):
         m = from_polygon_gluing(pairing, n)
-        g = genus(m)
+        g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
         if g == 0:
             counts[(0, 0, 0, ())] += 1
             continue

@@ -297,14 +297,14 @@ def encode_map(m: CombinatorialMap) -> str:
 def decode_map(text: str) -> CombinatorialMap:
     try:
         obj = json.loads(text)
-        n_darts = int(obj["n_darts"])
-        m = CombinatorialMap(
-            tuple(int(x) for x in obj["alpha"]),
-            tuple(int(x) for x in obj["sigma"]),
-            int(obj["root"]),
-        )
+        n_darts, root = obj["n_darts"], obj["root"]
+        alpha, sigma = tuple(obj["alpha"]), tuple(obj["sigma"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMapError(f"cannot decode map: {exc}") from exc
+    # JSON true and false decode to bools, which Python counts as ints
+    if any(type(x) is not int for x in (n_darts, root, *alpha, *sigma)):
+        raise MalformedMapError("n_darts, root, alpha and sigma must hold JSON integers")
+    m = CombinatorialMap(alpha, sigma, root)
     if m.n_darts != n_darts:
         raise MalformedMapError(f"n_darts is {n_darts} but alpha has {m.n_darts} darts")
     return m

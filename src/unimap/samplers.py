@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from .errors import EnumerationCapError, MalformedMapError, ParameterError
 from .maps import CombinatorialMap, from_polygon_gluing
 from .series import eval_C, eval_D
-from .trees import sample_dyck_word
+from .trees import dyck_partners, sample_dyck_word
 
 _log = logging.getLogger(__name__)
 
@@ -293,14 +293,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
             steps,
             log10_attempts,
         )
-    alpha = [0] * (2 * n)
-    opened = []
-    for i, step in enumerate(sample_dyck_word(n, rng)):
-        if step == 1:
-            opened.append(i)
-        else:
-            j = opened.pop()
-            alpha[i], alpha[j] = j, i
+    alpha = dyck_partners(sample_dyck_word(n, rng))
     for p in reversed(steps):
         corners = _vertex_corners(alpha)
         chosen = sorted(rng.sample(range(len(corners)), 2 * p + 1))

@@ -12,13 +12,12 @@ v1 -> v2 path.  In the children-tuple encoding this means v2 always lives in
 the closed subtree of the root's first child, i.e. its address starts with 0.
 
 Counting by edges: trees give the Catalan numbers t_k = Cat(k); doubly
-rooted trees give dt_k = binom(2k-1, k-1) = 1, 3, 10, 35, 126, ...,
-satisfying the path decomposition dt_k = t_k + sum_s t_s dt_{k-s}.  The
-first term is the one-block case (v2 = head of the root dart); in the
-other cases the subtree data at the second path vertex splits into the
-hanging trees before the outgoing path dart (which stay with the first
-block) and the rest (which start the remainder), and that split is what
-``sample_doubly_rooted_tree`` inverts.
+rooted trees give dt_k = binom(2k-1, k-1) = 1, 3, 10, 35, 126, ....  By
+the canonical form, a doubly rooted tree is a rooted plane tree plus a
+non-root vertex v2 in the closed subtree of the root's first child.  Of
+the k * t_k pairs (tree, non-root vertex), dt_k are canonical, a share
+(k+1)/(2k) >= 1/2, so ``sample_doubly_rooted_tree`` draws uniform pairs
+and keeps the canonical ones.
 """
 
 from __future__ import annotations
@@ -30,20 +29,20 @@ from typing import Sequence
 
 from .errors import ParameterError
 from .maps import CombinatorialMap, from_polygon_gluing
-from .series import catalan
 
 __all__ = [
     "DoublyRootedTree",
     "Tree",
     "children_to_map",
     "doubly_rooted_count",
+    "dyck_address",
+    "dyck_partners",
     "dyck_to_children",
     "entry_dart",
     "enumerate_doubly_rooted_trees",
     "enumerate_plane_trees",
     "sample_dyck_word",
     "sample_plane_tree",
-    "sample_tree_children",
     "sample_doubly_rooted_tree",
     "tree_edges",
 ]
@@ -106,9 +105,36 @@ def dyck_to_children(word: Sequence[int]) -> Tree:
     return tuple(stack[0])
 
 
-def sample_tree_children(n_edges: int, rng: random.Random) -> Tree:
-    """A uniform rooted plane tree with the given number of edges."""
-    return dyck_to_children(sample_dyck_word(n_edges, rng))
+def dyck_partners(word: Sequence[int]) -> list[int]:
+    """The step each step of a Dyck word is matched with: its contour's edge involution."""
+    partner = [0] * len(word)
+    opened: list[int] = []
+    for i, s in enumerate(word):
+        if s == 1:
+            opened.append(i)
+        elif opened:
+            j = opened.pop()
+            partner[i], partner[j] = j, i
+        else:
+            raise ParameterError("Dyck word closes below ground level")
+    if opened:
+        raise ParameterError("unbalanced Dyck word")
+    return partner
+
+
+def dyck_address(word: Sequence[int], steps: int) -> tuple[int, ...]:
+    """Address of the node a Dyck contour stands at after ``steps`` steps."""
+    addr: list[int] = []
+    seen = [0]  # children entered so far, per node on the current path
+    for s in word[:steps]:
+        if s == 1:
+            addr.append(seen[-1])
+            seen[-1] += 1
+            seen.append(0)
+        else:
+            addr.pop()
+            seen.pop()
+    return tuple(addr)
 
 
 def children_to_map(tree: Tree) -> CombinatorialMap:
@@ -158,6 +184,8 @@ def entry_dart(tree: Tree, address: Sequence[int]) -> int:
 
 def enumerate_plane_trees(n_edges: int) -> list[Tree]:
     """All rooted plane trees with exactly ``n_edges`` edges."""
+    if n_edges < 0:
+        raise ParameterError(f"n_edges must be nonnegative, got {n_edges}")
 
     def forests(weight: int) -> list[Tree]:
         # weight = total edges + number of trees
@@ -207,6 +235,8 @@ class DoublyRootedTree:
 
 def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
     """All doubly rooted trees with k edges, via their canonical form."""
+    if k < 1:
+        raise ParameterError(f"k must be positive, got {k}")
     out: list[DoublyRootedTree] = []
     for tree in enumerate_plane_trees(k):
         first = tree[0]
@@ -220,50 +250,32 @@ def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
 
 
 def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
-    """A uniform doubly rooted tree with k edges.
+    """A uniform doubly rooted tree with k edges, by rejection.
 
-    Exact integer weights drive the block decomposition: with probability
-    t_k/dt_k the object is a single block (v2 = head of the root dart);
-    otherwise the first block is a uniform tree with s edges, chosen with
-    weight t_s * dt_{k-s}, and the remainder is sampled recursively.  Blocks
-    are merged by splicing the remainder's root rotation after the first
-    block's grandchildren, which is exactly the inverse of the canonical
-    path-split.
+    A uniform Dyck word and a uniform non-root vertex v2 are kept when the
+    contour enters v2 before it first returns to height 0, i.e. when the
+    pair is the canonical form; every canonical pair is equally likely and
+    a draw is kept with probability (k+1)/(2k) >= 1/2.
     """
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
-
-    blocks: list[int] = []
-    remaining = k
     while True:
-        r = rng.randrange(doubly_rooted_count(remaining))
-        if r < catalan(remaining):
-            blocks.append(remaining)
-            break
-        r -= catalan(remaining)
-        for s in range(1, remaining):
-            w = catalan(s) * doubly_rooted_count(remaining - s)
-            if r < w:
-                blocks.append(s)
-                remaining -= s
+        word = sample_dyck_word(k, rng)
+        v2 = rng.randrange(k) + 1
+        height = ups = 0
+        for t, s in enumerate(word):
+            height += s
+            if s == 1:
+                ups += 1
+                if ups == v2:
+                    return DoublyRootedTree(dyck_to_children(word), dyck_address(word, t + 1))
+            elif height == 0:
                 break
-            r -= w
-
-    # build right to left: the final block is the one-block case
-    last = blocks[-1]
-    result = DoublyRootedTree(sample_tree_children(last, rng), (0,))
-    for s in reversed(blocks[:-1]):
-        head = sample_tree_children(s, rng)
-        first_child = head[0]
-        merged_first = first_child + result.tree
-        tree = (merged_first,) + head[1:]
-        path = (0, len(first_child)) + result.path[1:]
-        result = DoublyRootedTree(tree, path)
-    return result
 
 
 def sample_plane_tree(n_edges: int, rng: random.Random) -> CombinatorialMap:
     """A uniform rooted plane tree with ``n_edges`` edges, as a map."""
     if n_edges < 1:
         raise ParameterError(f"n_edges must be positive, got {n_edges}")
-    return children_to_map(sample_tree_children(n_edges, rng))
+    partner = dyck_partners(sample_dyck_word(n_edges, rng))
+    return from_polygon_gluing([(d, a) for d, a in enumerate(partner) if d < a], n_edges)

@@ -329,11 +329,27 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
     assert err.startswith("error:")
 
 
+# the one-vertex torus with two edges, which decomposes when its fields are
+# read as ints, with one field written as a JSON value that is not an integer
+BAD_MAPS = {
+    "alpha-float": '{"n_darts": 4, "alpha": [2.7, 3, 0, 1], "sigma": [3, 0, 1, 2], "root": 0}\n',
+    "alpha-string": '{"n_darts": 4, "alpha": ["2", 3, 0, 1], "sigma": [3, 0, 1, 2], "root": 0}\n',
+    "alpha-bool": '{"n_darts": 4, "alpha": [2, 3, 0, true], "sigma": [3, 0, 1, 2], "root": 0}\n',
+    "n-darts-float": '{"n_darts": 4.5, "alpha": [2, 3, 0, 1], "sigma": [3, 0, 1, 2], "root": 0}\n',
+    "root-float": '{"n_darts": 4, "alpha": [2, 3, 0, 1], "sigma": [3, 0, 1, 2], "root": 0.9}\n',
+}
+
+
 @pytest.mark.parametrize(
     "argv,names",
     [
         (("core", "--in", "{map}", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
         (("core", "--in", "{tmp}/missing.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("core", "--in", "{tmp}/bad-alpha-float.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("core", "--in", "{tmp}/bad-alpha-string.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("core", "--in", "{tmp}/bad-alpha-bool.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("core", "--in", "{tmp}/bad-n-darts-float.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
+        (("core", "--in", "{tmp}/bad-root-float.json", "--out", "{tmp}/c.json", "--branches", "{tmp}/b.json"), ""),
         (("cheeger", "--in", "{graph}", "--kappa", "abc", "--out", "{tmp}/w.json"), ""),
         (("cheeger", "--in", "{graph}", "--kappa", "1/0", "--out", "{tmp}/w.json"), ""),
         (("cheeger", "--in", "{graph}", "--spectral", "--kappa", "1/2", "--out", "{tmp}/w.json"), ""),
@@ -353,6 +369,11 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
     ids=[
         "map-field-not-int",
         "missing-map",
+        "map-alpha-float",
+        "map-alpha-string",
+        "map-alpha-bool",
+        "map-n-darts-float",
+        "map-root-float",
         "kappa-not-a-number",
         "kappa-zero-denominator",
         "kappa-with-spectral",
@@ -373,6 +394,8 @@ def test_malformed_graph_exits_2(tmp_path, capsys, text):
 def test_bad_input_exits_2(tmp_path, capsys, argv, names):
     map_path = tmp_path / "bad.json"
     map_path.write_text('{"n_darts": "x", "alpha": [1, 0], "sigma": [0, 1], "root": 0}\n')
+    for name, text in BAD_MAPS.items():
+        (tmp_path / f"bad-{name}.json").write_text(text)
     graph_path = tmp_path / "c4.mg"
     graph_path.write_text(write_multigraph(cycle_graph(4)))
     argv = [a.format(map=map_path, graph=graph_path, tmp=tmp_path) for a in argv]

@@ -95,6 +95,32 @@ def test_decode_map_rejects_a_dart_count_that_disagrees_with_alpha():
             decode_map(text.replace('"n_darts":4', f'"n_darts":{wrong}'))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("alpha", [1.7, 0.2]),
+        ("alpha", ["1", 0]),
+        ("alpha", [True, False]),
+        ("alpha", "10"),
+        ("sigma", [1.0, 0]),
+        ("sigma", [True, 0]),
+        ("n_darts", 2.5),
+        ("n_darts", "2"),
+        ("n_darts", True),
+        ("root", 0.9),
+        ("root", "0"),
+        ("root", False),
+        ("root", None),
+    ],
+)
+def test_decode_map_requires_json_integers(field, value):
+    obj = {"n_darts": 2, "alpha": [1, 0], "sigma": [1, 0], "root": 0}
+    assert decode_map(json.dumps(obj)) == CombinatorialMap((1, 0), (1, 0), 0)
+    obj[field] = value
+    with pytest.raises(MalformedMapError):
+        decode_map(json.dumps(obj))
+
+
 def test_face_order_form_is_identity_on_gluings():
     # polygon gluings already carry the face-order labelling
     for m in random_gluings(seed=13, count=40):

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import time
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from unimap.trees import (
     DoublyRootedTree,
     children_to_map,
     doubly_rooted_count,
+    dyck_partners,
     dyck_to_children,
     entry_dart,
     enumerate_doubly_rooted_trees,
@@ -63,14 +66,19 @@ def test_children_to_map_is_a_plane_tree(k):
         assert m.n_edges == k
         assert genus(m) == 0
         assert m.n_faces() == 1
-        # the contour's up/down steps are the tree's Dyck word
-        assert dyck_to_children([1 if d < a else -1 for d, a in enumerate(m.alpha)]) == tree
+        # the contour's up/down steps are the tree's Dyck word, and the
+        # word's matched steps are the contour's edges
+        word = [1 if d < a else -1 for d, a in enumerate(m.alpha)]
+        assert dyck_to_children(word) == tree
+        assert dyck_partners(word) == list(m.alpha)
 
 
 @pytest.mark.parametrize("word", [[-1, 1], [1], [1, -1, -1]])
 def test_dyck_to_children_rejects_non_dyck_words(word):
     with pytest.raises(ParameterError):
         dyck_to_children(word)
+    with pytest.raises(ParameterError):
+        dyck_partners(word)
 
 
 def test_sample_plane_tree_large_without_recursion():
@@ -106,6 +114,17 @@ def test_doubly_rooted_enumeration_matches_brute_force(k):
     assert brute_doubly_rooted_count(k, enumerate_plane_trees(k)) == len(enumerated)
 
 
+def test_tree_enumerators_reject_out_of_range_sizes():
+    for enumerate_trees, size in [
+        (enumerate_doubly_rooted_trees, 0),
+        (enumerate_doubly_rooted_trees, -2),
+        (enumerate_plane_trees, -1),
+    ]:
+        with pytest.raises(ParameterError):
+            enumerate_trees(size)
+    assert enumerate_plane_trees(0) == [()]
+
+
 def test_doubly_rooted_validation():
     with pytest.raises(ParameterError):
         DoublyRootedTree(((),), ())  # empty path
@@ -131,5 +150,57 @@ def test_sampled_trees_have_right_size(k, rng):
     m = sample_plane_tree(k, rng)
     assert m.n_edges == k
     assert genus(m) == 0
-    drt = sample_doubly_rooted_tree(min(k, 12), rng)
-    assert tree_edges(drt.tree) == min(k, 12)
+    drt = sample_doubly_rooted_tree(k, rng)
+    assert tree_edges(drt.tree) == k
+
+
+class _Rejected(Exception):
+    pass
+
+
+class _ReplayRng:
+    """Stands in for the rng of one sampler attempt: the first ``shuffle``
+    writes ``steps``, ``randrange`` returns ``r``, and a second ``shuffle``
+    (a rejected attempt starting over) raises ``_Rejected``."""
+
+    def __init__(self, steps: list[int], r: int) -> None:
+        self.steps, self.r, self.shuffled = steps, r, False
+
+    def shuffle(self, seq: list[int]) -> None:
+        if self.shuffled:
+            raise _Rejected
+        self.shuffled = True
+        seq[:] = self.steps
+
+    def randrange(self, stop: int) -> int:
+        assert 0 <= self.r < stop
+        return self.r
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_doubly_rooted_sampler_replays_every_draw(k):
+    # each Dyck word comes from 2k+1 arrangements of the k+1 up-steps and
+    # k down-steps (cycle lemma), so over all arrangements and every r < k
+    # the kept draws must hit each doubly rooted tree exactly 2k+1 times
+    counts: Counter = Counter()
+    for downs in combinations(range(2 * k + 1), k):
+        steps = [1] * (2 * k + 1)
+        for i in downs:
+            steps[i] = -1
+        for r in range(k):
+            try:
+                counts[sample_doubly_rooted_tree(k, _ReplayRng(steps, r))] += 1
+            except _Rejected:
+                pass
+    support = enumerate_doubly_rooted_trees(k)
+    assert set(counts) == set(support)
+    assert set(counts.values()) == {2 * k + 1}
+    # kept share (k+1)/(2k) of the k * C(2k+1, k) attempts
+    assert sum(counts.values()) * 2 * k == (k + 1) * k * math.comb(2 * k + 1, k)
+
+
+def test_sample_doubly_rooted_tree_large_without_recursion():
+    start = time.perf_counter()
+    drt = call_with_recursion_bound(sample_doubly_rooted_tree, 20_000, random.Random(5))
+    assert time.perf_counter() - start < 5
+    assert drt.n_edges == 20_000
