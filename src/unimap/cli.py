@@ -44,7 +44,6 @@ from .samplers import (
     sample_unicellular_fixed_genus,
 )
 from .series import derive_constants, series_C, series_D, series_T
-from .trees import Tree, children_to_map
 
 __all__ = ["main"]
 
@@ -115,11 +114,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _contour(tree: Tree) -> str:
-    """A tree's Dyck word as parentheses: "(" down an edge, ")" back up."""
-    return "".join("(" if d < a else ")" for d, a in enumerate(children_to_map(tree).alpha))
-
-
 def _cmd_core(args: argparse.Namespace) -> int:
     m = decode_map(Path(args.infile).read_text().strip())
     dec = core(m)
@@ -128,9 +122,11 @@ def _cmd_core(args: argparse.Namespace) -> int:
 
     branches = []
     for i, (drt, attachment) in enumerate(zip(dec.branches, dec.attachments)):
+        # the tree's Dyck word as parentheses: "(" down an edge, ")" back up
+        contour = "".join("(" if s == 1 else ")" for s in drt.word)
         entry = {
             "size": drt.n_edges,
-            "tree": {"contour": _contour(drt.tree), "path": list(drt.path)},
+            "tree": {"contour": contour, "path": list(drt.path)},
             "attachment": list(attachment),
         }
         if i == dec.root_branch_index:

@@ -16,10 +16,11 @@ core dart there.  The *mate* of q is the core dart at v2 that heads back
 along the chain: its segment holds the trees on the other side, alpha(q)
 and the trees that follow q around v1.  So the branch of q, presented
 from q's end, has the contour segment(q) ++ segment(mate(q)): a dart is
-a down-step when its partner comes later, and *v2's exit*, the up-step
-that leaves v2 along the chain, sits at position len(segment(q)).  The
-core darts in face order, paired by mate, are the core as a polygon
-gluing.
+a down-step (+1) when its partner comes later, and *v2's exit*, the
+up-step (-1) that leaves v2 along the chain, sits at position
+len(segment(q)).  That Dyck word and that exit are what the branch's
+`DoublyRootedTree` stores.  The core darts in face order, paired by mate,
+are the core as a polygon gluing.
 
 The root dart of the map lies on some branch edge, the *marked edge*.
 Its orientation is folded into the choice of presentation end: the root
@@ -36,7 +37,7 @@ from functools import cached_property
 
 from .errors import DecompositionError, ParameterError
 from .maps import CombinatorialMap, face_tour, from_polygon_gluing
-from .trees import DoublyRootedTree, children_to_map, dyck_address, dyck_to_children, entry_dart
+from .trees import DoublyRootedTree, dyck_address, dyck_partners, entry_dart
 
 __all__ = [
     "BranchDecomposition",
@@ -56,7 +57,8 @@ class BranchDecomposition:
     branches: one doubly rooted tree per core edge, listed in core edge
         order (edges sorted by their smaller dart); branch i's v1 end
         attaches at the smaller dart of edge i.
-    marked_edge: address of the root edge inside the root branch.
+    marked_edge: address of the root edge inside the root branch, i.e.
+        of the node its down-step enters (see `trees.entry_dart`).
     """
 
     core: CombinatorialMap
@@ -69,7 +71,7 @@ class BranchDecomposition:
                 f"{len(self.branches)} branches for {len(self.attachments)} core edges"
             )
         # address must resolve inside the root branch
-        entry_dart(self.branches[self.root_branch_index].tree, self.marked_edge)
+        entry_dart(self.branches[self.root_branch_index].word, self.marked_edge)
 
     @cached_property
     def attachments(self) -> tuple[tuple[int, int], ...]:
@@ -94,10 +96,8 @@ class BranchDecomposition:
         """
         if M < 2:
             raise ParameterError(f"M must be at least 2, got {M}")
-        branches = tuple(
-            DoublyRootedTree(((),), (0,)) if b.n_edges >= M else b
-            for b in self.branches
-        )
+        edge = DoublyRootedTree((1, -1), 1)
+        branches = tuple(edge if b.n_edges >= M else b for b in self.branches)
         marked = self.marked_edge
         if self.branches[self.root_branch_index].n_edges >= M:
             marked = (0,)
@@ -210,7 +210,7 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
         contour, split = segs.branch(order[i])
         at = {d: t for t, d in enumerate(contour)}
         word = [1 if at[alpha[d]] > t else -1 for t, d in enumerate(contour)]
-        branches.append(DoublyRootedTree(dyck_to_children(word), dyck_address(word, split)))
+        branches.append(DoublyRootedTree(word, split))
         if i == 0:
             marked = dyck_address(word, min(at[r], at[alpha[r]]) + 1)
     return BranchDecomposition(
@@ -224,39 +224,34 @@ def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
     """Rebuild the one-face map; exact inverse of `core`.
 
     The rebuilt face tour follows the core's: each core dart stands for
-    its half of its branch's contour, ``[0, split)`` for the smaller dart
-    of the edge and ``[split, 2k)`` for the larger, where ``split`` is
+    its half of its branch's contour, ``[0, exit)`` for the smaller dart
+    of the edge and ``[exit, 2k)`` for the larger, where ``exit`` is
     v2's exit.  The tour is then rotated to start at the root.
     """
-    cm = dec.core
-    contours: list[tuple[int, ...]] = []
-    splits: list[int] = []
     half: dict[int, tuple[int, int, int]] = {}
     for i, (b, (lo, hi)) in enumerate(zip(dec.branches, dec.attachments)):
-        local = children_to_map(b.tree).alpha
-        split = local[entry_dart(b.tree, b.path)]
-        contours.append(local)
-        splits.append(split)
-        half[lo] = (i, 0, split)
-        half[hi] = (i, split, len(local))
+        half[lo] = (i, 0, b.exit)
+        half[hi] = (i, b.exit, len(b.word))
 
-    place = [[0] * len(local) for local in contours]
+    place = [[0] * len(b.word) for b in dec.branches]
     t = 0
-    for c in face_tour(cm):
+    for c in face_tour(dec.core):
         i, start, stop = half[c]
         row = place[i]
         for d in range(start, stop):
             row[d] = t
             t += 1
 
+    partners = [dyck_partners(b.word) for b in dec.branches]
     i0 = dec.root_branch_index
-    down = entry_dart(dec.branches[i0].tree, dec.marked_edge)
-    up = contours[i0][down]
-    root = place[i0][down if up >= splits[i0] else up]
+    b0 = dec.branches[i0]
+    down = entry_dart(b0.word, dec.marked_edge)
+    up = partners[i0][down]
+    root = place[i0][down if up >= b0.exit else up]
     pairing = [
         ((row[d] - root) % t, (row[e] - root) % t)
-        for local, row in zip(contours, place)
-        for d, e in enumerate(local)
+        for partner, row in zip(partners, place)
+        for d, e in enumerate(partner)
         if d < e
     ]
     return from_polygon_gluing(pairing, t // 2)

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .maps import Multigraph, components, is_connected
 from .samplers import DegreeSequence
-from .trees import DoublyRootedTree, sample_doubly_rooted_tree
+from .trees import DoublyRootedTree, dyck_partners, sample_doubly_rooted_tree
 
 __all__ = [
     "CutWitness",
@@ -271,21 +271,22 @@ def _tree_as_edges(
     drt: DoublyRootedTree, u: int, v: int, next_id: int
 ) -> tuple[list[tuple[int, int]], int]:
     """Edges of the doubly rooted tree with its first root at ``u`` and its
-    second at ``v``; inner nodes get fresh ids starting at ``next_id``."""
-    ids = {(): u}
+    second at ``v``; inner nodes get fresh ids starting at ``next_id``.
+    The step matched with v2's exit is the one that enters v2."""
+    enter_v2 = dyck_partners(drt.word)[drt.exit]
     edges: list[tuple[int, int]] = []
-    stack: list[tuple[tuple[int, ...], tuple]] = [((), drt.tree)]
-    while stack:
-        addr, node = stack.pop()
-        for i, child in enumerate(node):
-            caddr = addr + (i,)
-            if caddr == drt.path:
-                ids[caddr] = v
-            else:
-                ids[caddr] = next_id
-                next_id += 1
-            edges.append((ids[addr], ids[caddr]))
-            stack.append((caddr, child))
+    path = [u]
+    for t, s in enumerate(drt.word):
+        if s == -1:
+            path.pop()
+            continue
+        if t == enter_v2:
+            child = v
+        else:
+            child = next_id
+            next_id += 1
+        edges.append((path[-1], child))
+        path.append(child)
     return edges, next_id
 
 

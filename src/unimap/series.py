@@ -431,12 +431,18 @@ def derive_constants(
         raise InfeasibleConstantsError(f"no feasible delta at eta={eta}")
     delta = lo_idx * 1e-3
 
+    # the least M >= 1 whose tail factor fits the budget, solved for in
+    # closed form and then stepped past any rounding
     budget = (epsilon / 2.0) * math.log(B)
-    M = 1
-    while math.log(1.0 + W * r**M / (1.0 - r)) > budget:
+
+    def tail_fits(M: int) -> bool:
+        return math.log(1.0 + W * r**M / (1.0 - r)) <= budget
+
+    M = max(1, math.ceil(math.log(math.expm1(budget) * (1.0 - r) / W) / math.log(r)))
+    while M > 1 and tail_fits(M - 1):
+        M -= 1
+    while not tail_fits(M):
         M += 1
-        if M > 10**7:
-            raise InfeasibleConstantsError("M search did not terminate")
     kappa = delta / (2 * M - 1)
 
     return ConstantPipeline(

@@ -1,15 +1,20 @@
 """Plane trees and doubly rooted trees.
 
-A rooted plane tree is stored as nested tuples: a node is the tuple of its
-children subtrees in clockwise order, a leaf is ``()``.  The root dart of
-the corresponding map points at the first child, and the contour (face)
-order of the map's darts matches the usual depth-first parenthesis walk.
+A rooted plane tree is stored as its Dyck word, a tuple of steps: ``1``
+goes down an edge to a new child, ``-1`` comes back up.  Step t is dart t
+of the tree's map in contour (face) order, root dart first, and a step's
+matched partner (`dyck_partners`) is its dart's alpha.  A non-root node
+is also named by its *address*, the child indices on the way down from
+the root (`dyck_address`, inverted by `entry_dart`); `dyck_to_children`
+gives the nested-tuple view, a node being the tuple of its children.
 
 A doubly rooted tree is an isomorphism class of (plane tree, ordered pair of
 distinct vertices).  The two marks make the object rigid, so each class has
 a canonical rooted representative: root the tree at the first dart of the
-v1 -> v2 path.  In the children-tuple encoding this means v2 always lives in
-the closed subtree of the root's first child, i.e. its address starts with 0.
+v1 -> v2 path, so v1 is the root and v2 lies in the closed subtree of the
+root's first child.  It is stored as the word plus v2's *exit*, the ``-1``
+step that leaves v2 towards the root; canonical means the exit comes no
+later than the word's first return to height 0.
 
 Counting by edges: trees give the Catalan numbers t_k = Cat(k); doubly
 rooted trees give dt_k = binom(2k-1, k-1) = 1, 3, 10, 35, 126, ....  By
@@ -44,20 +49,9 @@ __all__ = [
     "sample_dyck_word",
     "sample_plane_tree",
     "sample_doubly_rooted_tree",
-    "tree_edges",
 ]
 
-Tree = tuple  # nested tuples of subtrees; a leaf is ()
-
-
-def tree_edges(tree: Tree) -> int:
-    total = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        total += len(node)
-        stack.extend(node)
-    return total
+Tree = tuple  # a Dyck word: tuple of +1 / -1 steps
 
 
 def sample_dyck_word(n: int, rng: random.Random) -> list[int]:
@@ -85,21 +79,18 @@ def sample_dyck_word(n: int, rng: random.Random) -> list[int]:
     return rotated[1:]
 
 
-def dyck_to_children(word: Sequence[int]) -> Tree:
-    """Parse a Dyck word into the children-tuple encoding of a plane tree.
-
-    A ``1`` opens a child of the current node and any other step closes
-    the current node; a node is frozen into its tuple when it closes.
-    """
+def dyck_to_children(word: Sequence[int]) -> tuple:
+    """The nested-tuple view of a Dyck word: a node is the tuple of its
+    children in order, a leaf is ``()``; a node is frozen when it closes."""
     stack: list[list] = [[]]
     for s in word:
         if s == 1:
             stack.append([])
-        elif len(stack) > 1:
+        elif s == -1 and len(stack) > 1:
             node = tuple(stack.pop())
             stack[-1].append(node)
         else:
-            raise ParameterError("Dyck word closes below ground level")
+            raise ParameterError(f"not a Dyck word: step {s!r} at height {len(stack) - 1}")
     if len(stack) != 1:
         raise ParameterError("unbalanced Dyck word")
     return tuple(stack[0])
@@ -112,11 +103,11 @@ def dyck_partners(word: Sequence[int]) -> list[int]:
     for i, s in enumerate(word):
         if s == 1:
             opened.append(i)
-        elif opened:
+        elif s == -1 and opened:
             j = opened.pop()
             partner[i], partner[j] = j, i
         else:
-            raise ParameterError("Dyck word closes below ground level")
+            raise ParameterError(f"not a Dyck word: step {s!r} at height {len(opened)}")
     if opened:
         raise ParameterError("unbalanced Dyck word")
     return partner
@@ -137,53 +128,42 @@ def dyck_address(word: Sequence[int], steps: int) -> tuple[int, ...]:
     return tuple(addr)
 
 
-def children_to_map(tree: Tree) -> CombinatorialMap:
+def children_to_map(word: Sequence[int]) -> CombinatorialMap:
     """The plane tree as a map: darts 0..2k-1 in contour order, root dart 0.
 
     The contour pairing is non-crossing, so this is just a polygon gluing
     whose face cycle is the depth-first walk; the root dart points from the
     tree root at its first child.
     """
-    pairing: list[tuple[int, int]] = []
-    downs: list[int] = []  # down dart of each open edge on the current path
-    stack = [iter(tree)]
-    counter = 0
-    while stack:
-        child = next(stack[-1], None)
-        if child is None:
-            stack.pop()
-            if downs:
-                pairing.append((downs.pop(), counter))
-                counter += 1
-        else:
-            downs.append(counter)
-            counter += 1
-            stack.append(iter(child))
-    if not pairing:
+    partner = dyck_partners(word)
+    if not partner:
         raise ParameterError("a map needs at least one edge")
-    return from_polygon_gluing(pairing, len(pairing))
+    return from_polygon_gluing([(d, a) for d, a in enumerate(partner) if d < a], len(partner) // 2)
 
 
-def entry_dart(tree: Tree, address: Sequence[int]) -> int:
-    """The contour dart that first enters the node at ``address``.
+def entry_dart(word: Sequence[int], address: Sequence[int]) -> int:
+    """The step of a Dyck word that first enters the node at ``address``.
 
     Addresses are sequences of child indices from the root; the root itself
-    (empty address) has no entry dart.
+    (empty address) has no entry dart.  A sibling is skipped by jumping
+    past its partner.
     """
     if not address:
         raise ParameterError("the root has no entry dart")
-    d = -1
-    node = tree
+    partner = dyck_partners(word)
+    d, end = 0, len(word)
     for idx in address:
-        if not 0 <= idx < len(node):
+        for _ in range(idx):
+            d = partner[d] + 1 if d < end else end
+        if idx < 0 or d >= end:
             raise ParameterError(f"address {tuple(address)} not in tree")
-        d += 1 + sum(2 * (tree_edges(node[j]) + 1) for j in range(idx))
-        node = node[idx]
-    return d
+        end = partner[d]
+        d += 1
+    return d - 1
 
 
 def enumerate_plane_trees(n_edges: int) -> list[Tree]:
-    """All rooted plane trees with exactly ``n_edges`` edges."""
+    """All rooted plane trees with exactly ``n_edges`` edges, as Dyck words."""
     if n_edges < 0:
         raise ParameterError(f"n_edges must be nonnegative, got {n_edges}")
 
@@ -195,7 +175,7 @@ def enumerate_plane_trees(n_edges: int) -> list[Tree]:
         for first_edges in range(weight):
             for first in forests(first_edges):
                 for rest in forests(weight - first_edges - 1):
-                    out.append(((first,) + rest))
+                    out.append((1,) + first + (-1,) + rest)
         return out
 
     return forests(n_edges)
@@ -212,25 +192,33 @@ def doubly_rooted_count(k: int) -> int:
 class DoublyRootedTree:
     """Canonical representative: tree rooted at the first v1 -> v2 path dart.
 
-    ``path`` is the address of v2, so ``path[0] == 0`` always (v2 lies in the
-    first child's closed subtree).  v1 is the tree root.
+    ``word`` is the tree's Dyck word and v1 its root; ``exit`` is the ``-1``
+    step that leaves v2 towards the root, so ``0 < exit <= partner[0]``
+    (v2 lies in the first child's closed subtree).
     """
 
-    tree: Tree
-    path: tuple[int, ...]
+    word: Tree
+    exit: int
 
     def __post_init__(self) -> None:
-        if not self.path or self.path[0] != 0:
-            raise ParameterError("v2 address must start with child 0")
-        node = self.tree
-        for idx in self.path:
-            if not 0 <= idx < len(node):
-                raise ParameterError("v2 address leaves the tree")
-            node = node[idx]
+        object.__setattr__(self, "word", tuple(self.word))
+        partner = dyck_partners(self.word)
+        if not partner or not 0 < self.exit <= partner[0] or self.word[self.exit] != -1:
+            raise ParameterError(f"exit {self.exit} is not a -1 step under the first child")
 
     @property
     def n_edges(self) -> int:
-        return tree_edges(self.tree)
+        return len(self.word) // 2
+
+    @property
+    def tree(self) -> tuple:
+        """The nested-tuple view of the tree (see `dyck_to_children`)."""
+        return dyck_to_children(self.word)
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        """The address of v2; it starts with child 0."""
+        return dyck_address(self.word, self.exit)
 
 
 def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
@@ -238,14 +226,11 @@ def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
     if k < 1:
         raise ParameterError(f"k must be positive, got {k}")
     out: list[DoublyRootedTree] = []
-    for tree in enumerate_plane_trees(k):
-        first = tree[0]
-        stack: list[tuple[Tree, tuple[int, ...]]] = [(first, (0,))]
-        while stack:
-            node, addr = stack.pop()
-            out.append(DoublyRootedTree(tree, addr))
-            for i, child in enumerate(node):
-                stack.append((child, addr + (i,)))
+    for word in enumerate_plane_trees(k):
+        first_return = dyck_partners(word)[0]
+        for t in range(1, first_return + 1):
+            if word[t] == -1:
+                out.append(DoublyRootedTree(word, t))
     return out
 
 
@@ -268,7 +253,7 @@ def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
             if s == 1:
                 ups += 1
                 if ups == v2:
-                    return DoublyRootedTree(dyck_to_children(word), dyck_address(word, t + 1))
+                    return DoublyRootedTree(word, dyck_partners(word)[t])
             elif height == 0:
                 break
 
@@ -277,5 +262,4 @@ def sample_plane_tree(n_edges: int, rng: random.Random) -> CombinatorialMap:
     """A uniform rooted plane tree with ``n_edges`` edges, as a map."""
     if n_edges < 1:
         raise ParameterError(f"n_edges must be positive, got {n_edges}")
-    partner = dyck_partners(sample_dyck_word(n_edges, rng))
-    return from_polygon_gluing([(d, a) for d, a in enumerate(partner) if d < a], n_edges)
+    return children_to_map(sample_dyck_word(n_edges, rng))

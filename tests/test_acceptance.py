@@ -47,7 +47,7 @@ from unimap.series import (
     solve_beta_closed_form,
     tail_bound,
 )
-from unimap.trees import doubly_rooted_count, enumerate_plane_trees
+from unimap.trees import doubly_rooted_count, dyck_to_children, enumerate_plane_trees
 
 from .oracles import (
     brute_cheeger_in_family,
@@ -90,7 +90,7 @@ def test_criterion_03_series_identities():
     assert series_C_closed_form(order) == c
     assert doubly_rooted_count(1) == 1
     for k in (2, 3):
-        trees = enumerate_plane_trees(k)
+        trees = [dyck_to_children(w) for w in enumerate_plane_trees(k)]
         assert doubly_rooted_count(k) == brute_doubly_rooted_count(k, trees)
         assert d[k] == doubly_rooted_count(k)
 

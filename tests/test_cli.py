@@ -18,7 +18,6 @@ from unimap.maps import (
     genus,
     write_multigraph,
 )
-from unimap.trees import children_to_map, dyck_to_children
 
 from .oracles import call_with_recursion_bound, path_torus
 
@@ -163,10 +162,7 @@ def test_core_subcommand_on_a_deep_branch(tmp_path):
     branches = json.loads(branches_path.read_text())
     assert [b["size"] for b in branches] == [1502, 1]
     for b, drt in zip(branches, dec.branches):
-        tree = dyck_to_children([1 if c == "(" else -1 for c in b["tree"]["contour"]])
-        # nested tuples compare recursively, so the trees are compared
-        # through their flat contour maps
-        assert children_to_map(tree) == children_to_map(drt.tree)
+        assert tuple(1 if c == "(" else -1 for c in b["tree"]["contour"]) == drt.word
 
 
 def test_core_subcommand_with_cutoff(tmp_path, capsys):

@@ -20,7 +20,6 @@ from unimap.core import (
 from unimap.errors import DecompositionError, ParameterError
 from unimap.maps import CombinatorialMap, from_polygon_gluing, genus, vertex_degrees
 from unimap.samplers import enumerate_pairings, sample_polygon_gluing
-from unimap.trees import tree_edges
 
 from .oracles import call_with_recursion_bound, path_torus
 
@@ -45,14 +44,14 @@ def test_square_decomposes_to_itself():
     assert dec.core == SQUARE
     assert dec.root_branch_index == 0
     assert dec.marked_edge == (0,)
-    assert [tree_edges(b.tree) for b in dec.branches] == [1, 1]
+    assert [b.n_edges for b in dec.branches] == [1, 1]
     assert reconstruct(dec) == SQUARE
 
 
 def test_pendant_hexagon_profile():
     dec = core(PENDANT)
     assert dec.core.n_edges == 2
-    assert sorted(tree_edges(b.tree) for b in dec.branches) == [1, 2]
+    assert sorted(b.n_edges for b in dec.branches) == [1, 2]
     assert reconstruct(dec) == PENDANT
     marked, others = branch_size_profile(PENDANT)
     assert (marked, others) in {(1, (2,)), (2, (1,))}
@@ -92,6 +91,14 @@ def test_deep_branch_round_trip_without_recursion():
     m = path_torus(1501)
     assert call_with_recursion_bound(round_trip, m) == m
     assert call_with_recursion_bound(branch_size_profile, m) == (1502, (1,))
+
+
+def test_deep_decompositions_compare_without_recursion():
+    m = path_torus(1501)
+    a, b = core(m), core(m)
+    assert a.branches[0] is not b.branches[0]
+    checks = call_with_recursion_bound(lambda: (a == b, hash(a) == hash(b)))
+    assert checks == (True, True)
 
 
 def test_deep_branch_round_trip_at_scale():
@@ -154,10 +161,10 @@ def test_core_invariants(n):
         assert len(dec.branches) == c.n_edges
         # profile fast path agrees with the full decomposition
         marked, others = branch_size_profile(m)
-        assert marked == tree_edges(dec.branches[dec.root_branch_index].tree)
+        assert marked == dec.branches[dec.root_branch_index].n_edges
         assert others == tuple(
             sorted(
-                tree_edges(b.tree)
+                b.n_edges
                 for i, b in enumerate(dec.branches)
                 if i != dec.root_branch_index
             )
@@ -171,7 +178,7 @@ def test_branch_sizes_count_every_edge_once():
         if genus(m) == 0:
             continue
         dec = core(m)
-        assert sum(tree_edges(b.tree) for b in dec.branches) == m.n_edges
+        assert sum(b.n_edges for b in dec.branches) == m.n_edges
 
 
 def test_core_less_m_extremes():
@@ -225,9 +232,9 @@ def test_bookkeeping_identity_after_trimming():
         for M in (2, 3, 5):
             kept = core_less_M(m, M).n_edges
             removed = sum(
-                tree_edges(b.tree) - 1
+                b.n_edges - 1
                 for b in dec.branches
-                if tree_edges(b.tree) >= M
+                if b.n_edges >= M
             )
             assert kept + removed == m.n_edges
 

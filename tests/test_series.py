@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,22 @@ def test_derive_constants_second_point():
     assert p.beta_star > q.beta_star
     assert p.M > q.M
     assert p.kappa < q.kappa
+
+
+def _tail_fits(p, M: int) -> bool:
+    # the branch-tail factor that M must bring within the epsilon budget
+    return math.log(1.0 + p.W * p.r**M / (1.0 - p.r)) <= (p.epsilon / 2.0) * math.log(p.B)
+
+
+def test_derive_constants_solves_for_m_at_small_theta():
+    # M runs into the millions here, out of reach of a step-by-step search
+    start = time.perf_counter()
+    p = derive_constants(1e-4, 0.1)
+    assert time.perf_counter() - start < 0.1
+    assert p.M == 2_505_694
+    q = derive_constants(1e-6, 0.5)
+    for c in (p, q):
+        assert _tail_fits(c, c.M) and not _tail_fits(c, c.M - 1)
 
 
 def test_derive_constants_validation():

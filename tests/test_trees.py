@@ -15,6 +15,7 @@ from unimap.trees import (
     DoublyRootedTree,
     children_to_map,
     doubly_rooted_count,
+    dyck_address,
     dyck_partners,
     dyck_to_children,
     entry_dart,
@@ -23,7 +24,6 @@ from unimap.trees import (
     sample_doubly_rooted_tree,
     sample_dyck_word,
     sample_plane_tree,
-    tree_edges,
 )
 
 from .oracles import brute_doubly_rooted_count, call_with_recursion_bound, catalan
@@ -53,7 +53,7 @@ def test_dyck_words_balanced():
 def test_dyck_sampler_uniform_on_small_support():
     # k = 3 has 5 trees; chi-square style tolerance on 5000 draws
     rng = random.Random(8)
-    counts = Counter(dyck_to_children(sample_dyck_word(3, rng)) for _ in range(5000))
+    counts = Counter(tuple(sample_dyck_word(3, rng)) for _ in range(5000))
     assert set(counts) == set(enumerate_plane_trees(3))
     for c in counts.values():
         assert 830 <= c <= 1170
@@ -61,19 +61,24 @@ def test_dyck_sampler_uniform_on_small_support():
 
 @pytest.mark.parametrize("k", range(1, 7))
 def test_children_to_map_is_a_plane_tree(k):
-    for tree in enumerate_plane_trees(k):
-        m = children_to_map(tree)
+    for word in enumerate_plane_trees(k):
+        m = children_to_map(word)
         assert m.n_edges == k
         assert genus(m) == 0
         assert m.n_faces() == 1
         # the contour's up/down steps are the tree's Dyck word, and the
         # word's matched steps are the contour's edges
-        word = [1 if d < a else -1 for d, a in enumerate(m.alpha)]
-        assert dyck_to_children(word) == tree
+        assert tuple(1 if d < a else -1 for d, a in enumerate(m.alpha)) == word
         assert dyck_partners(word) == list(m.alpha)
+        # the nested view has one tuple per node
+        stack, nodes = [dyck_to_children(word)], 0
+        while stack:
+            nodes += 1
+            stack.extend(stack.pop())
+        assert nodes == k + 1
 
 
-@pytest.mark.parametrize("word", [[-1, 1], [1], [1, -1, -1]])
+@pytest.mark.parametrize("word", [[-1, 1], [1], [1, -1, -1], [1, 0], [1, 7]])
 def test_dyck_to_children_rejects_non_dyck_words(word):
     with pytest.raises(ParameterError):
         dyck_to_children(word)
@@ -88,22 +93,27 @@ def test_sample_plane_tree_large_without_recursion():
     assert (m.n_edges, m.n_faces(), genus(m)) == (20_000, 1, 0)
 
 
-def test_tree_edges_counts_whole_subtree():
-    tree = (((),), ())  # root with two children, first has one child
-    assert tree_edges(tree) == 3
-    assert tree_edges(()) == 0
-
-
 def test_entry_dart_is_parent_side():
-    tree = (((),), ())
-    m = children_to_map(tree)
-    d0 = entry_dart(tree, (0,))
+    word = (1, 1, -1, -1, 1, -1)  # root with two children, first has one child
+    m = children_to_map(word)
+    d0 = entry_dart(word, (0,))
     # the parent-side dart of the first root edge is the root dart itself
     assert d0 == m.root
-    with pytest.raises(ParameterError):
-        entry_dart(tree, (2,))
-    with pytest.raises(ParameterError):
-        entry_dart(tree, ())
+    assert entry_dart(word, (0, 0)) == 1
+    assert entry_dart(word, (1,)) == 4
+    for address in [(2,), (0, 1), (1, 0), (-1,), ()]:
+        with pytest.raises(ParameterError):
+            entry_dart(word, address)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_entry_dart_inverts_dyck_address(k):
+    for word in enumerate_plane_trees(k):
+        for t, s in enumerate(word):
+            if s == 1:
+                assert entry_dart(word, dyck_address(word, t + 1)) == t
+    for drt in enumerate_doubly_rooted_trees(k):
+        assert entry_dart(drt.word, drt.path) == dyck_partners(drt.word)[drt.exit]
 
 
 @pytest.mark.parametrize("k", range(1, 7))
@@ -111,7 +121,8 @@ def test_doubly_rooted_enumeration_matches_brute_force(k):
     enumerated = enumerate_doubly_rooted_trees(k)
     assert len(enumerated) == doubly_rooted_count(k) == math.comb(2 * k - 1, k - 1)
     assert len(set(enumerated)) == len(enumerated)
-    assert brute_doubly_rooted_count(k, enumerate_plane_trees(k)) == len(enumerated)
+    trees = [dyck_to_children(w) for w in enumerate_plane_trees(k)]
+    assert brute_doubly_rooted_count(k, trees) == len(enumerated)
 
 
 def test_tree_enumerators_reject_out_of_range_sizes():
@@ -126,10 +137,29 @@ def test_tree_enumerators_reject_out_of_range_sizes():
 
 
 def test_doubly_rooted_validation():
-    with pytest.raises(ParameterError):
-        DoublyRootedTree(((),), ())  # empty path
-    with pytest.raises(ParameterError):
-        DoublyRootedTree(((), ()), (1,))  # v2 must sit under child 0
+    drt = DoublyRootedTree([1, 1, -1, -1, 1, -1], 2)
+    assert drt.word == (1, 1, -1, -1, 1, -1)
+    assert (drt.tree, drt.path, drt.n_edges) == ((((),), ()), (0, 0), 3)
+    for word, exit in [
+        ((1, -1, -1), 1),  # not a Dyck word
+        ((1, 0), 1),  # a step outside {1, -1}
+        ((), 0),  # no edge
+        ((1, -1), 0),  # exit 0
+        ((1, 1, -1, -1), 1),  # exit on a +1 step
+        ((1, -1, 1, -1), 3),  # v2 must sit under child 0
+    ]:
+        with pytest.raises(ParameterError):
+            DoublyRootedTree(word, exit)
+
+
+def test_deep_doubly_rooted_trees_compare_without_recursion():
+    # 1501 levels deep: equality and hashing must not walk nested tuples
+    word = [1] * 1501 + [-1] * 1501
+    a = DoublyRootedTree(word, 1501)  # v2 is the deepest node
+    b = DoublyRootedTree(list(word), 1501)
+    c = DoublyRootedTree(word, 3001)  # v2 is the first child
+    checks = call_with_recursion_bound(lambda: (a == b, hash(a) == hash(b), a != c))
+    assert checks == (True, True, True)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -151,7 +181,7 @@ def test_sampled_trees_have_right_size(k, rng):
     assert m.n_edges == k
     assert genus(m) == 0
     drt = sample_doubly_rooted_tree(k, rng)
-    assert tree_edges(drt.tree) == k
+    assert drt.n_edges == k
 
 
 class _Rejected(Exception):
