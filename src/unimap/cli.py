@@ -15,6 +15,7 @@ import json
 import logging
 import random
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,7 +35,6 @@ from .maps import (
     decode_map,
     encode_map,
     from_polygon_gluing,
-    genus,
     parse_multigraph,
 )
 from .samplers import (
@@ -102,12 +102,12 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     for pairing in enumerate_pairings(args.n):
         m = from_polygon_gluing(pairing, args.n)
         total += 1
-        if args.classify == "genus":
-            counts[genus(m)] += 1
-        elif args.classify == "faces":
+        if args.classify == "faces":
             counts[m.n_faces()] += 1
-        else:
-            counts[m.n_vertices()] += 1
+            continue
+        v = m.n_vertices()
+        # Euler with one face: V - n + 1 = 2 - 2g
+        counts[(args.n + 1 - v) // 2 if args.classify == "genus" else v] += 1
     print("key,count,total")
     for key in sorted(counts):
         print(f"{key},{counts[key]},{total}")
@@ -176,7 +176,7 @@ _PIPELINE_NOTES = {
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     pipe = derive_constants(args.theta, args.epsilon, eta=args.eta)
-    payload = pipe.as_dict()
+    payload = asdict(pipe)
     payload["notes"] = _PIPELINE_NOTES
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     return 0

@@ -1,10 +1,14 @@
 """Core / branch decomposition of a positive-genus one-face map.
 
-Repeatedly deleting degree-1 vertices leaves the *core*: the maximal
-submap with minimum degree 2.  Contracting its degree-2 chains gives a
-map with minimum degree 3 and the same genus; each core edge then
-carries a *branch*, the tree wrapped around that chain, recorded as a
-doubly rooted plane tree whose spine is the chain itself.
+With one face, a leaf edge is a dart followed at once by its partner in
+the face tour.  So peeling leaves is the matched-pair cancellation that
+reduces a Dyck word, applied cyclically, and what survives is the face
+word of the *core*: the maximal submap with minimum degree 2.  Genus 0
+means the word cancels completely: a plane tree has an empty core.
+Contracting the core's degree-2 chains gives a map with minimum degree
+3 and the same genus; each core edge then carries a *branch*, the tree
+wrapped around that chain, recorded as a doubly rooted plane tree whose
+spine is the chain itself.
 
 Everything is read off one walk around the map's single face.  The
 *core darts* are the darts that survive the peel at a vertex of degree
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .errors import DecompositionError, ParameterError
+from .errors import DecompositionError, MalformedMapError, ParameterError
 from .maps import CombinatorialMap, face_tour, from_polygon_gluing
 from .trees import DoublyRootedTree, dyck_address, dyck_partners, entry_dart
 
@@ -113,56 +117,42 @@ class _Segments:
     """
 
     def __init__(self, m: CombinatorialMap) -> None:
-        n, alpha, sigma, root = m.n_darts, m.alpha, m.sigma, m.root
-        tour = [0] * n
-        d = root
-        for t in range(n):
-            tour[t] = d
-            d = sigma[alpha[d]]
-        # one face: the walk from the root first returns after all n darts
-        if d != root or root in tour[1:]:
-            raise DecompositionError("decomposition needs a one-face map")
-        cycles = m.vertex_cycles()
-        # one face: V - E + 1 = 2 - 2g, so V >= E exactly when g = 0
-        if len(cycles) >= m.n_edges:
+        n, alpha = m.n_darts, m.alpha
+        try:
+            tour = face_tour(m)
+        except MalformedMapError as exc:
+            raise DecompositionError("decomposition needs a one-face map") from exc
+        # a leaf edge is a dart followed at once by its partner: cancel
+        # such pairs as in reducing a Dyck word, then trim the ends cyclically
+        stack: list[int] = []
+        for d in tour:
+            if stack and stack[-1] == alpha[d]:
+                stack.pop()
+            else:
+                stack.append(d)
+        i, j = 0, len(stack) - 1
+        while i < j and stack[i] == alpha[stack[j]]:
+            i, j = i + 1, j - 1
+        word = stack[i : j + 1]
+        if not word:
             raise DecompositionError("genus-zero map has an empty core")
-        # a vertex is named by its smallest dart, the first of its cycle
-        vertex_of = [0] * n
-        deg = [0] * n
-        for cyc in cycles:
-            deg[cyc[0]] = len(cyc)
-            for d in cyc:
-                vertex_of[d] = cyc[0]
-        alive = bytearray([1]) * n
-        queue = [cyc[0] for cyc in cycles if len(cyc) == 1]
-        while queue:
-            v = queue.pop()
-            if deg[v] != 1:
-                continue
-            d = v
-            while not alive[d]:
-                d = sigma[d]
-            e = alpha[d]
-            alive[d] = alive[e] = 0
-            deg[v] -= 1
-            w = vertex_of[e]
-            deg[w] -= 1
-            if deg[w] == 1:
-                queue.append(w)
-        is_core = [alive[d] and deg[vertex_of[d]] >= 3 for d in tour]
-        # peeling leaves min degree 2; genus >= 1 guarantees some vertex of
-        # degree >= 3, otherwise the surviving part would be a bare cycle
-        # with genus 0
-        if not any(is_core):
-            raise DecompositionError("no degree-3 vertex survives peeling")
-        start = is_core.index(True)
+        # in the peeled face word sigma(d) is the dart after alpha(d), and
+        # a core dart is one whose vertex does not have degree 2
+        after = [0] * n
+        for d, e in zip(word, word[1:] + word[:1]):
+            after[d] = e
+        is_core = bytearray(n)
+        for d in word:
+            is_core[d] = after[alpha[after[alpha[d]]]] != d
+        # some vertex has degree >= 3: with one face, a bare cycle's V = E
+        # would make the Euler characteristic 1, which is odd
+        start = next(t for t, d in enumerate(tour) if is_core[d])
         tour = tour[start:] + tour[:start]
-        is_core = is_core[start:] + is_core[:start]
         cut: list[int] = []
         owner = [0] * n
         j = -1
         for t, d in enumerate(tour):
-            if is_core[t]:
+            if is_core[d]:
                 cut.append(t)
                 j += 1
             owner[d] = j

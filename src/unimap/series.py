@@ -24,7 +24,7 @@ and must agree exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -375,9 +375,6 @@ class ConstantPipeline:
     delta: float
     M: int
     kappa: float
-
-    def as_dict(self) -> dict[str, float | int]:
-        return asdict(self)
 
 
 def derive_constants(

@@ -110,6 +110,21 @@ def path_torus(length: int) -> CombinatorialMap:
     return polygon_map(pairs, length + 2)
 
 
+def relabel(m: CombinatorialMap, rng) -> CombinatorialMap:
+    """The same rooted map with its darts renamed by a uniform permutation.
+
+    The root is carried along, so the result is rooted-isomorphic to ``m``.
+    """
+    perm = list(range(m.n_darts))
+    rng.shuffle(perm)
+    alpha = [0] * m.n_darts
+    sigma = [0] * m.n_darts
+    for d in range(m.n_darts):
+        alpha[perm[d]] = perm[m.alpha[d]]
+        sigma[perm[d]] = perm[m.sigma[d]]
+    return CombinatorialMap(tuple(alpha), tuple(sigma), perm[m.root])
+
+
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     seen = [False] * len(perm)
     lengths = []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 import time
@@ -19,9 +20,13 @@ from unimap.core import (
 )
 from unimap.errors import DecompositionError, ParameterError
 from unimap.maps import CombinatorialMap, from_polygon_gluing, genus, vertex_degrees
-from unimap.samplers import enumerate_pairings, sample_polygon_gluing
+from unimap.samplers import (
+    enumerate_pairings,
+    sample_polygon_gluing,
+    sample_unicellular_fixed_genus,
+)
 
-from .oracles import call_with_recursion_bound, path_torus
+from .oracles import call_with_recursion_bound, path_torus, relabel
 
 SQUARE = from_polygon_gluing(((0, 2), (1, 3)), 2)
 # hexagon with one pendant edge folded in: genus 1, one vertex of degree 2
@@ -108,27 +113,66 @@ def test_deep_branch_round_trip_at_scale():
     assert time.perf_counter() - t0 < 10.0
 
 
-def test_decomposition_is_pinned_exhaustively():
-    # one JSON line per positive-genus gluing with 2..6 edges, in
-    # enumeration order: every tree, address and core dart is pinned
+def decomposition_digest(maps) -> tuple[int, str]:
+    """Row count and sha256 of one JSON line per map: every tree,
+    address and core dart of its decomposition, and its size profile."""
     digest = hashlib.sha256()
     lines = 0
-    for n in range(2, 7):
-        for m in unicellular_maps(n):
-            dec = core(m)
-            row = [
-                dec.core.alpha,
-                [[b.tree, b.path] for b in dec.branches],
-                dec.root_branch_index,
-                dec.marked_edge,
-                branch_size_profile(m),
-            ]
-            digest.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
-            lines += 1
-    assert lines == 11_268
-    assert digest.hexdigest() == (
-        "d6f023cc9277b17a27aec65ba6d0300b1f3937ed7397c639e5ff631c488861c0"
+    for m in maps:
+        dec = core(m)
+        row = [
+            dec.core.alpha,
+            [[b.tree, b.path] for b in dec.branches],
+            dec.root_branch_index,
+            dec.marked_edge,
+            branch_size_profile(m),
+        ]
+        digest.update((json.dumps(row, separators=(",", ":")) + "\n").encode())
+        lines += 1
+    return lines, digest.hexdigest()
+
+
+def sampled_maps():
+    """Seeded positive-genus maps far past the exhaustive range: polygon
+    gluings with up to 5,000 edges, then fixed-genus maps whose small g
+    gives long chains and deep trees and whose large g gives big cores."""
+    rng = random.Random(20261018)
+    for _ in range(40):
+        m = sample_polygon_gluing(rng.randint(2, 5000), rng)
+        if genus(m) > 0:
+            yield m
+    for n in (100, 200, 400):
+        for g in (1, 2, 5, n // 10, n // 4, n // 2 - 1, n // 2):
+            for _ in range(2):
+                yield sample_unicellular_fixed_genus(n, g, rng)
+
+
+def test_decomposition_is_pinned_exhaustively():
+    # every positive-genus gluing with 2..6 edges, in enumeration order
+    maps = (m for n in range(2, 7) for m in unicellular_maps(n))
+    assert decomposition_digest(maps) == (
+        11_268,
+        "d6f023cc9277b17a27aec65ba6d0300b1f3937ed7397c639e5ff631c488861c0",
     )
+
+
+def test_decomposition_is_pinned_at_scale():
+    assert decomposition_digest(sampled_maps()) == (
+        82,
+        "9f729099ca8398ee9ba448cb303d1dff3f615370415e21924d0de9827cdb487d",
+    )
+
+
+def test_decomposition_ignores_dart_labels():
+    # the decomposition reads only the face tour from the root, so any
+    # renaming of the darts that carries the root along changes nothing
+    rng = random.Random(4)
+    maps = [m for n in range(2, 7) for m in unicellular_maps(n)]
+    maps += list(itertools.islice(sampled_maps(), 12))
+    for m in maps:
+        other = relabel(m, rng)
+        assert core(other) == core(m)
+        assert branch_size_profile(other) == branch_size_profile(m)
 
 
 @pytest.mark.parametrize("n", range(2, 6))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -169,7 +170,7 @@ def _branch_size_draws():
     "run,digest",
     [
         (
-            lambda: [derive_constants(t, 0.1).as_dict() for t in (0.1, 0.2, 0.3, 0.4, 0.45)],
+            lambda: [asdict(derive_constants(t, 0.1)) for t in (0.1, 0.2, 0.3, 0.4, 0.45)],
             "7c8de47e84a846fcfb3bd5e7006bb891f1101d27fe002a03a088549c99e1e5af",
         ),
         (

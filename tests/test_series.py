@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import pytest
@@ -180,8 +181,7 @@ def test_derive_constants_frozen_regression():
     assert p.delta == pytest.approx(0.071, abs=1e-12)
     assert p.M == 102
     assert p.kappa == pytest.approx(p.delta / (2 * p.M - 1), abs=0)
-    as_dict = p.as_dict()
-    assert set(as_dict) == {
+    assert set(asdict(p)) == {
         "theta", "epsilon", "eta", "beta_star", "A", "B", "r", "W",
         "c", "delta", "M", "kappa",
     }
