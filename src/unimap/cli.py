@@ -23,6 +23,7 @@ from .core import core
 from .errors import UnimapError
 from .expansion import cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
 from .experiments import (
+    _turn_classes,
     persist_report,
     run_core_expander_experiment,
     verify_branch_profile_law,
@@ -34,12 +35,10 @@ from .experiments import (
 from .maps import (
     decode_map,
     encode_map,
-    from_polygon_gluing,
     parse_multigraph,
 )
 from .samplers import (
     DegreeSequence,
-    enumerate_pairings,
     sample_configuration_model,
     sample_unicellular_fixed_genus,
 )
@@ -99,15 +98,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
     counts: Counter = Counter()
     total = 0
-    for pairing in enumerate_pairings(args.n):
-        m = from_polygon_gluing(pairing, args.n)
-        total += 1
+    for m, period in _turn_classes(args.n):
+        total += period
         if args.classify == "faces":
-            counts[m.n_faces()] += 1
+            # a polygon gluing has one face by construction
+            counts[1] += period
             continue
         v = m.n_vertices()
         # Euler with one face: V - n + 1 = 2 - 2g
-        counts[(args.n + 1 - v) // 2 if args.classify == "genus" else v] += 1
+        counts[(args.n + 1 - v) // 2 if args.classify == "genus" else v] += period
     print("key,count,total")
     for key in sorted(counts):
         print(f"{key},{counts[key]},{total}")

@@ -112,16 +112,20 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
 
     deg = g.degrees
     total = sum(deg)
-    adj_mask = [0] * n
-    # degree toward a growing subset, rebuilt incrementally would need the
-    # full matrix anyway at these sizes; loops never cross a cut
+    # layers[v][k] is the bitmask of the neighbours joined to v by more
+    # than k edges, so v's edge count into a subset is the sum of the
+    # layers' overlaps with it; loops never cross a cut
     mult_row = [[0] * n for _ in range(n)]
     for u, v in g.edges:
         if u != v:
-            adj_mask[u] |= 1 << v
-            adj_mask[v] |= 1 << u
             mult_row[u][v] += 1
             mult_row[v][u] += 1
+    layers = [
+        [sum(1 << u for u in range(n) if row[u] > k) for k in range(max(row))]
+        for row in mult_row
+    ]
+    # connected with two or more vertices: every vertex has a neighbour
+    adj_mask = [layer[0] for layer in layers]
     plain_deg = [sum(row) for row in mult_row]
 
     best: tuple[int, int, tuple[int, ...]] | None = None  # (boundary, small-vol, subset)
@@ -161,7 +165,7 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
                 new_vol = vol + deg[vbit.bit_length() - 1]
                 if 2 * new_vol <= total:
                     v = vbit.bit_length() - 1
-                    into = sum(mult_row[v][u] for u in range(n) if mask >> u & 1)
+                    into = sum((mask & layer).bit_count() for layer in layers[v])
                     new_bnd = bnd + plain_deg[v] - 2 * into
                     new_mask = mask | vbit
                     consider(new_mask, new_vol, new_bnd)

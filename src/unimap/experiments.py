@@ -25,12 +25,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
-from .core import branch_size_profile, core
+from .core import _Segments, core
 from .errors import EnumerationCapError, ParameterError
 from .expansion import branch_substitution_transfer_check, cheeger_exact, wilson_interval
-from .maps import Multigraph, from_polygon_gluing, underlying_graph
+from .maps import CombinatorialMap, Multigraph, from_polygon_gluing, underlying_graph
 from .samplers import (
     ENUMERATION_CAP,
     DegreeSequence,
@@ -209,23 +209,56 @@ def persist_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, s
 # Exhaustive censuses shared by the exact checks.
 
 
+def _turn_classes(n: int) -> Iterator[tuple[CombinatorialMap, int]]:
+    """One polygon gluing per class of turns, with the size of its class.
+
+    Turning a gluing by r (dart d -> d - r mod 2n) gives the same map
+    rooted at dart r, so genus, vertices, core and branch sizes are
+    constant on a class.  Read a gluing as its chord word
+    c[d] = alpha[d] - d mod 2n, which a turn by r shifts cyclically by r.
+    The class is represented by the gluing whose word is least among its
+    shifts, and its size is the word's period p: the least r > 0 with an
+    equal shift, else 2n.  Its members are the representative rooted at
+    darts 0..p-1.  Every pairing is still built, and so validated, by
+    `from_polygon_gluing`; only the work done per map is shared.
+    """
+    n_darts = 2 * n
+    for pairing in enumerate_pairings(n):
+        m = from_polygon_gluing(pairing, n)
+        c = [(a - d) % n_darts for d, a in enumerate(m.alpha)]
+        head = c[0]
+        if head != min(c):
+            continue
+        # only a shift that starts at another least letter can tie or win
+        period = n_darts
+        for r in range(1, n_darts):
+            if c[r] == head and (turned := c[r:] + c[:r]) <= c:
+                period = r if turned == c else 0
+                break
+        if period:
+            yield m, period
+
+
 @lru_cache(maxsize=None)
 def profile_census(n: int) -> dict:
     """Branch-size profiles of every rooted one-face map with n edges.
 
-    One pass over all (2n-1)!! polygon pairings.  Keys are
-    (genus, core_edges, marked_size, sorted_other_sizes); plane trees are
-    tallied under (0, 0, 0, ()) since they have no core.
+    Covers all (2n-1)!! polygon pairings with one decomposition per class
+    of turns (see `_turn_classes`): the class's genus and branch sizes are
+    read once, and each of its p rootings adds the profile its root marks.
+    Keys are (genus, core_edges, marked_size, sorted_other_sizes); plane
+    trees are tallied under (0, 0, 0, ()) since they have no core.
     """
     counts: Counter = Counter()
-    for pairing in enumerate_pairings(n):
-        m = from_polygon_gluing(pairing, n)
+    for m, period in _turn_classes(n):
         g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
         if g == 0:
-            counts[(0, 0, 0, ())] += 1
+            counts[(0, 0, 0, ())] += period
             continue
-        marked, others = branch_size_profile(m)
-        counts[(g, 1 + len(others), marked, others)] += 1
+        segs = _Segments(m)
+        for root in range(period):
+            marked, others = segs.profile(root)
+            counts[(g, 1 + len(others), marked, others)] += 1
     return dict(counts)
 
 
@@ -280,10 +313,7 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     ok = True
     for p in p_list:
         total = double_factorial_odd(p)
-        ones = 0
-        for pairing in enumerate_pairings(p):
-            if from_polygon_gluing(pairing, p).n_vertices() == 1:
-                ones += 1
+        ones = sum(period for m, period in _turn_classes(p) if m.n_vertices() == 1)
         prob = Fraction(ones, total)
         law = Fraction(1, p + 1)
         formula = count_one_vertex_maps(p)

@@ -82,6 +82,24 @@ def test_cheeger_exact_matches_brute_force_on_random_graphs():
         assert wit.subset == subset_fam
 
 
+def test_cheeger_exact_matches_brute_force_with_heavy_multiplicities():
+    # bundles of three and four parallel edges, plus loops, reach the
+    # multiplicity layers that random sparse graphs rarely touch
+    rng = random.Random(3344)
+    for _ in range(80):
+        n = rng.randint(2, 10)
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        for _ in range(rng.randint(1, n)):
+            u, v = rng.randrange(n), rng.randrange(n)
+            edges.extend([(u, v)] * rng.choice((1, 3, 4)))
+        edges.extend((v, v) for v in rng.sample(range(n), rng.randint(0, n)))
+        g = Multigraph(n, tuple(edges))
+        wit = cheeger_exact(g)
+        h_fam, subset_fam = brute_cheeger_in_family(g)
+        assert wit.h_value == h_fam
+        assert wit.subset == subset_fam
+
+
 def test_cheeger_witness_consistency():
     rng = random.Random(5)
     for _ in range(30):

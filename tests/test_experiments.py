@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 import unimap.core
 import unimap.experiments
-from unimap.core import core_less_M
+from unimap.core import _Segments, branch_size_profile, core_less_M
 from unimap.errors import EnumerationCapError, ParameterError
 from unimap.expansion import wilson_interval
 from unimap.experiments import (
@@ -19,6 +20,7 @@ from unimap.experiments import (
     ExperimentReport,
     _cm_map_is_unicellular,
     _d_power_coefficient,
+    _turn_classes,
     min_degree3_census,
     persist_report,
     profile_census,
@@ -29,7 +31,7 @@ from unimap.experiments import (
     verify_one_vertex_law,
     verify_substitution_transfer,
 )
-from unimap.maps import CombinatorialMap
+from unimap.maps import CombinatorialMap, from_polygon_gluing
 from unimap.samplers import (
     block_rotation,
     double_factorial_odd,
@@ -86,9 +88,62 @@ def test_profile_census_covers_every_pairing(n):
         assert cnt == table[(n, g)]
 
 
-def test_profile_census_cap():
+def test_profile_census_cap(monkeypatch):
+    def no_gluing(*args):
+        raise AssertionError("a gluing was built past the cap")
+
+    # the cap is checked before any work
+    monkeypatch.setattr(unimap.experiments, "from_polygon_gluing", no_gluing)
     with pytest.raises(EnumerationCapError):
         profile_census(9)
+
+
+def _turned(pairing, r: int, n: int) -> tuple[tuple[int, int], ...]:
+    """The gluing turned by r: dart d becomes d - r mod 2n."""
+    return tuple(((a - r) % (2 * n), (b - r) % (2 * n)) for a, b in pairing)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_turn_classes_partition_every_gluing(n):
+    # covers periods below 2n too, such as ((0, 2), (1, 3)) with p = 1
+    seen = []
+    for m, period in _turn_classes(n):
+        pairing = tuple((d, a) for d, a in enumerate(m.alpha) if d < a)
+        members = {from_polygon_gluing(_turned(pairing, r, n), n) for r in range(2 * n)}
+        assert len(members) == period
+        seen.extend(members)
+    assert len(seen) == len(set(seen)) == double_factorial_odd(n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_profile_census_matches_one_decomposition_per_gluing(n):
+    slow: Counter = Counter()
+    for pairing in enumerate_pairings(n):
+        m = from_polygon_gluing(pairing, n)
+        g = (n + 1 - m.n_vertices()) // 2
+        if g == 0:
+            slow[(0, 0, 0, ())] += 1
+            continue
+        marked, others = branch_size_profile(m)
+        slow[(g, 1 + len(others), marked, others)] += 1
+    assert profile_census.__wrapped__(n) == dict(slow)
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_segments_profile_rerooted_matches_the_turned_gluing(n):
+    for pairing in enumerate_pairings(n):
+        m = from_polygon_gluing(pairing, n)
+        if m.n_vertices() == n + 1:  # a plane tree has no core
+            continue
+        segs = _Segments(m)
+        for r in range(2 * n):
+            turned = from_polygon_gluing(_turned(pairing, r, n), n)
+            assert segs.profile(r) == branch_size_profile(turned)
+
+
+def test_profile_census_7_is_pinned():
+    digest = hashlib.sha256(repr(sorted(profile_census(7).items())).encode()).hexdigest()
+    assert digest == "22878430b4863f8b28d12877eb3f50fac18fdee9857776717f72844264b141f3"
 
 
 def test_min_degree3_census_spot_values():
