@@ -184,12 +184,20 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _cmd_series(args: argparse.Namespace) -> int:
     maker = {"T": series_T, "D": series_D, "C": series_C}[args.which]
     s = maker(args.order)
+    # convert every coefficient before printing, so a failure prints nothing
+    try:
+        coefficients = [str(c) for c in s.coeffs]
+    except ValueError as exc:
+        raise UnimapError(
+            f"--order {args.order} gives coefficients past Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing an int"
+        ) from exc
     if args.format == "json":
-        print(json.dumps({"which": args.which, "coefficients": [str(s[k]) for k in range(args.order + 1)]}))
+        print(json.dumps({"which": args.which, "coefficients": coefficients}))
     else:
         print("k,coefficient")
-        for k in range(args.order + 1):
-            print(f"{k},{s[k]}")
+        for k, c in enumerate(coefficients):
+            print(f"{k},{c}")
     return 0
 
 

@@ -12,9 +12,11 @@ construction.
 
 Maps are immutable; every mutating operation elsewhere in the package builds
 a new map.  Equality is dart-for-dart.  A one-face map has one canonical
-labelling, :func:`face_order_form`, which numbers darts in face order from
-the root as a polygon gluing does; two one-face maps are rooted-isomorphic
-exactly when their face-order forms are equal.
+labelling, the one :func:`from_polygon_gluing` produces: darts numbered in
+face order from the root, so the face permutation is ``(0 1 ... 2n-1)``.
+Gluings, fixed-genus samples, trees, cores and reconstructions are all
+built by it, and two maps in this labelling are rooted-isomorphic exactly
+when they are equal.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ __all__ = [
     "cycles_of",
     "decode_map",
     "encode_map",
-    "face_order_form",
-    "face_order_relabeling",
     "face_tour",
     "from_polygon_gluing",
     "genus",
@@ -41,7 +41,6 @@ __all__ = [
     "parse_multigraph",
     "underlying_graph",
     "vertex_degrees",
-    "write_multigraph",
 ]
 
 
@@ -254,33 +253,6 @@ def is_connected(g: Multigraph) -> bool:
     return len(components(g)) == 1
 
 
-def face_order_relabeling(m: CombinatorialMap) -> tuple[int, ...]:
-    """Old-dart -> new-label table walking the single face from the root.
-
-    Applying it yields face permutation ``(0 1 ... 2n-1)`` and root 0, the
-    labelling :func:`from_polygon_gluing` produces, so a one-face map in
-    this form is literally a polygon gluing.  A rooted isomorphism between
-    two maps in this form must fix every dart, hence equal outputs, equal
-    rooted maps.
-    """
-    new_label = [-1] * m.n_darts
-    for t, d in enumerate(face_tour(m)):
-        new_label[d] = t
-    return tuple(new_label)
-
-
-def face_order_form(m: CombinatorialMap) -> CombinatorialMap:
-    """Relabel a one-face map into its polygon-gluing labelling."""
-    new_label = face_order_relabeling(m)
-    n = m.n_darts
-    alpha = [0] * n
-    sigma = [0] * n
-    for d in range(n):
-        alpha[new_label[d]] = new_label[m.alpha[d]]
-        sigma[new_label[d]] = new_label[m.sigma[d]]
-    return CombinatorialMap(tuple(alpha), tuple(sigma), 0)
-
-
 def encode_map(m: CombinatorialMap) -> str:
     """Serialise to the on-disk JSON form; :func:`decode_map` inverts this."""
     return json.dumps(
@@ -308,13 +280,6 @@ def decode_map(text: str) -> CombinatorialMap:
     if m.n_darts != n_darts:
         raise MalformedMapError(f"n_darts is {n_darts} but alpha has {m.n_darts} darts")
     return m
-
-
-def write_multigraph(g: Multigraph) -> str:
-    """Edge-list text: header ``p mg <n_vertices> <n_edges>``, one edge per line."""
-    lines = [f"p mg {g.n_vertices} {g.n_edges}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
 
 
 def parse_multigraph(text: str) -> Multigraph:

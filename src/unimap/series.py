@@ -37,7 +37,6 @@ __all__ = [
     "derive_constants",
     "eval_C",
     "eval_D",
-    "expected_marked_size",
     "expected_plain_size",
     "rate_function",
     "series_C",
@@ -48,7 +47,6 @@ __all__ = [
     "series_sqrt_one_minus_4z",
     "solve_beta",
     "solve_beta_closed_form",
-    "solve_beta_finite_n",
     "sup_rate_over_block",
     "tail_bound",
 ]
@@ -150,16 +148,6 @@ class TruncatedSeries:
             out.append(acc * inv_lead)
         return TruncatedSeries(out)
 
-    def pow(self, e: int) -> "TruncatedSeries":
-        result = TruncatedSeries([1] + [0] * self.order)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
 
 def series_sqrt_one_minus_4z(order: int) -> TruncatedSeries:
     """sqrt(1-4z) expanded exactly: 1 - 2*sum_{k>=1} Cat(k-1) z^k."""
@@ -168,22 +156,34 @@ def series_sqrt_one_minus_4z(order: int) -> TruncatedSeries:
     return TruncatedSeries(coeffs)
 
 
-def series_T(order: int) -> TruncatedSeries:
-    """Rooted plane trees with >= 1 edge: coefficient of z^k is Cat(k).
+def _ratio_series(order: int, shift: int) -> TruncatedSeries:
+    """Coefficients 0, 1, ... with c_{k+1} = c_k * 2(2k+1)/(k+shift).
 
-    D and C are built from T, so a negative order is rejected here for all
-    three.
+    Every division is exact, so the coefficients stay ints.
     """
     if order < 0:
         raise ParameterError(f"order must be nonnegative, got {order}")
-    return TruncatedSeries([0] + [catalan(k) for k in range(1, order + 1)])
+    coeffs = [0] * (order + 1)
+    c = 1
+    for k in range(1, order + 1):
+        coeffs[k] = c
+        c = c * 2 * (2 * k + 1) // (k + shift)
+    return TruncatedSeries(coeffs)
+
+
+def series_T(order: int) -> TruncatedSeries:
+    """Rooted plane trees with >= 1 edge: coefficient of z^k is Cat(k),
+    and Cat(k+1) = Cat(k)*2(2k+1)/(k+2)."""
+    return _ratio_series(order, 2)
 
 
 def series_D(order: int) -> TruncatedSeries:
-    """Doubly rooted trees via the path decomposition D = T/(1-T)."""
-    t = series_T(order)
-    one = TruncatedSeries([1] + [0] * order)
-    return t / (one - t)
+    """Doubly rooted trees: coefficient of z^k is dt_k = binom(2k-1, k-1).
+
+    This is the expansion of the path decomposition D = T/(1-T), and
+    dt_{k+1} = dt_k*2(2k+1)/(k+1).
+    """
+    return _ratio_series(order, 1)
 
 
 def series_C(order: int) -> TruncatedSeries:
@@ -243,12 +243,6 @@ def expected_plain_size(beta: float) -> float:
     return (1.0 + s) / (2.0 * s * s)
 
 
-def expected_marked_size(beta: float) -> float:
-    """E(X_beta) = beta*C'(beta)/C(beta) = 1 + 6*beta/(1-4*beta)."""
-    _check_beta(beta)
-    return 1.0 + 6.0 * beta / (1.0 - 4.0 * beta)
-
-
 def solve_beta(c: float) -> float:
     """The root of c*C(beta)/D(beta) = 1 in [0, 1/4), found by bisection.
 
@@ -284,31 +278,6 @@ def solve_beta_closed_form(c: float) -> float:
     if not 0.0 < c <= 1.0:
         raise ParameterError(f"c must lie in (0, 1], got {c}")
     return -c * (c / 4.0 + math.sqrt(c * c + 8.0 * c) / 4.0) / 8.0 - c / 8.0 + 0.25
-
-
-def solve_beta_finite_n(n: int, n_plain: int, tol: float = 1e-12) -> float:
-    """Weight beta with E(X_beta) + n_plain * E(Y_beta) = n exactly.
-
-    This is the finite-n version of the branch-weight equation: one marked
-    branch plus ``n_plain`` plain branches must average to total size ``n``.
-    Requires n > 1 + n_plain (the minimum possible expectation).
-    """
-    if n <= 1 + n_plain:
-        raise ParameterError(f"need n > 1 + n_plain, got n={n}, n_plain={n_plain}")
-
-    def mean(beta: float) -> float:
-        return expected_marked_size(beta) + n_plain * expected_plain_size(beta)
-
-    lo, hi = 1e-300, 0.25 - 1e-17
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mean(mid) >= n:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < tol * max(hi, 1e-6):
-            break
-    return 0.5 * (lo + hi)
 
 
 def _xlogx(x: float) -> float:
@@ -472,25 +441,3 @@ def tail_bound(beta_star: float, A: float, k: int) -> float:
         raise ParameterError(f"k must be nonnegative, got {k}")
     W = eval_D(A * beta_star) / (A * beta_star)
     return W / A**k
-
-
-def probability_total_size(n: int, n_plain: int, beta: float) -> float:
-    """P(X + Y_1 + ... + Y_{n_plain} = n) under the branch-size laws at beta.
-
-    Computed by exact coefficient convolution of C * D^{n_plain} and the
-    closed-form normalisers; used for the depoissonisation check that the
-    point mass at the conditioning event has order 1/sqrt(n).
-    """
-    _check_beta(beta)
-    if n < 1 + n_plain:
-        return 0.0
-    coeff = Fraction((series_C(n) * series_D(n).pow(n_plain))[n])
-    # math.log handles arbitrary-size ints, unlike float(coeff)
-    log_p = (
-        math.log(coeff.numerator)
-        - math.log(coeff.denominator)
-        + n * math.log(beta)
-        - math.log(eval_C(beta))
-        - n_plain * math.log(eval_D(beta))
-    )
-    return math.exp(log_p)

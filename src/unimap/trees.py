@@ -37,21 +37,16 @@ from .maps import CombinatorialMap, from_polygon_gluing
 
 __all__ = [
     "DoublyRootedTree",
-    "Tree",
     "children_to_map",
     "doubly_rooted_count",
     "dyck_address",
     "dyck_partners",
     "dyck_to_children",
     "entry_dart",
-    "enumerate_doubly_rooted_trees",
     "enumerate_plane_trees",
     "sample_dyck_word",
-    "sample_plane_tree",
     "sample_doubly_rooted_tree",
 ]
-
-Tree = tuple  # a Dyck word: tuple of +1 / -1 steps
 
 
 def sample_dyck_word(n: int, rng: random.Random) -> list[int]:
@@ -162,16 +157,16 @@ def entry_dart(word: Sequence[int], address: Sequence[int]) -> int:
     return d - 1
 
 
-def enumerate_plane_trees(n_edges: int) -> list[Tree]:
+def enumerate_plane_trees(n_edges: int) -> list[tuple[int, ...]]:
     """All rooted plane trees with exactly ``n_edges`` edges, as Dyck words."""
     if n_edges < 0:
         raise ParameterError(f"n_edges must be nonnegative, got {n_edges}")
 
-    def forests(weight: int) -> list[Tree]:
+    def forests(weight: int) -> list[tuple[int, ...]]:
         # weight = total edges + number of trees
         if weight == 0:
             return [()]
-        out: list[Tree] = []
+        out: list[tuple[int, ...]] = []
         for first_edges in range(weight):
             for first in forests(first_edges):
                 for rest in forests(weight - first_edges - 1):
@@ -197,7 +192,7 @@ class DoublyRootedTree:
     (v2 lies in the first child's closed subtree).
     """
 
-    word: Tree
+    word: tuple[int, ...]
     exit: int
 
     def __post_init__(self) -> None:
@@ -219,19 +214,6 @@ class DoublyRootedTree:
     def path(self) -> tuple[int, ...]:
         """The address of v2; it starts with child 0."""
         return dyck_address(self.word, self.exit)
-
-
-def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
-    """All doubly rooted trees with k edges, via their canonical form."""
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
-    out: list[DoublyRootedTree] = []
-    for word in enumerate_plane_trees(k):
-        first_return = dyck_partners(word)[0]
-        for t in range(1, first_return + 1):
-            if word[t] == -1:
-                out.append(DoublyRootedTree(word, t))
-    return out
 
 
 def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
@@ -256,10 +238,3 @@ def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
                     return DoublyRootedTree(word, dyck_partners(word)[t])
             elif height == 0:
                 break
-
-
-def sample_plane_tree(n_edges: int, rng: random.Random) -> CombinatorialMap:
-    """A uniform rooted plane tree with ``n_edges`` edges, as a map."""
-    if n_edges < 1:
-        raise ParameterError(f"n_edges must be positive, got {n_edges}")
-    return children_to_map(sample_dyck_word(n_edges, rng))

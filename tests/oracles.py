@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from unimap.maps import CombinatorialMap, Multigraph
+from unimap.trees import DoublyRootedTree
 
 
 def _stack_depth() -> int:
@@ -125,6 +126,34 @@ def relabel(m: CombinatorialMap, rng) -> CombinatorialMap:
     return CombinatorialMap(tuple(alpha), tuple(sigma), perm[m.root])
 
 
+def face_order_relabeling(m: CombinatorialMap) -> tuple[int, ...]:
+    """Old-dart -> new-label table walking the single face from the root.
+
+    Applying it gives face permutation ``(0 1 ... 2n-1)`` and root 0, the
+    labelling a polygon gluing has.  A rooted isomorphism between two maps
+    in this form must fix every dart, so rooted-isomorphic one-face maps
+    have equal forms.
+    """
+    new_label = [-1] * m.n_darts
+    d = m.root
+    for t in range(m.n_darts):
+        new_label[d] = t
+        d = m.sigma[m.alpha[d]]
+    assert d == m.root and -1 not in new_label, "the map has more than one face"
+    return tuple(new_label)
+
+
+def face_order_form(m: CombinatorialMap) -> CombinatorialMap:
+    """Relabel a one-face map into its polygon-gluing labelling."""
+    new_label = face_order_relabeling(m)
+    alpha = [0] * m.n_darts
+    sigma = [0] * m.n_darts
+    for d in range(m.n_darts):
+        alpha[new_label[d]] = new_label[m.alpha[d]]
+        sigma[new_label[d]] = new_label[m.sigma[d]]
+    return CombinatorialMap(tuple(alpha), tuple(sigma), 0)
+
+
 def _cycle_lengths(perm: tuple[int, ...]) -> list[int]:
     seen = [False] * len(perm)
     lengths = []
@@ -200,6 +229,19 @@ def c_times_d_power(n: int, power: int) -> int:
     return prod[n]
 
 
+def expected_marked_size(beta: float) -> float:
+    """E(X_beta) = beta*C'(beta)/C(beta) = 1 + 6*beta/(1-4*beta), the mean
+    of the marked branch-size law."""
+    return 1.0 + 6.0 * beta / (1.0 - 4.0 * beta)
+
+
+def write_multigraph(g: Multigraph) -> str:
+    """Edge-list text: header ``p mg <n_vertices> <n_edges>``, one edge per line."""
+    lines = [f"p mg {g.n_vertices} {g.n_edges}"]
+    lines.extend(f"{u} {v}" for u, v in g.edges)
+    return "\n".join(lines) + "\n"
+
+
 def brute_cheeger_value(g: Multigraph) -> Fraction:
     """min over every nonempty proper vertex subset, no restrictions at all."""
     n = g.n_vertices
@@ -268,3 +310,25 @@ def brute_doubly_rooted_count(k: int, trees) -> int:
         return 1 + sum(size(c) for c in node)
 
     return sum(size(tree[0]) for tree in trees)
+
+
+def dyck_words(k: int):
+    """Every Dyck word with k up-steps: place the up-steps every way and keep
+    the arrangements whose running height never goes negative."""
+    for ups in itertools.combinations(range(2 * k), k):
+        word = [-1] * (2 * k)
+        for i in ups:
+            word[i] = 1
+        if min(itertools.accumulate(word), default=0) >= 0:
+            yield tuple(word)
+
+
+def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
+    """All doubly rooted trees with k edges, in canonical form: each Dyck
+    word with v2's exit at a down-step no later than the first return to
+    height 0."""
+    out = []
+    for word in dyck_words(k):
+        first_return = list(itertools.accumulate(word)).index(0)
+        out.extend(DoublyRootedTree(word, t) for t in range(1, first_return + 1) if word[t] == -1)
+    return out

@@ -16,10 +16,9 @@ from unimap.maps import (
     encode_map,
     from_polygon_gluing,
     genus,
-    write_multigraph,
 )
 
-from .oracles import call_with_recursion_bound, path_torus
+from .oracles import call_with_recursion_bound, path_torus, write_multigraph
 
 
 def run(capsys, *argv):
@@ -356,6 +355,7 @@ BAD_MAPS = {
         (("series", "--which", "T", "--order", "-3"), ""),
         (("series", "--which", "D", "--order", "-3"), ""),
         (("series", "--which", "C", "--order", "-3"), ""),
+        (("series", "--which", "T", "--order", "7200", "--format", "json"), "--order 7200"),
         (("enumerate", "--n", "0"), "--n"),
         (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "0"), "--count"),
         (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "-3"), "--count"),
@@ -380,6 +380,7 @@ BAD_MAPS = {
         "negative-order-T",
         "negative-order-D",
         "negative-order-C",
+        "series-past-int-str-limit",
         "enumerate-n-zero",
         "sample-unicellular-count-zero",
         "sample-unicellular-count-negative",
@@ -399,8 +400,9 @@ def test_bad_input_exits_2(tmp_path, capsys, argv, names):
         code = main(argv)
     except SystemExit as exc:  # argparse rejects the command line
         code = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert code == 2
+    assert out == ""
     assert err.startswith(("error:", "usage:"))
     assert names in err  # the message names the option the user gave
 

