@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import random
 import sys
 from dataclasses import asdict
@@ -181,17 +182,37 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _top_coefficient_prints(which: str, order: int, limit: int) -> bool:
+    """Whether coefficient ``order`` of T, D or C has at most ``limit``
+    digits, Python's cap on printing an int (0 means no cap).
+
+    The three are nondecreasing in k >= 1, so then every coefficient up to
+    ``order`` prints.  Coefficient k is Cat(k) = 2 d/(k+1), d or k d for
+    d = binom(2k-1, k-1); lgamma gives its log, and only orders within a
+    factor e of the cap are decided on the exact integer.
+    """
+    if order < 1 or limit == 0:
+        return True
+    k = order
+    log_d = math.lgamma(2 * k) - math.lgamma(k) - math.lgamma(k + 1)
+    factor = {"T": 2 / (k + 1), "D": 1, "C": k}[which]
+    slack = log_d + math.log(factor) - limit * math.log(10)
+    if abs(slack) > 1:
+        return slack < 0
+    d = math.comb(2 * k - 1, k - 1)
+    top = {"T": 2 * d // (k + 1), "D": d, "C": k * d}[which]
+    return top < 10**limit
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
-    maker = {"T": series_T, "D": series_D, "C": series_C}[args.which]
-    s = maker(args.order)
-    # convert every coefficient before printing, so a failure prints nothing
-    try:
-        coefficients = [str(c) for c in s.coeffs]
-    except ValueError as exc:
+    limit = sys.get_int_max_str_digits()
+    if not _top_coefficient_prints(args.which, args.order, limit):
         raise UnimapError(
             f"--order {args.order} gives coefficients past Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits for printing an int"
-        ) from exc
+            f"{limit} digits for printing an int"
+        )
+    maker = {"T": series_T, "D": series_D, "C": series_C}[args.which]
+    coefficients = [str(c) for c in maker(args.order).coeffs]
     if args.format == "json":
         print(json.dumps({"which": args.which, "coefficients": coefficients}))
     else:

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import (
     DisconnectedGraphError,
     EmptySideError,
@@ -31,7 +29,7 @@ from .errors import (
 )
 from .maps import Multigraph, components, is_connected
 from .samplers import DegreeSequence
-from .trees import DoublyRootedTree, dyck_partners, sample_doubly_rooted_tree
+from .trees import DoublyRootedTree, sample_doubly_rooted_tree
 
 __all__ = [
     "CutWitness",
@@ -93,68 +91,95 @@ def h_value(g: Multigraph, subset: Iterable[int]) -> CutWitness:
     return CutWitness(tuple(sorted(x)), boundary, vol_x, sum(g.degrees) - vol_x)
 
 
+def _mask_precedes(a: int, b: int) -> bool:
+    """Whether the vertex set of mask ``a`` sorts before that of ``b`` as
+    sorted tuples; ``a != b``.
+
+    Below x, the lowest bit where they differ, the sets agree.  If x is in
+    ``a``, then ``a`` comes first exactly when ``b`` goes on past x;
+    otherwise ``a`` comes first exactly when it stops before x.
+    """
+    d = a ^ b
+    x = d & -d
+    if a & x:
+        return b > x
+    return a < x
+
+
 def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
     """Minimum of h over all cuts, with an argmin witness.
 
     Enumerates connected subsets grown upward from their minimum vertex,
-    pruning once the volume passes half of the total; ties go to the
-    lexicographically smallest subset.  Disconnected graphs short-circuit
-    to h = 0 with a component as the witness.
+    pruning once the volume passes half of the total; their number can
+    grow exponentially, so a graph with more than ``cap`` vertices is
+    refused.  Set-up is O(edges): each vertex's neighbours become
+    bitmasks, one per edge multiplicity, and connectivity is one flood
+    over them.  Ties go to the lexicographically smallest subset, decided
+    on the bitmasks (see `_mask_precedes`).  Disconnected graphs
+    short-circuit to h = 0 with a component as the witness.
     """
     n = g.n_vertices
     if n < 2:
         raise EmptySideError("expansion needs at least two vertices")
     if n > cap:
         raise EnumerationCapError(f"{n} vertices exceeds the exact cap {cap}")
-    comps = components(g)
-    if len(comps) > 1:
-        return h_value(g, comps[0])
 
-    deg = g.degrees
-    total = sum(deg)
     # layers[v][k] is the bitmask of the neighbours joined to v by more
     # than k edges, so v's edge count into a subset is the sum of the
     # layers' overlaps with it; loops never cross a cut
-    mult_row = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        if u != v:
-            mult_row[u][v] += 1
-            mult_row[v][u] += 1
-    layers = [
-        [sum(1 << u for u in range(n) if row[u] > k) for k in range(max(row))]
-        for row in mult_row
-    ]
-    # connected with two or more vertices: every vertex has a neighbour
-    adj_mask = [layer[0] for layer in layers]
-    plain_deg = [sum(row) for row in mult_row]
+    mult: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        if e[0] != e[1]:
+            mult[e] = mult.get(e, 0) + 1
+    layers: list[list[int]] = [[] for _ in range(n)]
+    plain_deg = [0] * n
+    for (u, v), m in mult.items():
+        plain_deg[u] += m
+        plain_deg[v] += m
+        for a, b in ((u, v), (v, u)):
+            lay = layers[a]
+            lay.extend([0] * (m - len(lay)))
+            for k in range(m):
+                lay[k] |= 1 << b
+    adj_mask = [lay[0] if lay else 0 for lay in layers]
 
-    best: tuple[int, int, tuple[int, ...]] | None = None  # (boundary, small-vol, subset)
+    reach = frontier = 1
+    while frontier:
+        grown = 0
+        while frontier:
+            vbit = frontier & -frontier
+            frontier ^= vbit
+            grown |= adj_mask[vbit.bit_length() - 1]
+        frontier = grown & ~reach
+        reach |= frontier
+    if reach != (1 << n) - 1:
+        return h_value(g, components(g)[0])
 
-    def consider(mask: int, vol: int, boundary: int) -> None:
-        nonlocal best
-        small = min(vol, total - vol)
-        if best is not None:
-            b_bnd, b_small, b_sub = best
-            if boundary * b_small > b_bnd * small:
-                return
-            if boundary * b_small == b_bnd * small:
-                subset = tuple(v for v in range(n) if mask >> v & 1)
-                if subset >= b_sub:
-                    return
-                best = (boundary, small, subset)
-                return
-        best = (boundary, small, tuple(v for v in range(n) if mask >> v & 1))
+    deg = g.degrees
+    total = sum(deg)
+    half = total // 2
+    # vertices with a single layer count their edges into a subset with one
+    # popcount; the others sum over their layers
+    single = [lay[0] if len(lay) == 1 else 0 for lay in layers]
+    # the best cut as (boundary, vol, mask); every enumerated subset has
+    # vol <= total/2, so its smaller side's volume is vol; (1, 0, 0) loses
+    # to every subset
+    best_bnd, best_vol, best_mask = 1, 0, 0
 
     for anchor in range(n):
-        if 2 * deg[anchor] > total:
+        vol0 = deg[anchor]
+        if vol0 > half:
             continue
-        above = ~((1 << (anchor + 1)) - 1)
         start = 1 << anchor
-        consider(start, deg[anchor], plain_deg[anchor])
+        above = -(start << 1)
+        bnd0 = plain_deg[anchor]
+        lhs, rhs = bnd0 * best_vol, best_bnd * vol0
+        if lhs < rhs or (lhs == rhs and _mask_precedes(start, best_mask)):
+            best_bnd, best_vol, best_mask = bnd0, vol0, start
         # states: (subset mask, candidates, permanently banned, vol, boundary);
         # each connected subset with minimum vertex = anchor shows up exactly
         # once because siblings ban every candidate branched on before them
-        stack = [(start, adj_mask[anchor] & above, 0, deg[anchor], plain_deg[anchor])]
+        stack = [(start, adj_mask[anchor] & above, 0, vol0, bnd0)]
         while stack:
             mask, cand, banned, vol, bnd = stack.pop()
             tried = 0
@@ -162,21 +187,28 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
             while c:
                 vbit = c & -c
                 c ^= vbit
-                new_vol = vol + deg[vbit.bit_length() - 1]
-                if 2 * new_vol <= total:
-                    v = vbit.bit_length() - 1
-                    into = sum((mask & layer).bit_count() for layer in layers[v])
+                v = vbit.bit_length() - 1
+                new_vol = vol + deg[v]
+                if new_vol <= half:
+                    lay = single[v]
+                    if lay:
+                        into = (mask & lay).bit_count()
+                    else:
+                        into = sum((mask & layer).bit_count() for layer in layers[v])
                     new_bnd = bnd + plain_deg[v] - 2 * into
                     new_mask = mask | vbit
-                    consider(new_mask, new_vol, new_bnd)
+                    lhs, rhs = new_bnd * best_vol, best_bnd * new_vol
+                    if lhs < rhs or (lhs == rhs and _mask_precedes(new_mask, best_mask)):
+                        best_bnd, best_vol, best_mask = new_bnd, new_vol, new_mask
+                    # c holds the candidates not yet tried, none in new_mask
                     new_banned = banned | tried
-                    new_cand = ((cand & ~tried & ~vbit) | (adj_mask[v] & above)) & ~new_mask & ~new_banned
+                    new_cand = c | (adj_mask[v] & above & ~new_mask & ~new_banned)
                     stack.append((new_mask, new_cand, new_banned, new_vol, new_bnd))
                 tried |= vbit
 
-    if best is None:
+    if not best_mask:
         raise EmptySideError("no subset with volume at most half the total")
-    return h_value(g, best[2])
+    return h_value(g, tuple(v for v in range(n) if best_mask >> v & 1))
 
 
 def is_kappa_expander(
@@ -202,8 +234,11 @@ def spectral_cheeger_bounds(g: Multigraph) -> tuple[float, float]:
 
     Loops add 2 to the degree and 2 to the diagonal adjacency entry, which
     matches their cut behavior: pure lazy weight.  The pair brackets the
-    exact Cheeger constant on every connected graph.
+    exact Cheeger constant on every connected graph.  numpy is imported
+    here, so importing the package does not load it.
     """
+    import numpy as np
+
     n = g.n_vertices
     if n < 2:
         raise EmptySideError("expansion needs at least two vertices")
@@ -276,8 +311,12 @@ def _tree_as_edges(
 ) -> tuple[list[tuple[int, int]], int]:
     """Edges of the doubly rooted tree with its first root at ``u`` and its
     second at ``v``; inner nodes get fresh ids starting at ``next_id``.
-    The step matched with v2's exit is the one that enters v2."""
-    enter_v2 = dyck_partners(drt.word)[drt.exit]
+    The step matched with v2's exit is the one that enters v2: walking
+    back from the exit, the first step where the height returns."""
+    enter_v2, height = drt.exit, -1
+    while height:
+        enter_v2 -= 1
+        height += drt.word[enter_v2]
     edges: list[tuple[int, int]] = []
     path = [u]
     for t, s in enumerate(drt.word):

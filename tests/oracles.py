@@ -3,7 +3,9 @@
 Everything here is deliberately naive: direct recurrences, unrestricted
 brute-force searches, permutation walks over explicit dart lists.  Slow but
 short enough to audit by eye.  Nothing imports package internals beyond the
-public dataclasses, so a bug in the library cannot hide in its own oracle.
+public dataclasses, so a bug in the library cannot hide in its own oracle;
+the one exception is `cheeger_exact_reference`, the earlier exact engine kept
+unchanged, which calls the library's `h_value` and `components` as it did.
 The recursion bound at the top is the suite's one shared check that a walk
 over a map-sized input is a loop.
 """
@@ -16,7 +18,9 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from unimap.maps import CombinatorialMap, Multigraph
+from unimap.errors import EmptySideError, EnumerationCapError
+from unimap.expansion import CutWitness, h_value
+from unimap.maps import CombinatorialMap, Multigraph, components
 from unimap.trees import DoublyRootedTree
 
 
@@ -292,6 +296,97 @@ def brute_cheeger_in_family(g: Multigraph) -> tuple[Fraction, tuple[int, ...]]:
                 best_h, best_set = h, subset
     assert best_h is not None and best_set is not None
     return best_h, best_set
+
+
+def cheeger_exact_reference(g: Multigraph, *, cap: int = 24) -> CutWitness:
+    """Minimum of h over all cuts, with an argmin witness.
+
+    The package's earlier exact engine, kept as it was: an n x n
+    multiplicity table, a component search on every call, and the best
+    cut held as a subset tuple.  `expansion.cheeger_exact` must return an
+    equal witness.
+
+    Enumerates connected subsets grown upward from their minimum vertex,
+    pruning once the volume passes half of the total; ties go to the
+    lexicographically smallest subset.  Disconnected graphs short-circuit
+    to h = 0 with a component as the witness.
+    """
+    n = g.n_vertices
+    if n < 2:
+        raise EmptySideError("expansion needs at least two vertices")
+    if n > cap:
+        raise EnumerationCapError(f"{n} vertices exceeds the exact cap {cap}")
+    comps = components(g)
+    if len(comps) > 1:
+        return h_value(g, comps[0])
+
+    deg = g.degrees
+    total = sum(deg)
+    # layers[v][k] is the bitmask of the neighbours joined to v by more
+    # than k edges, so v's edge count into a subset is the sum of the
+    # layers' overlaps with it; loops never cross a cut
+    mult_row = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        if u != v:
+            mult_row[u][v] += 1
+            mult_row[v][u] += 1
+    layers = [
+        [sum(1 << u for u in range(n) if row[u] > k) for k in range(max(row))]
+        for row in mult_row
+    ]
+    # connected with two or more vertices: every vertex has a neighbour
+    adj_mask = [layer[0] for layer in layers]
+    plain_deg = [sum(row) for row in mult_row]
+
+    best: tuple[int, int, tuple[int, ...]] | None = None  # (boundary, small-vol, subset)
+
+    def consider(mask: int, vol: int, boundary: int) -> None:
+        nonlocal best
+        small = min(vol, total - vol)
+        if best is not None:
+            b_bnd, b_small, b_sub = best
+            if boundary * b_small > b_bnd * small:
+                return
+            if boundary * b_small == b_bnd * small:
+                subset = tuple(v for v in range(n) if mask >> v & 1)
+                if subset >= b_sub:
+                    return
+                best = (boundary, small, subset)
+                return
+        best = (boundary, small, tuple(v for v in range(n) if mask >> v & 1))
+
+    for anchor in range(n):
+        if 2 * deg[anchor] > total:
+            continue
+        above = ~((1 << (anchor + 1)) - 1)
+        start = 1 << anchor
+        consider(start, deg[anchor], plain_deg[anchor])
+        # states: (subset mask, candidates, permanently banned, vol, boundary);
+        # each connected subset with minimum vertex = anchor shows up exactly
+        # once because siblings ban every candidate branched on before them
+        stack = [(start, adj_mask[anchor] & above, 0, deg[anchor], plain_deg[anchor])]
+        while stack:
+            mask, cand, banned, vol, bnd = stack.pop()
+            tried = 0
+            c = cand
+            while c:
+                vbit = c & -c
+                c ^= vbit
+                new_vol = vol + deg[vbit.bit_length() - 1]
+                if 2 * new_vol <= total:
+                    v = vbit.bit_length() - 1
+                    into = sum((mask & layer).bit_count() for layer in layers[v])
+                    new_bnd = bnd + plain_deg[v] - 2 * into
+                    new_mask = mask | vbit
+                    consider(new_mask, new_vol, new_bnd)
+                    new_banned = banned | tried
+                    new_cand = ((cand & ~tried & ~vbit) | (adj_mask[v] & above)) & ~new_mask & ~new_banned
+                    stack.append((new_mask, new_cand, new_banned, new_vol, new_bnd))
+                tried |= vbit
+
+    if best is None:
+        raise EmptySideError("no subset with volume at most half the total")
+    return h_value(g, best[2])
 
 
 def brute_subset_volume_count(degrees: tuple[int, ...], volume: int) -> int:

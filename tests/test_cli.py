@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
 from fractions import Fraction
 
@@ -17,8 +19,9 @@ from unimap.maps import (
     from_polygon_gluing,
     genus,
 )
+from unimap.series import series_C, series_D, series_T
 
-from .oracles import call_with_recursion_bound, path_torus, write_multigraph
+from .oracles import call_with_recursion_bound, catalan, path_torus, write_multigraph
 
 
 def run(capsys, *argv):
@@ -251,6 +254,51 @@ def test_series_csv_and_json(capsys):
     code, out, _ = run(capsys, "series", "--which", "C", "--order", "3", "--format", "json")
     payload = json.loads(out)
     assert payload == {"which": "C", "coefficients": ["0", "1", "6", "30"]}
+
+
+def test_series_small_orders_print_every_coefficient(capsys):
+    # the digit-limit check refuses none of orders 0..300
+    exact = {
+        "T": catalan,
+        "D": lambda k: math.comb(2 * k - 1, k - 1),
+        "C": lambda k: k * math.comb(2 * k - 1, k - 1),
+    }
+    for which, coefficient in exact.items():
+        lines = ["k,coefficient", "0,0"] + [f"{k},{coefficient(k)}" for k in range(1, 301)]
+        for order in range(301):
+            code, out, _ = run(capsys, "series", "--which", which, "--order", str(order))
+            assert code == 0
+            assert out == "\n".join(lines[: order + 2]) + "\n"
+
+
+@pytest.mark.parametrize("which", ["T", "D", "C"])
+def test_series_past_digit_limit_fails_fast(capsys, which):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "series", "--which", which, "--order", "1000000")
+    assert time.perf_counter() - start < 0.5
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --order 1000000 gives coefficients past")
+
+
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_series_digit_limit_boundary(capsys, limit):
+    # the last printable order prints, the next one is refused
+    makers = {"T": series_T, "D": series_D, "C": series_C}
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for which, maker in makers.items():
+            coeffs = maker(2 * limit).coeffs
+            first = next(k for k, c in enumerate(coeffs) if c >= 10**limit)
+            code, out, _ = run(capsys, "series", "--which", which, "--order", str(first - 1))
+            assert code == 0
+            assert out.splitlines()[-1] == f"{first - 1},{coeffs[first - 1]}"
+            code, out, err = run(capsys, "series", "--which", which, "--order", str(first))
+            assert (code, out) == (2, "")
+            assert f"limit of {limit} digits" in err
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_verify_prints_payload(capsys):

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +18,11 @@ from unimap.errors import (
     EnumerationCapError,
     ParameterError,
 )
+from unimap import expansion
 from unimap.expansion import (
     CutWitness,
+    _mask_precedes,
+    _tree_as_edges,
     branch_substitution_transfer_check,
     cheeger_exact,
     count_subset_volumes,
@@ -22,13 +31,17 @@ from unimap.expansion import (
     spectral_cheeger_bounds,
     wilson_interval,
 )
+from unimap.experiments import verify_substitution_transfer
 from unimap.maps import Multigraph
 from unimap.samplers import DegreeSequence
+from unimap.trees import dyck_partners
 
 from .oracles import (
     brute_cheeger_in_family,
     brute_cheeger_value,
     brute_subset_volume_count,
+    cheeger_exact_reference,
+    enumerate_doubly_rooted_trees,
 )
 
 C4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -100,6 +113,59 @@ def test_cheeger_exact_matches_brute_force_with_heavy_multiplicities():
         assert wit.subset == subset_fam
 
 
+def _small_multigraphs(max_vertices: int, max_edges: int):
+    """Every multigraph on 2..max_vertices vertices with at most max_edges
+    edges, loops included; the edgeless and disconnected ones too."""
+    for n in range(2, max_vertices + 1):
+        slots = list(itertools.combinations_with_replacement(range(n), 2))
+        for m in range(max_edges + 1):
+            for edges in itertools.combinations_with_replacement(slots, m):
+                yield Multigraph(n, edges)
+
+
+def test_cheeger_exact_matches_reference_engine(monkeypatch):
+    met: list[Multigraph] = []
+
+    def recording(g, *, cap=24):
+        met.append(g)
+        return cheeger_exact(g, cap=cap)
+
+    monkeypatch.setattr(expansion, "cheeger_exact", recording)
+    verify_substitution_transfer(instances=300, seed=13)
+    monkeypatch.undo()
+    assert len(met) == 600  # the base graph and its spliced graph, per instance
+
+    graphs = met + list(_small_multigraphs(4, 5))
+    for n in range(2, 13):  # heavy ties
+        graphs.append(Multigraph(n, tuple((i, (i + 1) % n) for i in range(n))))
+        graphs.append(Multigraph(n, tuple(itertools.combinations(range(n), 2))))
+    for g in graphs:
+        cap = max(24, g.n_vertices)
+        assert cheeger_exact(g, cap=cap) == cheeger_exact_reference(g, cap=cap), g
+
+
+def test_mask_precedes_is_sorted_tuple_order():
+    def members(mask):
+        return tuple(v for v in range(7) if mask >> v & 1)
+
+    for a, b in itertools.permutations(range(1 << 7), 2):
+        assert _mask_precedes(a, b) == (members(a) < members(b)), (a, b)
+
+
+def test_tree_as_edges_enters_v2_on_the_exit_partner():
+    for k in range(1, 7):
+        for drt in enumerate_doubly_rooted_trees(k):
+            edges, next_id = _tree_as_edges(drt, 100, 200, 300)
+            enter_v2 = dyck_partners(drt.word)[drt.exit]
+            ups = [t for t, s in enumerate(drt.word) if s == 1]
+            fresh = iter(range(300, 300 + k))
+            assert [child for _, child in edges] == [
+                200 if t == enter_v2 else next(fresh) for t in ups
+            ]
+            assert next_id == 300 + k - 1
+            assert edges[0][0] == 100
+
+
 def test_cheeger_witness_consistency():
     rng = random.Random(5)
     for _ in range(30):
@@ -143,6 +209,34 @@ def test_spectral_bounds_bracket_exact_value():
         h = float(cheeger_exact(g).h_value)
         assert low <= h + 1e-9
         assert h <= high + 1e-9
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # numpy loads only inside spectral_cheeger_bounds
+    code = """
+import json, sys
+import unimap, unimap.experiments, unimap.cli
+loaded = "numpy" in sys.modules
+from unimap.expansion import spectral_cheeger_bounds
+from unimap.maps import Multigraph
+c4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+k4 = Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+print(json.dumps([loaded, spectral_cheeger_bounds(c4), spectral_cheeger_bounds(k4)]))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(expansion.__file__).parents[1])},
+    ).stdout
+    loaded, c4, k4 = json.loads(out)
+    assert not loaded
+    # normalized Laplacian spectra: C4 has lambda_2 = 1, K4 has 4/3
+    assert c4 == pytest.approx([0.5, 2**0.5])
+    assert k4 == pytest.approx([2 / 3, (8 / 3) ** 0.5])
+    assert c4 == list(spectral_cheeger_bounds(C4))  # the same pair as in process
+    assert k4 == list(spectral_cheeger_bounds(K4))
 
 
 def test_spectral_bounds_errors():
