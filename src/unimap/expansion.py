@@ -10,7 +10,9 @@ parallel edges count with multiplicity, and
 The exact engine only enumerates connected subsets with vol <= total/2.
 That restriction is lossless: any optimal cut side of at most half the
 volume splits into components, and by the mediant inequality one of the
-components does at least as well.
+components does at least as well.  Nor does it search a set that holds a
+vertex but leaves out one of its pendant leaves: such a set never attains
+the minimum (the lemma is in `cheeger_exact`'s docstring).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .errors import (
     EnumerationCapError,
     ParameterError,
 )
-from .maps import Multigraph, components, is_connected
+from .maps import Multigraph, _masks_connected, components, is_connected
 from .samplers import DegreeSequence
 from .trees import DoublyRootedTree, sample_doubly_rooted_tree
 
@@ -112,11 +114,31 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
     Enumerates connected subsets grown upward from their minimum vertex,
     pruning once the volume passes half of the total; their number can
     grow exponentially, so a graph with more than ``cap`` vertices is
-    refused.  Set-up is O(edges): each vertex's neighbours become
-    bitmasks, one per edge multiplicity, and connectivity is one flood
-    over them.  Ties go to the lexicographically smallest subset, decided
-    on the bitmasks (see `_mask_precedes`).  Disconnected graphs
-    short-circuit to h = 0 with a component as the witness.
+    refused.  Set-up is O(edges): each vertex's neighbours become a
+    bitmask, plus one bit per further parallel edge, and connectivity is
+    one flood over them.  Ties go to the
+    lexicographically smallest subset, decided on the bitmasks (see
+    `_mask_precedes`), and the witness is built from the search's own
+    boundary and volume.  Disconnected graphs short-circuit to h = 0 with
+    a component as the witness.
+
+    A set that holds a vertex but not its pendant leaf is never searched.
+    Lemma: let w have ``deg[w] == 1``, its one edge going to x, and let
+    E = total/2.  A connected T with x in T, w not in T, |T| >= 2 and
+    vol(T) <= E has boundary B >= 1 and volume V, and some connected U
+    with vol(U) <= E has h(U) < h(T) = B/V:
+
+    - if V < E, U = T + w has h(U) = (B-1)/(V+1) < B/V;
+    - if V = E, the complement of T + w has volume E-1 and boundary B-1.
+      T has an internal edge, so B <= E-2, hence (B-1)/(E-1) < B/E, and
+      by the mediant inequality one component of that complement, of
+      volume below E, does at least as well.
+
+    So no such T is an argmin, and dropping them all leaves the least
+    argmin, hence the witness, unchanged.  Banned vertices and those below
+    the anchor never join a subset, so the search drops a whole branch as
+    soon as its subset holds a vertex with a leaf among them, and skips an
+    anchor with a leaf below it once its singleton is scored.
     """
     n = g.n_vertices
     if n < 2:
@@ -124,43 +146,40 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
     if n > cap:
         raise EnumerationCapError(f"{n} vertices exceeds the exact cap {cap}")
 
-    # layers[v][k] is the bitmask of the neighbours joined to v by more
-    # than k edges, so v's edge count into a subset is the sum of the
-    # layers' overlaps with it; loops never cross a cut
-    mult: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        if e[0] != e[1]:
-            mult[e] = mult.get(e, 0) + 1
-    layers: list[list[int]] = [[] for _ in range(n)]
-    plain_deg = [0] * n
-    for (u, v), m in mult.items():
-        plain_deg[u] += m
-        plain_deg[v] += m
-        for a, b in ((u, v), (v, u)):
-            lay = layers[a]
-            lay.extend([0] * (m - len(lay)))
-            for k in range(m):
-                lay[k] |= 1 << b
-    adj_mask = [lay[0] if lay else 0 for lay in layers]
-
-    reach = frontier = 1
-    while frontier:
-        grown = 0
-        while frontier:
-            vbit = frontier & -frontier
-            frontier ^= vbit
-            grown |= adj_mask[vbit.bit_length() - 1]
-        frontier = grown & ~reach
-        reach |= frontier
-    if reach != (1 << n) - 1:
+    # adj_mask[v] is the bitmask of v's neighbours and plain_deg[v] its
+    # degree without loops, which never cross a cut; an edge already in
+    # adj_mask is a repeat, one more parallel edge
+    adj_mask = [0] * n
+    plain_deg = list(g.degrees)
+    repeats = []
+    for u, v in g.edges:
+        if u == v:
+            plain_deg[u] -= 2
+        elif adj_mask[u] >> v & 1:
+            repeats.append((u, v))
+        else:
+            adj_mask[u] |= 1 << v
+            adj_mask[v] |= 1 << u
+    if not _masks_connected(adj_mask):
         return h_value(g, components(g)[0])
 
+    # a vertex without parallel edges counts its edges into a subset with
+    # one popcount against single[v]; for the others, layers[v] is
+    # adj_mask[v] plus one bit per repeat, and the count sums the layers'
+    # overlaps with the subset
+    single = adj_mask[:]
+    layers: dict[int, list[int]] = {}
+    for u, v in repeats:
+        for a, b in ((u, v), (v, u)):
+            single[a] = 0
+            layers.setdefault(a, [adj_mask[a]]).append(1 << b)
     deg = g.degrees
-    total = sum(deg)
-    half = total // 2
-    # vertices with a single layer count their edges into a subset with one
-    # popcount; the others sum over their layers
-    single = [lay[0] if len(lay) == 1 else 0 for lay in layers]
+    half = len(g.edges)  # the total volume is twice the edge count
+    # leaves[x] is the bitmask of x's degree-1 neighbours
+    leaves = [0] * n
+    for w in range(n):
+        if deg[w] == 1:
+            leaves[adj_mask[w].bit_length() - 1] |= 1 << w
     # the best cut as (boundary, vol, mask); every enumerated subset has
     # vol <= total/2, so its smaller side's volume is vol; (1, 0, 0) loses
     # to every subset
@@ -171,44 +190,53 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         if vol0 > half:
             continue
         start = 1 << anchor
-        above = -(start << 1)
         bnd0 = plain_deg[anchor]
         lhs, rhs = bnd0 * best_vol, best_bnd * vol0
         if lhs < rhs or (lhs == rhs and _mask_precedes(start, best_mask)):
             best_bnd, best_vol, best_mask = bnd0, vol0, start
-        # states: (subset mask, candidates, permanently banned, vol, boundary);
-        # each connected subset with minimum vertex = anchor shows up exactly
-        # once because siblings ban every candidate branched on before them
-        stack = [(start, adj_mask[anchor] & above, 0, vol0, bnd0)]
+        below = start - 1
+        if leaves[anchor] & below:
+            continue
+        # states: (subset mask, candidates, permanently banned, vol,
+        # boundary, leaves of the subset); the vertices below the anchor
+        # start out banned; each connected subset with minimum vertex =
+        # anchor shows up exactly once because siblings ban every
+        # candidate branched on before them
+        stack = [(start, adj_mask[anchor] & ~below, below, vol0, bnd0, leaves[anchor])]
         while stack:
-            mask, cand, banned, vol, bnd = stack.pop()
+            mask, cand, banned, vol, bnd, held = stack.pop()
             tried = 0
             c = cand
             while c:
                 vbit = c & -c
                 c ^= vbit
                 v = vbit.bit_length() - 1
-                new_vol = vol + deg[v]
-                if new_vol <= half:
-                    lay = single[v]
-                    if lay:
-                        into = (mask & lay).bit_count()
-                    else:
-                        into = sum((mask & layer).bit_count() for layer in layers[v])
-                    new_bnd = bnd + plain_deg[v] - 2 * into
-                    new_mask = mask | vbit
-                    lhs, rhs = new_bnd * best_vol, best_bnd * new_vol
-                    if lhs < rhs or (lhs == rhs and _mask_precedes(new_mask, best_mask)):
-                        best_bnd, best_vol, best_mask = new_bnd, new_vol, new_mask
-                    # c holds the candidates not yet tried, none in new_mask
-                    new_banned = banned | tried
-                    new_cand = c | (adj_mask[v] & above & ~new_mask & ~new_banned)
-                    stack.append((new_mask, new_cand, new_banned, new_vol, new_bnd))
+                new_banned = banned | tried
                 tried |= vbit
+                new_vol = vol + deg[v]
+                if new_vol > half:
+                    continue
+                new_held = held | leaves[v]
+                if new_held & new_banned:
+                    continue
+                lay = single[v]
+                if lay:
+                    into = (mask & lay).bit_count()
+                else:
+                    into = sum((mask & layer).bit_count() for layer in layers[v])
+                new_bnd = bnd + plain_deg[v] - 2 * into
+                new_mask = mask | vbit
+                lhs, rhs = new_bnd * best_vol, best_bnd * new_vol
+                if lhs < rhs or (lhs == rhs and _mask_precedes(new_mask, best_mask)):
+                    best_bnd, best_vol, best_mask = new_bnd, new_vol, new_mask
+                # c holds the candidates not yet tried, none in the subset
+                new_cand = c | (adj_mask[v] & ~new_mask & ~new_banned)
+                stack.append((new_mask, new_cand, new_banned, new_vol, new_bnd, new_held))
 
     if not best_mask:
         raise EmptySideError("no subset with volume at most half the total")
-    return h_value(g, tuple(v for v in range(n) if best_mask >> v & 1))
+    subset = tuple(v for v in range(n) if best_mask >> v & 1)
+    return CutWitness(subset, best_bnd, best_vol, 2 * half - best_vol)
 
 
 def is_kappa_expander(

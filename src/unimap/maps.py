@@ -248,9 +248,28 @@ def components(g: Multigraph) -> list[list[int]]:
     return comps
 
 
+def _masks_connected(adj_mask: Sequence[int]) -> bool:
+    """Whether a flood from vertex 0 reaches every vertex, where bit u of
+    ``adj_mask[v]`` is set when u and v are adjacent."""
+    reach = frontier = 1
+    while frontier:
+        grown = 0
+        while frontier:
+            vbit = frontier & -frontier
+            frontier ^= vbit
+            grown |= adj_mask[vbit.bit_length() - 1]
+        frontier = grown & ~reach
+        reach |= frontier
+    return reach == (1 << len(adj_mask)) - 1
+
+
 def is_connected(g: Multigraph) -> bool:
     """Whether the multigraph has exactly one component."""
-    return len(components(g)) == 1
+    adj_mask = [0] * g.n_vertices
+    for u, v in g.edges:
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    return _masks_connected(adj_mask)
 
 
 def encode_map(m: CombinatorialMap) -> str:

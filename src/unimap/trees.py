@@ -235,6 +235,12 @@ def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
             if s == 1:
                 ups += 1
                 if ups == v2:
-                    return DoublyRootedTree(word, dyck_partners(word)[t])
+                    # v2's exit is the first later step back at the level
+                    # that step t left
+                    level, step = height - 1, t
+                    while height > level:
+                        step += 1
+                        height += word[step]
+                    return DoublyRootedTree(word, step)
             elif height == 0:
                 break

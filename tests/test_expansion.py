@@ -123,6 +123,51 @@ def _small_multigraphs(max_vertices: int, max_edges: int):
                 yield Multigraph(n, edges)
 
 
+def _labelled_trees(max_vertices: int):
+    """Every labelled tree on 2..max_vertices vertices, one per Prüfer code."""
+    for n in range(2, max_vertices + 1):
+        for code in itertools.product(range(n), repeat=n - 2):
+            deg = [1] * n
+            for x in code:
+                deg[x] += 1
+            edges = []
+            for x in code:
+                leaf = deg.index(1)
+                edges.append((leaf, x))
+                deg[leaf] -= 1
+                deg[x] -= 1
+            edges.append(tuple(v for v in range(n) if deg[v] == 1))
+            yield Multigraph(n, tuple(edges))
+
+
+def _hang_legs(core_n: int, core_edges, legs, *, below: bool) -> Multigraph:
+    """The core with ``legs[v]`` pendant leaves hung on core vertex v.
+
+    The leaves get the numbers after the core's, or, with ``below``, each
+    vertex's leaves are numbered just before it."""
+    if below:
+        label, nxt = [0] * core_n, 0
+        for v in range(core_n):
+            label[v] = nxt + legs[v]
+            nxt = label[v] + 1
+        leg_edges = [(label[v] - 1 - i, label[v]) for v in range(core_n) for i in range(legs[v])]
+    else:
+        label = list(range(core_n))
+        fresh = itertools.count(core_n)
+        leg_edges = [(v, next(fresh)) for v in range(core_n) for _ in range(legs[v])]
+    edges = [(label[u], label[v]) for u, v in core_edges] + leg_edges
+    return Multigraph(core_n + sum(legs), tuple(edges))
+
+
+def _assert_matches_reference(graphs) -> int:
+    met = 0
+    for g in graphs:
+        cap = max(24, g.n_vertices)
+        assert cheeger_exact(g, cap=cap) == cheeger_exact_reference(g, cap=cap), g
+        met += 1
+    return met
+
+
 def test_cheeger_exact_matches_reference_engine(monkeypatch):
     met: list[Multigraph] = []
 
@@ -131,17 +176,73 @@ def test_cheeger_exact_matches_reference_engine(monkeypatch):
         return cheeger_exact(g, cap=cap)
 
     monkeypatch.setattr(expansion, "cheeger_exact", recording)
-    verify_substitution_transfer(instances=300, seed=13)
+    verify_substitution_transfer(instances=2000, seed=13)
     monkeypatch.undo()
-    assert len(met) == 600  # the base graph and its spliced graph, per instance
+    assert len(met) == 4000  # the base graph and its spliced graph, per instance
 
-    graphs = met + list(_small_multigraphs(4, 5))
+    graphs = met
     for n in range(2, 13):  # heavy ties
         graphs.append(Multigraph(n, tuple((i, (i + 1) % n) for i in range(n))))
         graphs.append(Multigraph(n, tuple(itertools.combinations(range(n), 2))))
-    for g in graphs:
-        cap = max(24, g.n_vertices)
-        assert cheeger_exact(g, cap=cap) == cheeger_exact_reference(g, cap=cap), g
+    _assert_matches_reference(graphs)
+
+
+def test_cheeger_exact_matches_reference_on_small_multigraphs():
+    assert _assert_matches_reference(_small_multigraphs(5, 5)) == 19_025
+
+
+def test_cheeger_exact_matches_reference_on_labelled_trees():
+    # leaves everywhere: every set that holds a leaf's neighbour but not
+    # the leaf is skipped, in every labelling
+    assert _assert_matches_reference(_labelled_trees(7)) == 18_248
+
+
+def test_cheeger_exact_matches_reference_on_caterpillars():
+    spine = [(i, i + 1) for i in range(5)]
+    graphs = [
+        _hang_legs(s, spine[: s - 1], legs, below=below)
+        for s in range(1, 7)
+        for legs in itertools.product(range(3), repeat=s)
+        for below in (False, True)
+        if s + sum(legs) >= 2
+    ]
+    assert _assert_matches_reference(graphs) == 2 * (3 + 9 + 27 + 81 + 243 + 729) - 2
+
+
+def test_cheeger_exact_matches_reference_with_leaves_on_loops_and_bundles():
+    # cores whose vertices carry loops or parallel edges, legs on top
+    cores = [
+        (n, edges)
+        for n in range(1, 4)
+        for m in range(1, 4)
+        for edges in itertools.combinations_with_replacement(
+            list(itertools.combinations_with_replacement(range(n), 2)), m
+        )
+        if len(set(edges)) < m or any(u == v for u, v in edges)
+    ]
+    graphs = [
+        _hang_legs(n, edges, legs, below=below)
+        for n, edges in cores
+        for legs in itertools.product(range(3), repeat=n)
+        for below in (False, True)
+        if n + sum(legs) >= 2
+    ]
+    assert _assert_matches_reference(graphs) > 1000
+
+
+def test_cheeger_exact_builds_its_witness_without_h_value(monkeypatch):
+    # the search holds the best cut's boundary and volume, so a connected
+    # graph never needs the edge rescan of h_value
+    def refuse(g, subset):
+        raise AssertionError("h_value called on a connected graph")
+
+    graphs = [C4, K4, Multigraph(2, ((0, 1),)), Multigraph(3, ((0, 1), (1, 1), (1, 2), (1, 2)))]
+    graphs += list(_labelled_trees(5))
+    monkeypatch.setattr(expansion, "h_value", refuse)
+    witnesses = [cheeger_exact(g) for g in graphs]
+    monkeypatch.undo()
+    for g, wit in zip(graphs, witnesses):
+        assert wit == h_value(g, wit.subset)
 
 
 def test_mask_precedes_is_sorted_tuple_order():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import time
@@ -227,6 +228,41 @@ def test_doubly_rooted_sampler_replays_every_draw(k):
     assert set(counts.values()) == {2 * k + 1}
     # kept share (k+1)/(2k) of the k * C(2k+1, k) attempts
     assert sum(counts.values()) * 2 * k == (k + 1) * k * math.comb(2 * k + 1, k)
+
+
+def _sample_with_partner_table(k: int, rng: random.Random) -> DoublyRootedTree:
+    """The sampler as it read v2's exit off the whole partner table."""
+    while True:
+        word = sample_dyck_word(k, rng)
+        v2 = rng.randrange(k) + 1
+        height = ups = 0
+        for t, s in enumerate(word):
+            height += s
+            if s == 1:
+                ups += 1
+                if ups == v2:
+                    return DoublyRootedTree(word, dyck_partners(word)[t])
+            elif height == 0:
+                break
+
+
+def test_sampler_exit_scan_matches_the_partner_table():
+    # the forward scan finds the exit that dyck_partners gives and draws
+    # nothing, so each seed yields the same tree and leaves the same state
+    for k in range(1, 9):
+        for seed in range(200):
+            rng, replay = random.Random(seed), random.Random(seed)
+            assert sample_doubly_rooted_tree(k, rng) == _sample_with_partner_table(k, replay)
+            assert rng.getstate() == replay.getstate()
+
+
+def test_sampled_doubly_rooted_trees_are_pinned():
+    rng = random.Random(20261019)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        drt = sample_doubly_rooted_tree(rng.randint(1, 300), rng)
+        digest.update(("".join("(" if s == 1 else ")" for s in drt.word) + f" {drt.exit}\n").encode())
+    assert digest.hexdigest() == "12769524cd7a058ca8ad8173dd9af313fcbae8c7e2097a647568d02a47bcc1f1"
 
 
 def test_sample_doubly_rooted_tree_large_without_recursion():
