@@ -36,8 +36,10 @@ to rooted isomorphism.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Iterator
 
 from .errors import DecompositionError, MalformedMapError, ParameterError
 from .maps import CombinatorialMap, face_tour, from_polygon_gluing
@@ -173,23 +175,46 @@ class _Segments:
         cut, k = self.cut, self.mate[j]
         return (cut[j + 1] - cut[j] + cut[k + 1] - cut[k]) // 2
 
-    @cached_property
-    def _sizes(self) -> list[tuple[int, int]]:
-        """(edge count, smaller segment) per branch, in increasing order."""
-        return sorted((self.size(j), j) for j, k in enumerate(self.mate) if j < k)
+    def sizes(self) -> list[int]:
+        """Edge counts of all branches, in increasing order."""
+        return sorted([self.size(j) for j, k in enumerate(self.mate) if j < k])
 
     def profile(self, root: int) -> tuple[int, tuple[int, ...]]:
         """Branch sizes with dart ``root`` as the map's root: the marked
         branch's size, then the other branches' sizes sorted.
 
-        Only the marked branch depends on the root, so one peel serves
-        every rooting of the same map.
+        It serves one root, the map's own in `branch_size_profile`; the
+        census tallies a whole class of rootings with `rootings`.
         """
-        first = self.owner[root]
-        root_branch = min(first, self.mate[first])
-        # through a list: a tuple grown from a generator here left the
-        # census's peak RSS 0.7 MiB higher
-        return self.size(first), tuple([s for s, j in self._sizes if j != root_branch])
+        marked = self.size(self.owner[root])
+        return marked, _without_one(self.sizes(), marked)
+
+    def rootings(self, period: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
+        """`profile` over the roots 0..period-1, as (marked size, other
+        sizes, number of roots), where turning by ``period`` darts maps
+        the map to itself, as it does a census class's representative.
+
+        A root marks the branch that owns it, and a branch of b edges owns
+        2b darts, its two face segments.  The turn is an automorphism, so
+        it maps each branch to one of the same size, and the darts of the
+        k branches of size b form a turn-invariant set.  The turn permutes
+        the 2n/p blocks of p consecutive darts cyclically, so each block,
+        0..p-1 among them, holds p/2n of the set's 2bk darts.
+        """
+        n, sizes = len(self.tour), self.sizes()
+        for b, k in Counter(sizes).items():
+            roots, rest = divmod(2 * b * k * period, n)
+            if rest:
+                raise ArithmeticError(
+                    f"{2 * b * k} darts of size-{b} branches do not split over "
+                    f"{n // period} turns of {period} darts"
+                )
+            yield b, _without_one(sizes, b), roots
+
+
+def _without_one(sizes: list[int], b: int) -> tuple[int, ...]:
+    i = sizes.index(b)
+    return tuple(sizes[:i] + sizes[i + 1 :])
 
 
 def core(m: CombinatorialMap) -> BranchDecomposition:

@@ -220,15 +220,16 @@ def _turn_classes(n: int) -> Iterator[tuple[CombinatorialMap, int]]:
     shifts, and its size is the word's period p: the least r > 0 with an
     equal shift, else 2n.  Its members are the representative rooted at
     darts 0..p-1.  Every pairing is still built, and so validated, by
-    `from_polygon_gluing`; only the work done per map is shared.
+    `from_polygon_gluing`; only the work done per map is shared.  The
+    word is built only for a pairing that passes `_least_chord_first`.
     """
     n_darts = 2 * n
     for pairing in enumerate_pairings(n):
         m = from_polygon_gluing(pairing, n)
+        if not _least_chord_first(pairing, n_darts):
+            continue
         c = [(a - d) % n_darts for d, a in enumerate(m.alpha)]
         head = c[0]
-        if head != min(c):
-            continue
         # only a shift that starts at another least letter can tie or win
         period = n_darts
         for r in range(1, n_darts):
@@ -239,13 +240,31 @@ def _turn_classes(n: int) -> Iterator[tuple[CombinatorialMap, int]]:
             yield m, period
 
 
+def _least_chord_first(pairing: tuple[tuple[int, int], ...], n_darts: int) -> bool:
+    """Whether a gluing's chord word c starts with its least letter, read
+    off the pairs of `enumerate_pairings` without building the word.
+
+    The first pair is (0, head) with head = c[0], and a pair (a, b) with
+    a < b has the letters c[a] = b - a and c[b] = n_darts - (b - a).  So
+    c[0] == min(c) exactly when head <= b - a <= n_darts - head for every
+    pair, and the test stops at the first chord that fails it.
+    """
+    head = pairing[0][1]
+    top = n_darts - head
+    for a, b in pairing:
+        if not head <= b - a <= top:
+            return False
+    return True
+
+
 @lru_cache(maxsize=None)
 def profile_census(n: int) -> dict:
     """Branch-size profiles of every rooted one-face map with n edges.
 
     Covers all (2n-1)!! polygon pairings with one decomposition per class
     of turns (see `_turn_classes`): the class's genus and branch sizes are
-    read once, and each of its p rootings adds the profile its root marks.
+    read once, and its p rootings are tallied by the size of the branch
+    their root marks without visiting a root (see `_Segments.rootings`).
     Keys are (genus, core_edges, marked_size, sorted_other_sizes); plane
     trees are tallied under (0, 0, 0, ()) since they have no core.
     """
@@ -255,10 +274,8 @@ def profile_census(n: int) -> dict:
         if g == 0:
             counts[(0, 0, 0, ())] += period
             continue
-        segs = _Segments(m)
-        for root in range(period):
-            marked, others = segs.profile(root)
-            counts[(g, 1 + len(others), marked, others)] += 1
+        for marked, others, rootings in _Segments(m).rootings(period):
+            counts[(g, 1 + len(others), marked, others)] += rootings
     return dict(counts)
 
 

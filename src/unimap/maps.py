@@ -85,17 +85,22 @@ class CombinatorialMap:
     root: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(self.alpha))
-        object.__setattr__(self, "sigma", tuple(self.sigma))
-        n = self.n_darts
+        alpha, sigma = self.alpha, self.sigma
+        if type(alpha) is not tuple:
+            alpha = tuple(alpha)
+            object.__setattr__(self, "alpha", alpha)
+        if type(sigma) is not tuple:
+            sigma = tuple(sigma)
+            object.__setattr__(self, "sigma", sigma)
+        n = len(alpha)
         if n <= 0 or n % 2:
             raise MalformedMapError(f"n_darts must be positive and even, got {n}")
-        if len(self.sigma) != n:
+        if len(sigma) != n:
             raise MalformedMapError("alpha and sigma must have the same length")
-        if sorted(self.sigma) != list(range(n)):
+        if sorted(sigma) != list(range(n)):
             raise MalformedMapError("sigma is not a permutation of 0..n_darts-1")
-        for d, a in enumerate(self.alpha):
-            if not 0 <= a < n or a == d or self.alpha[a] != d:
+        for d, a in enumerate(alpha):
+            if not 0 <= a < n or a == d or alpha[a] != d:
                 raise MalformedMapError("alpha is not a fixed-point-free involution")
         if not 0 <= self.root < n:
             raise MalformedMapError(f"root dart {self.root} out of range")
@@ -158,8 +163,11 @@ def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> Combinato
         alpha[b] = a
     if -1 in alpha:
         raise MalformedMapError("pairing does not cover every polygon side")
-    sigma = tuple((alpha[d] + 1) % n_darts for d in range(n_darts))
-    return CombinatorialMap(tuple(alpha), sigma, 0)
+    # sigma(d) = gamma(alpha(d)), the side after d's partner
+    sigma = [a + 1 for a in alpha]
+    if alpha:  # the side after the last one is side 0
+        sigma[alpha[-1]] = 0
+    return CombinatorialMap(tuple(alpha), tuple(sigma), 0)
 
 
 @dataclass(frozen=True)

@@ -131,30 +131,33 @@ def enumerate_pairings(n_pairs: int) -> Iterator[tuple[tuple[int, int], ...]]:
             f"{n_pairs} pairs means {double_factorial_odd(n_pairs)} matchings; "
             f"exhaustive enumeration stops at {ENUMERATION_CAP} pairs"
         )
+    return _pairings(n_pairs)
 
-    n = 2 * n_pairs
-    used = bytearray(n)
-    pairs: list[tuple[int, int]] = []
 
-    def rec(start: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        a = start
-        while a < n and used[a]:
-            a += 1
-        if a == n:
-            yield tuple(pairs)
-            return
-        used[a] = 1
-        for b in range(a + 1, n):
-            if used[b]:
-                continue
-            used[b] = 1
-            pairs.append((a, b))
-            yield from rec(a + 1)
-            pairs.pop()
-            used[b] = 0
-        used[a] = 0
+def _pairings(n_pairs: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of `enumerate_pairings`, by one explicit stack.
 
-    return rec(0)
+    A stack entry is a prefix of pairs and the points it leaves free; the
+    least free point is paired with each other one in turn, pushed in
+    reverse so they pop in increasing order.  Four free points are
+    finished at once: their three matchings in lexicographic order.
+    """
+    if n_pairs < 2:
+        yield ((0, 1),) if n_pairs else ()
+        return
+    stack = [((), list(range(2 * n_pairs)))]
+    pop, push = stack.pop, stack.append
+    while stack:
+        prefix, free = pop()
+        a = free[0]
+        if len(free) == 4:
+            _, b, c, d = free
+            yield prefix + ((a, b), (c, d))
+            yield prefix + ((a, c), (b, d))
+            yield prefix + ((a, d), (b, c))
+            continue
+        for i in range(len(free) - 1, 0, -1):
+            push((prefix + ((a, free[i]),), free[1:i] + free[i + 1 :]))
 
 
 def sample_polygon_gluing(n: int, rng: random.Random) -> CombinatorialMap:

@@ -196,9 +196,23 @@ class DoublyRootedTree:
     exit: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "word", tuple(self.word))
-        partner = dyck_partners(self.word)
-        if not partner or not 0 < self.exit <= partner[0] or self.word[self.exit] != -1:
+        word = tuple(self.word)
+        object.__setattr__(self, "word", word)
+        # one height scan: a Dyck word, and its first return to height 0,
+        # which is partner[0] (0 for the empty word)
+        height = first_return = 0
+        for t, s in enumerate(word):
+            if s == 1:
+                height += 1
+            elif s == -1 and height:
+                height -= 1
+                if not (height or first_return):
+                    first_return = t
+            else:
+                raise ParameterError(f"not a Dyck word: step {s!r} at height {height}")
+        if height:
+            raise ParameterError("unbalanced Dyck word")
+        if not 0 < self.exit <= first_return or word[self.exit] != -1:
             raise ParameterError(f"exit {self.exit} is not a -1 step under the first child")
 
     @property

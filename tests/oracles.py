@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from unimap.errors import EmptySideError, EnumerationCapError
+from unimap.errors import EmptySideError, EnumerationCapError, ParameterError
 from unimap.expansion import CutWitness, h_value
 from unimap.maps import CombinatorialMap, Multigraph, components
 from unimap.trees import DoublyRootedTree
@@ -427,3 +427,62 @@ def enumerate_doubly_rooted_trees(k: int) -> list[DoublyRootedTree]:
         first_return = list(itertools.accumulate(word)).index(0)
         out.extend(DoublyRootedTree(word, t) for t in range(1, first_return + 1) if word[t] == -1)
     return out
+
+
+def enumerate_pairings_recursive(n_pairs: int):
+    """The perfect matchings of 0..2*n_pairs-1 in lexicographic order, by
+    the recursive generator `enumerate_pairings` used to be: pair the
+    least free point with each later free point in turn, then recurse."""
+    n = 2 * n_pairs
+    used = bytearray(n)
+    pairs: list[tuple[int, int]] = []
+
+    def rec(start: int):
+        a = start
+        while a < n and used[a]:
+            a += 1
+        if a == n:
+            yield tuple(pairs)
+            return
+        used[a] = 1
+        for b in range(a + 1, n):
+            if used[b]:
+                continue
+            used[b] = 1
+            pairs.append((a, b))
+            yield from rec(a + 1)
+            pairs.pop()
+            used[b] = 0
+        used[a] = 0
+
+    return rec(0)
+
+
+def chord_word_starts_least(pairing, n: int) -> bool:
+    """Whether the chord word c[d] = alpha[d] - d mod 2n of a 2n-gon gluing
+    has its least letter at dart 0, on the whole word."""
+    alpha = [0] * (2 * n)
+    for a, b in pairing:
+        alpha[a], alpha[b] = b, a
+    c = [(a - d) % (2 * n) for d, a in enumerate(alpha)]
+    return c[0] == min(c)
+
+
+def doubly_rooted_check_by_partners(word, exit) -> None:
+    """The validation `DoublyRootedTree` made through the whole partner
+    table of its Dyck word: raises ``ParameterError`` with the same
+    messages, returns ``None`` on a valid (word, exit)."""
+    partner = [0] * len(word)
+    opened: list[int] = []
+    for i, s in enumerate(word):
+        if s == 1:
+            opened.append(i)
+        elif s == -1 and opened:
+            j = opened.pop()
+            partner[i], partner[j] = j, i
+        else:
+            raise ParameterError(f"not a Dyck word: step {s!r} at height {len(opened)}")
+    if opened:
+        raise ParameterError("unbalanced Dyck word")
+    if not partner or not 0 < exit <= partner[0] or word[exit] != -1:
+        raise ParameterError(f"exit {exit} is not a -1 step under the first child")

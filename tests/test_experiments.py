@@ -20,6 +20,7 @@ from unimap.experiments import (
     ExperimentReport,
     _cm_map_is_unicellular,
     _d_power_coefficient,
+    _least_chord_first,
     _turn_classes,
     min_degree3_census,
     persist_report,
@@ -41,7 +42,12 @@ from unimap.samplers import (
 )
 from unimap.series import derive_constants
 
-from .oracles import c_times_d_power, harer_zagier_table, min_degree3_counts
+from .oracles import (
+    c_times_d_power,
+    chord_word_starts_least,
+    harer_zagier_table,
+    min_degree3_counts,
+)
 
 
 def test_config_validation_and_digest():
@@ -113,6 +119,48 @@ def test_turn_classes_partition_every_gluing(n):
         assert len(members) == period
         seen.extend(members)
     assert len(seen) == len(set(seen)) == double_factorial_odd(n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chord_filter_matches_the_least_letter_of_the_word(n):
+    for pairing in enumerate_pairings(n):
+        assert _least_chord_first(pairing, 2 * n) == chord_word_starts_least(pairing, n)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_rooting_tally_matches_every_rooting_of_a_class(n):
+    # classes with p < 2n, such as ((0, 2), (1, 3)) with p = 1, included
+    short = 0
+    for m, period in _turn_classes(n):
+        if m.n_vertices() == n + 1:  # a plane tree has no core
+            continue
+        segs = _Segments(m)
+        tally = {(b, others): k for b, others, k in segs.rootings(period)}
+        assert tally == Counter(segs.profile(r) for r in range(period))
+        short += period < 2 * n
+    assert short > 0
+
+
+def test_rooting_tally_refuses_an_inexact_share():
+    # a turn by one dart is no automorphism of a map with branches of two
+    # sizes: 1/6 of the size-1 branch's 2 darts is no count
+    segs = _Segments(from_polygon_gluing(((0, 2), (1, 4), (3, 5)), 3))
+    assert segs.sizes() == [1, 2]
+    with pytest.raises(ArithmeticError):
+        list(segs.rootings(1))
+
+
+def test_profile_census_builds_every_gluing(monkeypatch):
+    # every pairing is built, and so validated, not only the representatives
+    built = []
+
+    def counting(pairing, n):
+        built.append(pairing)
+        return from_polygon_gluing(pairing, n)
+
+    monkeypatch.setattr(unimap.experiments, "from_polygon_gluing", counting)
+    profile_census.__wrapped__(4)
+    assert len(built) == len(set(built)) == 105
 
 
 @pytest.mark.parametrize("n", range(2, 7))

@@ -35,6 +35,7 @@ from .oracles import (
     all_matchings,
     call_with_recursion_bound,
     corner_genus,
+    enumerate_pairings_recursive,
     expected_marked_size,
     harer_zagier_table,
     polygon_map,
@@ -53,6 +54,14 @@ def test_enumerate_pairings_count(p):
 def test_enumerate_pairings_cap():
     with pytest.raises(EnumerationCapError):
         next(enumerate_pairings(9))
+    # refused at the call, before any item is asked for
+    with pytest.raises(EnumerationCapError):
+        enumerate_pairings(9)
+
+
+@pytest.mark.parametrize("p", range(0, 8))
+def test_enumerate_pairings_keeps_the_recursive_order(p):
+    assert list(enumerate_pairings(p)) == list(enumerate_pairings_recursive(p))
 
 
 def test_double_factorial_values():

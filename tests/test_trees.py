@@ -5,7 +5,7 @@ import math
 import random
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +29,7 @@ from .oracles import (
     brute_doubly_rooted_count,
     call_with_recursion_bound,
     catalan,
+    doubly_rooted_check_by_partners,
     enumerate_doubly_rooted_trees,
 )
 
@@ -151,6 +152,26 @@ def test_doubly_rooted_validation():
     ]:
         with pytest.raises(ParameterError):
             DoublyRootedTree(word, exit)
+
+
+def test_doubly_rooted_validation_matches_the_partner_table():
+    # every +-1 word up to length 10 with every exit, out-of-range ones too:
+    # the height scan accepts what the partner table accepted, and refuses
+    # the rest with the same message
+    for length in range(11):
+        for word in product((1, -1), repeat=length):
+            for exit in range(-1, length + 1):
+                try:
+                    doubly_rooted_check_by_partners(word, exit)
+                    expected = None
+                except ParameterError as exc:
+                    expected = str(exc)
+                try:
+                    DoublyRootedTree(word, exit)
+                    got = None
+                except ParameterError as exc:
+                    got = str(exc)
+                assert got == expected, (word, exit)
 
 
 def test_deep_doubly_rooted_trees_compare_without_recursion():
