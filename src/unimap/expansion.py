@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import (
     DisconnectedGraphError,
@@ -29,7 +29,7 @@ from .errors import (
     EnumerationCapError,
     ParameterError,
 )
-from .maps import Multigraph, _masks_connected, components, is_connected
+from .maps import Multigraph
 from .samplers import DegreeSequence
 from .trees import DoublyRootedTree, sample_doubly_rooted_tree
 
@@ -39,7 +39,7 @@ __all__ = [
     "branch_substitution_transfer_check",
     "cheeger_exact",
     "count_subset_volumes",
-    "h_value",
+    "is_connected",
     "is_kappa_expander",
     "spectral_cheeger_bounds",
     "wilson_interval",
@@ -72,25 +72,28 @@ class CutWitness:
         return Fraction(self.boundary, min(self.vol_x, self.vol_complement))
 
 
-def h_value(g: Multigraph, subset: Iterable[int]) -> CutWitness:
-    """Exact expansion of one cut.
+def _flood(adj_mask: Sequence[int]) -> int:
+    """The bitmask of the vertices a flood from vertex 0 reaches, where bit
+    u of ``adj_mask[v]`` is set when u and v are adjacent."""
+    reach = frontier = 1
+    while frontier:
+        grown = 0
+        while frontier:
+            vbit = frontier & -frontier
+            frontier ^= vbit
+            grown |= adj_mask[vbit.bit_length() - 1]
+        frontier = grown & ~reach
+        reach |= frontier
+    return reach
 
-    Loops lie entirely on their own side, so they add to volume and never
-    to the boundary.  Both sides must be nonempty.
-    """
-    x = frozenset(subset)
-    if not x:
-        raise EmptySideError("subset is empty")
-    if not x <= set(range(g.n_vertices)):
-        raise ParameterError(f"subset {sorted(x)} out of range")
-    if len(x) == g.n_vertices:
-        raise EmptySideError("complement is empty")
-    boundary = 0
+
+def is_connected(g: Multigraph) -> bool:
+    """Whether the multigraph has exactly one component."""
+    adj_mask = [0] * g.n_vertices
     for u, v in g.edges:
-        if (u in x) != (v in x):
-            boundary += 1
-    vol_x = g.volume(x)
-    return CutWitness(tuple(sorted(x)), boundary, vol_x, sum(g.degrees) - vol_x)
+        adj_mask[u] |= 1 << v
+        adj_mask[v] |= 1 << u
+    return _flood(adj_mask) == (1 << g.n_vertices) - 1
 
 
 def _mask_precedes(a: int, b: int) -> bool:
@@ -120,7 +123,7 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
     lexicographically smallest subset, decided on the bitmasks (see
     `_mask_precedes`), and the witness is built from the search's own
     boundary and volume.  Disconnected graphs short-circuit to h = 0 with
-    a component as the witness.
+    the flood's reach, vertex 0's component, as the witness.
 
     A set that holds a vertex but not its pendant leaf is never searched.
     Lemma: let w have ``deg[w] == 1``, its one edge going to x, and let
@@ -160,8 +163,13 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         else:
             adj_mask[u] |= 1 << v
             adj_mask[v] |= 1 << u
-    if not _masks_connected(adj_mask):
-        return h_value(g, components(g)[0])
+    deg = g.degrees
+    half = len(g.edges)  # the total volume is twice the edge count
+    reach = _flood(adj_mask)
+    if reach != (1 << n) - 1:
+        subset = tuple(v for v in range(n) if reach >> v & 1)
+        vol = sum(deg[v] for v in subset)
+        return CutWitness(subset, 0, vol, 2 * half - vol)
 
     # a vertex without parallel edges counts its edges into a subset with
     # one popcount against single[v]; for the others, layers[v] is
@@ -173,8 +181,6 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         for a, b in ((u, v), (v, u)):
             single[a] = 0
             layers.setdefault(a, [adj_mask[a]]).append(1 << b)
-    deg = g.degrees
-    half = len(g.edges)  # the total volume is twice the edge count
     # leaves[x] is the bitmask of x's degree-1 neighbours
     leaves = [0] * n
     for w in range(n):

@@ -23,21 +23,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import GenusError, MalformedGraphError, MalformedMapError
 
 __all__ = [
     "CombinatorialMap",
     "Multigraph",
-    "components",
     "cycles_of",
     "decode_map",
     "encode_map",
     "face_tour",
     "from_polygon_gluing",
     "genus",
-    "is_connected",
     "parse_multigraph",
     "underlying_graph",
     "vertex_degrees",
@@ -201,18 +199,6 @@ class Multigraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def volume(self, subset: Iterable[int]) -> int:
-        return sum(self.degrees[v] for v in subset)
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbour lists without multiplicity; loops do not add neighbours."""
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for u, v in self.edges:
-            if u != v:
-                adj[u].add(v)
-                adj[v].add(u)
-        return [sorted(s) for s in adj]
-
 
 def underlying_graph(m: CombinatorialMap) -> tuple[Multigraph, tuple[int, ...]]:
     """Forget the embedding: the multigraph of a map plus the dart->vertex table.
@@ -231,53 +217,6 @@ def underlying_graph(m: CombinatorialMap) -> tuple[Multigraph, tuple[int, ...]]:
         if d < a:
             edges.append((dart_vertex[d], dart_vertex[a]))
     return Multigraph(len(cycles), tuple(edges)), tuple(dart_vertex)
-
-
-def components(g: Multigraph) -> list[list[int]]:
-    """Vertex sets of the connected components (loops ignored), each sorted,
-    listed by their smallest vertex."""
-    adj = g.adjacency()
-    seen = bytearray(g.n_vertices)
-    comps = []
-    for start in range(g.n_vertices):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _masks_connected(adj_mask: Sequence[int]) -> bool:
-    """Whether a flood from vertex 0 reaches every vertex, where bit u of
-    ``adj_mask[v]`` is set when u and v are adjacent."""
-    reach = frontier = 1
-    while frontier:
-        grown = 0
-        while frontier:
-            vbit = frontier & -frontier
-            frontier ^= vbit
-            grown |= adj_mask[vbit.bit_length() - 1]
-        frontier = grown & ~reach
-        reach |= frontier
-    return reach == (1 << len(adj_mask)) - 1
-
-
-def is_connected(g: Multigraph) -> bool:
-    """Whether the multigraph has exactly one component."""
-    adj_mask = [0] * g.n_vertices
-    for u, v in g.edges:
-        adj_mask[u] |= 1 << v
-        adj_mask[v] |= 1 << u
-    return _masks_connected(adj_mask)
 
 
 def encode_map(m: CombinatorialMap) -> str:

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterator, Sequence
 
-from .errors import EnumerationCapError, MalformedMapError, ParameterError
+from .errors import EnumerationCapError, ParameterError
 from .maps import CombinatorialMap, from_polygon_gluing
 from .series import eval_C, eval_D
 from .trees import dyck_partners, sample_dyck_word
@@ -234,27 +234,23 @@ def _vertex_corners(alpha: Sequence[int]) -> list[int]:
 def _glue_corners(alpha: Sequence[int], corners: Sequence[int]) -> list[int]:
     """Merge the vertices at ``corners`` (2p+1 of them, in face order).
 
-    The new rotation is sigma' = tau∘sigma with tau the cycle
-    (c_1 c_2 ... c_{2p+1}), so the new face permutation is d -> tau(d+1).
-    The result is relabelled in face order from the root, i.e. returned as
-    the edge involution of the glued polygon.  It keeps one face, and its
-    genus grows by p.
+    The new rotation is tau∘sigma with tau the cycle (c_1 ... c_{2p+1}),
+    so the new face walks the old one as the slices [0,c_1) [c_2,c_3) ...
+    [c_{2p},c_{2p+1}) [c_1,c_2) ... [c_{2p+1},2n), the root dart counting
+    as 2n.  Returned relabelled in that order, as the edge involution of
+    the glued polygon: one face, and genus p higher.
     """
     n_darts = len(alpha)
-    tau = dict(zip(corners, [*corners[1:], corners[0]]))
-    pos = [-1] * n_darts
-    order = []
-    d = 0
-    for t in range(n_darts):
-        pos[d] = t
-        order.append(d)
-        d += 1
-        if d == n_darts:
-            d = 0
-        d = tau.get(d, d)
-    if -1 in pos:
-        raise MalformedMapError("vertex gluing split the face")
-    return [pos[alpha[d]] for d in order]
+    cuts = [0, *[c or n_darts for c in corners], n_darts]
+    pos = [0] * n_darts  # old dart -> new label
+    moved: list[int] = []  # the old partners, in the new order
+    t = 0
+    for i in (*range(0, len(cuts) - 1, 2), *range(1, len(cuts) - 1, 2)):
+        lo, hi = cuts[i], cuts[i + 1]
+        pos[lo:hi] = range(t, t + hi - lo)
+        moved += alpha[lo:hi]
+        t += hi - lo
+    return [pos[a] for a in moved]
 
 
 def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> CombinatorialMap:

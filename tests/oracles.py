@@ -3,9 +3,7 @@
 Everything here is deliberately naive: direct recurrences, unrestricted
 brute-force searches, permutation walks over explicit dart lists.  Slow but
 short enough to audit by eye.  Nothing imports package internals beyond the
-public dataclasses, so a bug in the library cannot hide in its own oracle;
-the one exception is `cheeger_exact_reference`, the earlier exact engine kept
-unchanged, which calls the library's `h_value` and `components` as it did.
+public dataclasses, so a bug in the library cannot hide in its own oracle.
 The recursion bound at the top is the suite's one shared check that a walk
 over a map-sized input is a loop.
 """
@@ -18,9 +16,14 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from unimap.errors import EmptySideError, EnumerationCapError, ParameterError
-from unimap.expansion import CutWitness, h_value
-from unimap.maps import CombinatorialMap, Multigraph, components
+from unimap.errors import (
+    EmptySideError,
+    EnumerationCapError,
+    MalformedMapError,
+    ParameterError,
+)
+from unimap.expansion import CutWitness
+from unimap.maps import CombinatorialMap, Multigraph
 from unimap.trees import DoublyRootedTree
 
 
@@ -202,6 +205,28 @@ def rejection_fixed_genus(n: int, g: int, rng) -> CombinatorialMap:
             return m
 
 
+def glue_corners_reference(alpha, corners) -> list[int]:
+    """Merge the vertices at ``corners`` (2p+1 of them, in face order), as
+    `samplers._glue_corners` used to: walk the new face d -> tau(d+1), tau
+    the cycle (c_1 c_2 ... c_{2p+1}), from the root, one dart at a time,
+    and relabel in that order."""
+    n_darts = len(alpha)
+    tau = dict(zip(corners, [*corners[1:], corners[0]]))
+    pos = [-1] * n_darts
+    order = []
+    d = 0
+    for t in range(n_darts):
+        pos[d] = t
+        order.append(d)
+        d += 1
+        if d == n_darts:
+            d = 0
+        d = tau.get(d, d)
+    if -1 in pos:
+        raise MalformedMapError("vertex gluing split the face")
+    return [pos[alpha[d]] for d in order]
+
+
 def min_degree3_counts(e: int) -> dict[int, int]:
     """Rooted one-face maps with e edges and every vertex degree >= 3, by genus.
 
@@ -246,6 +271,57 @@ def write_multigraph(g: Multigraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def adjacency(g: Multigraph) -> list[list[int]]:
+    """Neighbour lists without multiplicity; loops do not add neighbours."""
+    adj: list[set[int]] = [set() for _ in range(g.n_vertices)]
+    for u, v in g.edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [sorted(s) for s in adj]
+
+
+def components(g: Multigraph) -> list[list[int]]:
+    """Vertex sets of the connected components (loops ignored), each sorted,
+    listed by their smallest vertex."""
+    adj = adjacency(g)
+    seen = bytearray(g.n_vertices)
+    comps = []
+    for start in range(g.n_vertices):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = 1
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def h_value(g: Multigraph, subset) -> CutWitness:
+    """Exact expansion of one cut, by a rescan of every edge.
+
+    Loops lie entirely on their own side, so they add to volume and never
+    to the boundary.  Both sides must be nonempty.
+    """
+    x = frozenset(subset)
+    if not x:
+        raise EmptySideError("subset is empty")
+    if not x <= set(range(g.n_vertices)):
+        raise ParameterError(f"subset {sorted(x)} out of range")
+    if len(x) == g.n_vertices:
+        raise EmptySideError("complement is empty")
+    boundary = sum(1 for u, v in g.edges if (u in x) != (v in x))
+    vol_x = sum(g.degrees[v] for v in x)
+    return CutWitness(tuple(sorted(x)), boundary, vol_x, sum(g.degrees) - vol_x)
+
+
 def brute_cheeger_value(g: Multigraph) -> Fraction:
     """min over every nonempty proper vertex subset, no restrictions at all."""
     n = g.n_vertices
@@ -269,7 +345,7 @@ def brute_cheeger_value(g: Multigraph) -> Fraction:
 def brute_cheeger_in_family(g: Multigraph) -> tuple[Fraction, tuple[int, ...]]:
     """Best cut among connected subsets with vol <= half, lex-min witness."""
     n = g.n_vertices
-    adj = g.adjacency()
+    adj = adjacency(g)
     total = sum(g.degrees)
     best_h: Fraction | None = None
     best_set: tuple[int, ...] | None = None

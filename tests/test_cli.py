@@ -21,7 +21,13 @@ from unimap.maps import (
 )
 from unimap.series import series_C, series_D, series_T
 
-from .oracles import call_with_recursion_bound, catalan, path_torus, write_multigraph
+from .oracles import (
+    call_with_recursion_bound,
+    catalan,
+    harer_zagier_table,
+    path_torus,
+    write_multigraph,
+)
 
 
 def run(capsys, *argv):
@@ -87,6 +93,24 @@ def test_enumerate_faces_histogram(capsys):
     )
     # gluings of the hexagon all have one face by construction
     assert rows == {1: 15}
+
+
+@pytest.mark.parametrize("mode", ["genus", "vertices", "faces"])
+def test_enumerate_every_mode_matches_harer_zagier(capsys, mode):
+    table = harer_zagier_table(6)
+    for n in range(1, 7):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n), "--classify", mode)
+        assert code == 0
+        rows = [ln.split(",") for ln in out.strip().splitlines()[1:]]
+        by_genus = {g: table[(n, g)] for g in range(n // 2 + 1)}
+        gluings = math.prod(range(1, 2 * n, 2))
+        expected = {
+            "genus": by_genus,
+            "vertices": {n + 1 - 2 * g: count for g, count in by_genus.items()},
+            "faces": {1: gluings},
+        }[mode]
+        assert {int(k): int(c) for k, c, _t in rows} == expected
+        assert all(int(t) == gluings for _k, _c, t in rows)
 
 
 def test_core_subcommand_files(tmp_path, capsys):
@@ -196,6 +220,21 @@ def test_cheeger_exact_witness(tmp_path, capsys):
     assert Fraction(payload["h"]) == Fraction(1, 2)
     assert payload["boundary"] == 2
     assert sorted(payload["vol"]) == [4, 4]
+
+
+def test_cheeger_disconnected_witness(tmp_path, capsys):
+    # nothing crosses between the components: h = 0, and vertex 0's
+    # component is the witness
+    graph_path = tmp_path / "two.mg"
+    graph_path.write_text("p mg 4 2\n0 1\n2 3\n")
+    out_path = tmp_path / "witness.json"
+    code, _, _ = run(capsys, "cheeger", "--in", str(graph_path), "--out", str(out_path))
+    assert code == 0
+    payload = json.loads(out_path.read_text())
+    assert payload["h"] == "0/1"
+    assert payload["boundary"] == 0
+    assert payload["subset"] == [0, 1]
+    assert payload["vol"] == [2, 2]
 
 
 def test_cheeger_kappa_modes(tmp_path, capsys):

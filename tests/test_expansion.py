@@ -26,7 +26,7 @@ from unimap.expansion import (
     branch_substitution_transfer_check,
     cheeger_exact,
     count_subset_volumes,
-    h_value,
+    is_connected,
     is_kappa_expander,
     spectral_cheeger_bounds,
     wilson_interval,
@@ -41,7 +41,9 @@ from .oracles import (
     brute_cheeger_value,
     brute_subset_volume_count,
     cheeger_exact_reference,
+    components,
     enumerate_doubly_rooted_trees,
+    h_value,
 )
 
 C4 = Multigraph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
@@ -230,19 +232,31 @@ def test_cheeger_exact_matches_reference_with_leaves_on_loops_and_bundles():
     assert _assert_matches_reference(graphs) > 1000
 
 
-def test_cheeger_exact_builds_its_witness_without_h_value(monkeypatch):
-    # the search holds the best cut's boundary and volume, so a connected
-    # graph never needs the edge rescan of h_value
-    def refuse(g, subset):
-        raise AssertionError("h_value called on a connected graph")
-
+def test_cheeger_exact_builds_its_witness_without_h_value():
+    # the search holds the best cut's boundary and volume, and the flood's
+    # reach is a disconnected graph's witness, so no edge is rescanned;
+    # the witness still equals the rescan of the oracle
     graphs = [C4, K4, Multigraph(2, ((0, 1),)), Multigraph(3, ((0, 1), (1, 1), (1, 2), (1, 2)))]
     graphs += list(_labelled_trees(5))
-    monkeypatch.setattr(expansion, "h_value", refuse)
-    witnesses = [cheeger_exact(g) for g in graphs]
-    monkeypatch.undo()
-    for g, wit in zip(graphs, witnesses):
+    graphs += [Multigraph(4, ((0, 1), (2, 3))), Multigraph(5, ((1, 1), (0, 2), (0, 2), (3, 4)))]
+    graphs += [Multigraph(3, ()), Multigraph(3, ((1, 2), (0, 0)))]
+    for g in graphs:
+        wit = cheeger_exact(g)
         assert wit == h_value(g, wit.subset)
+
+
+def test_is_connected_agrees_with_components():
+    # the bitmask flood against the component search, on every multigraph
+    # with 1..4 vertices and at most 4 edges, loops and bundles included
+    for n in range(1, 5):
+        slots = list(itertools.combinations_with_replacement(range(n), 2))
+        for m in range(5):
+            for edges in itertools.combinations_with_replacement(slots, m):
+                g = Multigraph(n, edges)
+                assert is_connected(g) == (len(components(g)) == 1), g
+    path = Multigraph(64, tuple((i, i + 1) for i in range(63)))
+    assert is_connected(path)
+    assert not is_connected(Multigraph(64, path.edges[:40] + path.edges[41:]))
 
 
 def test_mask_precedes_is_sorted_tuple_order():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import sys
@@ -115,3 +116,29 @@ def test_every_public_definition_is_exported(name):
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_")
     }
     assert sorted(public - set(mod.__all__)) == []
+
+
+# imports of an underscore name from another package module, each with its reason
+PRIVATE_IMPORTS_BY_DESIGN = {
+    ("unimap.experiments", "unimap.core", "_Segments"):
+        "the census tallies a class's rootings off its branch sizes",
+    ("unimap.cli", "unimap.experiments", "_turn_classes"):
+        "enumerate walks the census's classes of turns",
+}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a helper that two modules share is part of the owner's interface,
+    # or belongs in the module that uses it
+    found = set()
+    for name in MODULES:
+        mod = importlib.import_module(name)
+        for node in ast.walk(_module_tree(mod)):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            relative = "." * node.level + (node.module or "")
+            source = importlib.util.resolve_name(relative, mod.__package__)
+            if source.partition(".")[0] != "unimap" or source == name:
+                continue
+            found.update((name, source, a.name) for a in node.names if a.name.startswith("_"))
+    assert found == set(PRIVATE_IMPORTS_BY_DESIGN)

@@ -11,13 +11,11 @@ from unimap.errors import GenusError, MalformedMapError
 from unimap.maps import (
     CombinatorialMap,
     Multigraph,
-    components,
     decode_map,
     encode_map,
     face_tour,
     from_polygon_gluing,
     genus,
-    is_connected,
     parse_multigraph,
     underlying_graph,
     vertex_degrees,
@@ -146,21 +144,6 @@ def test_multigraph_conventions():
     g = Multigraph(3, ((1, 0), (2, 2), (0, 1)))
     assert g.edges == ((0, 1), (2, 2), (0, 1))  # endpoints normalized, order kept
     assert g.degrees == (2, 2, 2)  # the loop counts twice at vertex 2
-    assert list(g.adjacency()[0]) == [1]  # no multiplicity, no loops
-
-
-def test_is_connected_agrees_with_components():
-    # the bitmask flood against the component search, on every multigraph
-    # with 1..4 vertices and at most 4 edges, loops and bundles included
-    for n in range(1, 5):
-        slots = list(itertools.combinations_with_replacement(range(n), 2))
-        for m in range(5):
-            for edges in itertools.combinations_with_replacement(slots, m):
-                g = Multigraph(n, edges)
-                assert is_connected(g) == (len(components(g)) == 1), g
-    path = Multigraph(64, tuple((i, i + 1) for i in range(63)))
-    assert is_connected(path)
-    assert not is_connected(Multigraph(64, path.edges[:40] + path.edges[41:]))
 
 
 def test_multigraph_text_round_trip():

@@ -30,6 +30,7 @@ from unimap.samplers import (
     _vertex_corners,
 )
 from unimap.series import expected_plain_size
+from unimap.trees import dyck_partners, sample_dyck_word
 
 from .oracles import (
     all_matchings,
@@ -37,6 +38,7 @@ from .oracles import (
     corner_genus,
     enumerate_pairings_recursive,
     expected_marked_size,
+    glue_corners_reference,
     harer_zagier_table,
     polygon_map,
     rejection_fixed_genus,
@@ -180,6 +182,32 @@ def test_vertex_gluing_hits_every_genus_g_map_2g_times():
                         assert corner_genus(polygon_map(_pairs(glued), n)) == h + p
         expected = {a: 2 * g for g, maps in by_genus.items() if g for a in maps}
         assert hits == expected
+
+
+def _gluing_cases(seed: int, count: int, n_lo: int, n_hi: int):
+    """(alpha, corners) pairs as the sampler meets them: a random plane
+    tree, then a chain of random genus steps on it."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(n_lo, n_hi)
+        alpha = dyck_partners(sample_dyck_word(n, rng))
+        corners = _vertex_corners(alpha)
+        while len(corners) >= 3 and count:
+            p = rng.randint(1, (len(corners) - 1) // 2)
+            chosen = [corners[i] for i in sorted(rng.sample(range(len(corners)), 2 * p + 1))]
+            yield alpha, chosen
+            count -= 1
+            alpha = glue_corners_reference(alpha, chosen)
+            corners = _vertex_corners(alpha)
+
+
+def test_glue_corners_matches_the_face_walk():
+    # the slices against the dart-by-dart walk of the new face, root
+    # corner included, on steps drawn as the sampler draws them
+    cases = [*_gluing_cases(61, 3000, 1, 60), *_gluing_cases(1000, 6, 1000, 1000)]
+    assert sum(0 in corners for _, corners in cases) > 200
+    for alpha, corners in cases:
+        assert _glue_corners(alpha, corners) == glue_corners_reference(alpha, corners)
 
 
 def test_fixed_genus_sampler_chi_square_at_5_2():
