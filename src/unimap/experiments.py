@@ -220,8 +220,9 @@ def _turn_classes(n: int) -> Iterator[tuple[CombinatorialMap, int]]:
     shifts, and its size is the word's period p: the least r > 0 with an
     equal shift, else 2n.  Its members are the representative rooted at
     darts 0..p-1.  Every pairing is still built, and so validated, by
-    `from_polygon_gluing`; only the work done per map is shared.  The
-    word is built only for a pairing that passes `_least_chord_first`.
+    `from_polygon_gluing`, whose check of the pairing is the only one a
+    gluing gets; only the work done per map is shared.  The word is built
+    only for a pairing that passes `_least_chord_first`.
     """
     n_darts = 2 * n
     for pairing in enumerate_pairings(n):
@@ -710,7 +711,8 @@ def run_core_expander_experiment(
     sizes of the sample's `core`: trimming at M keeps sum_b (b if b < M
     else 1) edges, which is `core_less_M(m, M).n_edges` by construction.
     Only the trimmed core at the pipeline's M is rebuilt, for its Cheeger
-    constant.
+    constant, and only when some branch has at least M edges: otherwise
+    it is `reconstruct(core(m))`, which is m itself.
 
     A core can collapse to a single vertex (every core edge a loop, which
     happens exactly when the core has 2g edges).  Such samples have no cut to
@@ -749,7 +751,9 @@ def run_core_expander_experiment(
             rng = random.Random(f"{seed}:core:{n}:{t}")
             m = sample_unicellular_fixed_genus(n, g, rng)
             dec = core(m)
-            trimmed = dec.core_less_M(pipe.M)
+            sizes = [b.n_edges for b in dec.branches]
+            # with no branch of M edges or more, trimming changes nothing
+            trimmed = m if max(sizes) < pipe.M else dec.core_less_M(pipe.M)
             h_core = _cheeger_or_none(dec.core, f"n={n}, trial {t}, the core")
             h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={pipe.M}")
             if h_core is None:
@@ -767,7 +771,6 @@ def run_core_expander_experiment(
                     any_transfer_violation = True
             if h_trim is not None:
                 h_trimmed.append(h_trim)
-            sizes = [b.n_edges for b in dec.branches]
             for mm in m_grid:
                 kept = sum(b if b < mm else 1 for b in sizes)
                 fractions_at_m[mm] += Fraction(kept, n)

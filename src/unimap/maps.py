@@ -17,6 +17,12 @@ face order from the root, so the face permutation is ``(0 1 ... 2n-1)``.
 Gluings, fixed-genus samples, trees, cores and reconstructions are all
 built by it, and two maps in this labelling are rooted-isomorphic exactly
 when they are equal.
+
+A gluing is checked once, by its pairing: :func:`from_polygon_gluing`
+proves that the pairs partition the polygon's sides, which makes the
+result a valid map, and builds it without the checks that
+``CombinatorialMap(...)`` runs on every other map (decoded, sampled from
+the configuration model, or given by a caller).
 """
 
 from __future__ import annotations
@@ -153,19 +159,42 @@ def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> Combinato
     permutation of the result is forced to be the full cycle
     ``gamma = (0 1 ... 2n-1)`` and the glued map is unicellular with root
     dart 0.
+
+    This is the one check a gluing gets.  Every slot of ``alpha`` starts
+    at -1 and each pair writes both of its ends.  With ``n >= 1``, exactly
+    ``n`` pairs and no slot left negative, the 2n writes reached all 2n
+    slots, so each slot was written exactly once, every side lies in
+    ``0..2n-1`` and no pair joins a side to itself.  That makes ``alpha``
+    a fixed-point-free involution and ``sigma = gamma∘alpha`` a
+    permutation, so the map is built without ``CombinatorialMap``'s own
+    checks.  Any pairing that fails raises :class:`MalformedMapError`.
     """
-    n_darts = 2 * n
-    alpha = [-1] * n_darts
-    for a, b in pairing:
-        alpha[a] = b
-        alpha[b] = a
-    if -1 in alpha:
-        raise MalformedMapError("pairing does not cover every polygon side")
-    # sigma(d) = gamma(alpha(d)), the side after d's partner
+    try:
+        n_pairs = len(pairing)
+        alpha = [-1] * (2 * n)
+        for a, b in pairing:
+            alpha[a] = b
+            alpha[b] = a
+    except (IndexError, TypeError, ValueError) as exc:
+        raise MalformedMapError(f"not a pairing of the sides of a 2n-gon: {exc}") from exc
+    if n < 1:
+        raise MalformedMapError(f"a polygon gluing needs n >= 1, got {n}")
+    if n_pairs != n:
+        raise MalformedMapError(f"pairing has {n_pairs} pairs, a {2 * n}-gon needs {n}")
+    if min(alpha) < 0:
+        raise MalformedMapError("pairing does not pair every polygon side exactly once")
+    # sigma(d) = gamma(alpha(d)), the side after d's partner; the side
+    # after the last one is side 0
     sigma = [a + 1 for a in alpha]
-    if alpha:  # the side after the last one is side 0
-        sigma[alpha[-1]] = 0
-    return CombinatorialMap(tuple(alpha), tuple(sigma), 0)
+    sigma[alpha[-1]] = 0
+    # set the fields as the dataclass __init__ does; writing through
+    # m.__dict__ would materialise a per-instance dict, which costs memory
+    # and slows every later attribute read
+    m = object.__new__(CombinatorialMap)
+    object.__setattr__(m, "alpha", tuple(alpha))
+    object.__setattr__(m, "sigma", tuple(sigma))
+    object.__setattr__(m, "root", 0)
+    return m
 
 
 @dataclass(frozen=True)

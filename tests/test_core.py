@@ -233,6 +233,7 @@ def test_core_less_m_extremes():
             continue
         # M above every branch size keeps the whole map
         assert core_less_M(m, m.n_edges + 1) == m
+        assert core_less_M(m, 1 + max(b.n_edges for b in core(m).branches)) == m
         # M = 2 keeps only size-1 branches: that is the core itself
         assert core_less_M(m, 2) == core(m).core
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -22,7 +23,7 @@ from unimap.maps import (
 )
 from unimap.samplers import sample_pairing, sample_polygon_gluing
 
-from .oracles import corner_genus, face_order_form, write_multigraph
+from .oracles import all_matchings, corner_genus, face_order_form, polygon_map, write_multigraph
 
 SQUARE = from_polygon_gluing(((0, 2), (1, 3)), 2)
 
@@ -53,6 +54,49 @@ def test_malformed_inputs_rejected():
         CombinatorialMap((1, 0), (1, 2, 0), 0)  # sigma longer than alpha
     with pytest.raises(MalformedMapError):
         CombinatorialMap((1, 0, 3, 2), (1, 0, 1, 2), 0)  # sigma not a permutation
+
+
+@pytest.mark.parametrize(
+    "pairing, n",
+    [
+        (((0, 5),), 1),  # side past the polygon
+        (((0, 1),), -1),  # negative n
+        (((0, 1, 2),), 1),  # not a pair
+        (((0, 1), (1, 0)), 1),  # more pairs than sides allow
+        (((0, 1), (2, 3), (0, 1)), 2),  # a pair given twice
+        (((0, 0), (1, 2)), 2),  # a side glued to itself
+        (((0, -2), (1, 3)), 2),  # negative side
+        ((), 0),  # no polygon
+    ],
+)
+def test_malformed_pairings_rejected(pairing, n):
+    with pytest.raises(MalformedMapError):
+        from_polygon_gluing(pairing, n)
+
+
+def _gluings_to_check():
+    for n in range(1, 7):
+        for pairing in all_matchings(tuple(range(2 * n))):
+            yield pairing, n
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 1000)
+        yield sample_pairing(2 * n, rng), n
+
+
+def test_gluing_equals_the_checked_map():
+    # from_polygon_gluing skips CombinatorialMap's checks; the checking
+    # constructor must accept and agree with every map it builds
+    for pairing, n in _gluings_to_check():
+        m, checked = from_polygon_gluing(pairing, n), polygon_map(pairing, n)
+        assert m == checked
+        assert hash(m) == hash(checked)
+
+
+def test_gluing_sets_every_field():
+    # a gluing is built field by field, so a new field must be set there too
+    assert [f.name for f in dataclasses.fields(CombinatorialMap)] == ["alpha", "sigma", "root"]
+    assert vars(SQUARE) == vars(CombinatorialMap(SQUARE.alpha, SQUARE.sigma, SQUARE.root))
 
 
 def test_genus_agrees_with_corner_walk_oracle():
