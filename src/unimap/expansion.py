@@ -378,9 +378,11 @@ def branch_substitution_transfer_check(
     """
     if M < 1:
         raise ParameterError(f"M must be at least 1, got {M}")
-    if not is_connected(h_graph):
-        raise DisconnectedGraphError("substitution needs a connected graph")
     base = cheeger_exact(h_graph)
+    # on two or more vertices, nothing crosses the best cut exactly when
+    # the graph is disconnected
+    if base.boundary == 0:
+        raise DisconnectedGraphError("substitution needs a connected graph")
     edges: list[tuple[int, int]] = []
     next_id = h_graph.n_vertices
     for u, v in h_graph.edges:

@@ -320,6 +320,8 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     p_list = tuple(p_list)
     if not p_list:
         raise ParameterError("need at least one p")
+    if len(set(p_list)) != len(p_list):
+        raise ParameterError(f"p_list repeats a value: {p_list}")
     for p in p_list:
         if p < 2 or p % 2 != 0:
             raise ParameterError(f"one-vertex gluings need even p >= 2, got {p}")
@@ -723,6 +725,8 @@ def run_core_expander_experiment(
     n_list = tuple(n_list)
     if not n_list or trials < 1:
         raise ParameterError("need at least one n and one trial")
+    if len(set(n_list)) != len(n_list):
+        raise ParameterError(f"n_list repeats a value: {n_list}")
     pipe = derive_constants(theta, epsilon)
     config = ExperimentConfig(
         name="core-expander",

@@ -36,7 +36,6 @@ from .errors import GenusError, MalformedGraphError, MalformedMapError
 __all__ = [
     "CombinatorialMap",
     "Multigraph",
-    "cycles_of",
     "decode_map",
     "encode_map",
     "face_tour",
@@ -48,36 +47,22 @@ __all__ = [
 ]
 
 
-def cycles_of(perm: Sequence[int]) -> list[list[int]]:
-    """Cycles of a permutation given as a sequence, ordered by smallest element."""
-    seen = bytearray(len(perm))
-    out: list[list[int]] = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = 1
-        d = perm[start]
-        while d != start:
-            seen[d] = 1
-            cyc.append(d)
-            d = perm[d]
-        out.append(cyc)
-    return out
+def _cycle_labels(perm: Sequence[int]) -> tuple[list[int], int]:
+    """Each element's cycle number and the number of cycles.
 
-
-def _count_cycles(perm: Sequence[int]) -> int:
-    seen = bytearray(len(perm))
+    Cycles are numbered 0, 1, ... in order of their smallest element.
+    """
+    labels = [-1] * len(perm)
     count = 0
     for start in range(len(perm)):
-        if seen[start]:
+        if labels[start] >= 0:
             continue
-        count += 1
         d = start
-        while not seen[d]:
-            seen[d] = 1
+        while labels[d] < 0:
+            labels[d] = count
             d = perm[d]
-    return count
+        count += 1
+    return labels, count
 
 
 @dataclass(frozen=True)
@@ -117,18 +102,12 @@ class CombinatorialMap:
     def n_edges(self) -> int:
         return self.n_darts // 2
 
-    def vertex_cycles(self) -> list[list[int]]:
-        """Orbits of sigma; each cycle lists a vertex's darts in rotation order."""
-        return cycles_of(self.sigma)
-
-    def face_permutation(self) -> tuple[int, ...]:
-        return tuple(self.sigma[a] for a in self.alpha)
-
     def n_vertices(self) -> int:
-        return _count_cycles(self.sigma)
+        return _cycle_labels(self.sigma)[1]
 
     def n_faces(self) -> int:
-        return _count_cycles(self.face_permutation())
+        sigma = self.sigma
+        return _cycle_labels([sigma[a] for a in self.alpha])[1]
 
 
 def genus(m: CombinatorialMap) -> int:
@@ -149,7 +128,11 @@ def genus(m: CombinatorialMap) -> int:
 
 def vertex_degrees(m: CombinatorialMap) -> tuple[int, ...]:
     """Sorted vertex degrees (loops contribute two darts at their vertex)."""
-    return tuple(sorted(len(c) for c in m.vertex_cycles()))
+    labels, count = _cycle_labels(m.sigma)
+    degrees = [0] * count
+    for v in labels:
+        degrees[v] += 1
+    return tuple(sorted(degrees))
 
 
 def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> CombinatorialMap:
@@ -235,27 +218,20 @@ def underlying_graph(m: CombinatorialMap) -> tuple[Multigraph, tuple[int, ...]]:
     Vertices are numbered 0..V-1 in order of their smallest dart; the second
     return value maps darts to these vertex numbers.
     """
-    cycles = m.vertex_cycles()
-    dart_vertex = [-1] * m.n_darts
-    for i, cyc in enumerate(cycles):
-        for d in cyc:
-            dart_vertex[d] = i
-    edges = []
-    for d in range(m.n_darts):
-        a = m.alpha[d]
-        if d < a:
-            edges.append((dart_vertex[d], dart_vertex[a]))
-    return Multigraph(len(cycles), tuple(edges)), tuple(dart_vertex)
+    dart_vertex, count = _cycle_labels(m.sigma)
+    edges = [(dart_vertex[d], dart_vertex[a]) for d, a in enumerate(m.alpha) if d < a]
+    return Multigraph(count, tuple(edges)), tuple(dart_vertex)
 
 
 def encode_map(m: CombinatorialMap) -> str:
     """Serialise to the on-disk JSON form; :func:`decode_map` inverts this."""
+    # int() writes a bool dart as 0 or 1, since decode_map refuses JSON true/false
     return json.dumps(
         {
             "n_darts": m.n_darts,
-            "alpha": list(m.alpha),
-            "sigma": list(m.sigma),
-            "root": m.root,
+            "alpha": list(map(int, m.alpha)),
+            "sigma": list(map(int, m.sigma)),
+            "root": int(m.root),
         },
         separators=(",", ":"),
     )

@@ -323,15 +323,12 @@ def sample_configuration_model(
     The rotation is :func:`block_rotation`; the edge involution is a
     uniform matching of all darts and the root is a uniform dart.  The
     outcome may be disconnected, so callers that need a surface should check
-    connectivity (a one-face outcome always is connected).
+    connectivity (a one-face outcome always is connected).  The degrees
+    are checked as a :class:`DegreeSequence`, and their sum must be even.
     """
-    if isinstance(degrees, DegreeSequence):
-        degrees = degrees.entries
-    if not degrees:
-        raise ParameterError("degree sequence is empty")
-    if any(d < 1 for d in degrees):
-        raise ParameterError(f"degrees must be positive, got {tuple(degrees)}")
-    n_darts = sum(degrees)
+    if not isinstance(degrees, DegreeSequence):
+        degrees = DegreeSequence(tuple(degrees))
+    n_darts = degrees.total
     if n_darts % 2:
         raise ParameterError(f"degree sum must be even, got {n_darts}")
     alpha = [0] * n_darts
@@ -340,7 +337,7 @@ def sample_configuration_model(
         alpha[b] = a
     return CombinatorialMap(
         alpha=tuple(alpha),
-        sigma=tuple(block_rotation(degrees)),
+        sigma=tuple(block_rotation(degrees.entries)),
         root=rng.randrange(n_darts),
     )
 

@@ -439,6 +439,9 @@ BAD_MAPS = {
         (("sample-cm", "--degrees", "3,3,x", "--seed", "1"), ""),
         (("verify", "--claim", "cm-unicellular", "--degrees", "3,x"), ""),
         (("verify", "--claim", "one-vertex-law", "--p"), ""),
+        (("verify", "--claim", "one-vertex-law", "--p", "2", "2"), ""),
+        (("experiment", "core-expander", "--theta", "0.4", "--epsilon", "0.1", "--n", "20,20",
+          "--trials", "2", "--seed", "3", "--out", "{tmp}/ce"), ""),
         (("series", "--which", "T", "--order", "-3"), ""),
         (("series", "--which", "D", "--order", "-3"), ""),
         (("series", "--which", "C", "--order", "-3"), ""),
@@ -464,6 +467,8 @@ BAD_MAPS = {
         "sample-cm-degrees",
         "verify-degrees",
         "empty-p-list",
+        "repeated-p",
+        "core-expander-repeated-n",
         "negative-order-T",
         "negative-order-D",
         "negative-order-C",

@@ -400,8 +400,16 @@ def test_branch_substitution_transfer_on_cycles():
     rng = random.Random(8)
     for _ in range(40):
         assert branch_substitution_transfer_check(C4, 3, rng)
-    with pytest.raises(DisconnectedGraphError):
-        branch_substitution_transfer_check(Multigraph(4, ((0, 1), (2, 3))), 2, rng)
+    state = rng.getstate()
+    disconnected_graphs = (
+        Multigraph(4, ((0, 1), (2, 3))),
+        Multigraph(2, ()),
+        Multigraph(3, ((1, 1),)),
+    )
+    for disconnected in disconnected_graphs:
+        with pytest.raises(DisconnectedGraphError):
+            branch_substitution_transfer_check(disconnected, 2, rng)
+        assert rng.getstate() == state  # refused before any tree is drawn
     with pytest.raises(ParameterError):
         branch_substitution_transfer_check(C4, 0, rng)
 

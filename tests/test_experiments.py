@@ -219,6 +219,8 @@ def test_one_vertex_law_passes():
         verify_one_vertex_law((3,))
     with pytest.raises(EnumerationCapError):
         verify_one_vertex_law((10,))
+    with pytest.raises(ParameterError, match="repeats"):
+        verify_one_vertex_law((2, 2))
 
 
 @pytest.mark.parametrize(
@@ -362,6 +364,12 @@ def test_core_expander_experiment_shape():
     quantities = {row["quantity"] for row in r.data}
     assert "min_h_core" in quantities
     assert any(q.startswith("edge_fraction[M=") for q in quantities)
+
+
+def test_core_expander_refuses_a_repeated_n():
+    # a repeated n would write every curve point twice but keep one row
+    with pytest.raises(ParameterError, match="repeats"):
+        run_core_expander_experiment(0.4, 0.1, (20, 20), trials=2, seed=3)
 
 
 def test_core_expander_decomposes_each_sample_once(monkeypatch):

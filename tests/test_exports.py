@@ -142,3 +142,23 @@ def test_no_module_imports_a_private_name_from_another():
                 continue
             found.update((name, source, a.name) for a in node.names if a.name.startswith("_"))
     assert found == set(PRIVATE_IMPORTS_BY_DESIGN)
+
+
+def test_oracles_import_only_classes_from_the_package():
+    # tests/oracles.py promises to use nothing of the package beyond its
+    # public dataclasses and exceptions, so a library walk can never feed
+    # the oracle it is checked against
+    tree = ast.parse((REPO / "tests" / "oracles.py").read_text())
+    whole, imported = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            whole += [a.name for a in node.names if a.name.partition(".")[0] == "unimap"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "unimap":
+            imported += [(node.module, a.name) for a in node.names]
+    assert whole == [] and imported
+    not_classes = [
+        (module, attr)
+        for module, attr in imported
+        if not inspect.isclass(getattr(importlib.import_module(module), attr))
+    ]
+    assert not_classes == []

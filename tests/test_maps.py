@@ -21,11 +21,25 @@ from unimap.maps import (
     underlying_graph,
     vertex_degrees,
 )
-from unimap.samplers import sample_pairing, sample_polygon_gluing
+from unimap.samplers import sample_configuration_model, sample_pairing, sample_polygon_gluing
 
-from .oracles import all_matchings, corner_genus, face_order_form, polygon_map, write_multigraph
+from .oracles import (
+    _cycle_lengths,
+    all_matchings,
+    corner_genus,
+    face_order_form,
+    polygon_map,
+    write_multigraph,
+)
 
 SQUARE = from_polygon_gluing(((0, 2), (1, 3)), 2)
+# one vertex with three loops and two faces, on the torus
+TWO_FACES = CombinatorialMap((1, 0, 4, 5, 2, 3), (1, 2, 3, 4, 5, 0), 0)
+# two disjoint edges: sigma fixes every dart, so four vertices of degree 1
+TWO_EDGES = CombinatorialMap((1, 0, 3, 2), (0, 1, 2, 3), 0)
+# one loop on the sphere: one vertex, two faces
+PLANE_LOOP = CombinatorialMap((1, 0), (1, 0), 0)
+HAND_MAPS = (SQUARE, TWO_FACES, TWO_EDGES, PLANE_LOOP)
 
 
 def random_gluings(seed: int, count: int, n_lo: int = 1, n_hi: int = 12):
@@ -105,19 +119,17 @@ def test_genus_agrees_with_corner_walk_oracle():
 
 
 def test_genus_requires_connected():
-    # two disjoint loops on one "map": sigma fixes each pair separately
-    m = CombinatorialMap((1, 0, 3, 2), (0, 1, 2, 3), 0)
+    # two disjoint edges on one "map": not a single surface
     with pytest.raises(GenusError):
-        genus(m)
+        genus(TWO_EDGES)
 
 
 def test_face_tour_covers_polygon_in_order():
     assert list(face_tour(SQUARE)) == [0, 1, 2, 3]
     m = sample_polygon_gluing(9, random.Random(3))
     assert list(face_tour(m)) == list(range(18))
-    two_faces = CombinatorialMap((1, 0, 4, 5, 2, 3), (1, 2, 3, 4, 5, 0), 0)
     with pytest.raises(MalformedMapError):
-        face_tour(two_faces)
+        face_tour(TWO_FACES)
 
 
 def test_encode_decode_round_trip():
@@ -127,6 +139,17 @@ def test_encode_decode_round_trip():
         decode_map("{not json")
     with pytest.raises(MalformedMapError):
         decode_map('{"n_darts": 2}')
+
+
+def test_maps_with_bool_darts_round_trip():
+    # Python counts bools as ints, so both constructors take bool darts;
+    # the encoding writes them as JSON integers, which decode_map accepts
+    glued = from_polygon_gluing(((False, True),), 1)
+    built = CombinatorialMap((True, False), (0, 1), False)
+    for m in (glued, built):
+        text = encode_map(m)
+        assert "true" not in text and "false" not in text
+        assert decode_map(text) == m
 
 
 def test_decode_map_rejects_a_dart_count_that_disagrees_with_alpha():
@@ -182,6 +205,66 @@ def test_underlying_graph_degrees_match():
         assert g.n_edges == m.n_edges
         assert tuple(sorted(g.degrees)) == vertex_degrees(m)
         assert len(dart_vertex) == m.n_darts
+
+
+def _oracle_maps():
+    for n in range(1, 6):
+        for pairing in all_matchings(tuple(range(2 * n))):
+            yield from_polygon_gluing(pairing, n)
+    rng = random.Random(41)
+    for _ in range(200):
+        degrees = [rng.randint(3, 6) for _ in range(rng.randint(1, 6))]
+        if sum(degrees) % 2:
+            degrees[0] += 1
+        yield sample_configuration_model(degrees, rng)
+    yield from HAND_MAPS
+
+
+def _dart_orbit_count(m: CombinatorialMap) -> int:
+    """Components of the map: orbits of the darts under sigma and alpha."""
+    seen, count = set(), 0
+    for start in range(m.n_darts):
+        if start in seen:
+            continue
+        count += 1
+        todo = [start]
+        while todo:
+            d = todo.pop()
+            if d not in seen:
+                seen.add(d)
+                todo += [m.sigma[d], m.alpha[d]]
+    return count
+
+
+def test_cycle_counts_and_dart_table_match_the_oracle():
+    faces_seen, components_seen = set(), set()
+    for m in _oracle_maps():
+        vertex_lengths = _cycle_lengths(m.sigma)
+        face_lengths = _cycle_lengths(tuple(m.sigma[m.alpha[d]] for d in range(m.n_darts)))
+        assert m.n_vertices() == len(vertex_lengths)
+        assert m.n_faces() == len(face_lengths)
+        assert vertex_degrees(m) == tuple(sorted(vertex_lengths))
+        components = _dart_orbit_count(m)
+        if components == 1:
+            assert genus(m) == corner_genus(m)
+        # a dart's vertex is its sigma orbit; orbits are numbered in order
+        # of first appearance along the darts
+        number: dict[frozenset, int] = {}
+        dart_vertex = []
+        for d in range(m.n_darts):
+            orbit, e = {d}, m.sigma[d]
+            while e != d:
+                orbit.add(e)
+                e = m.sigma[e]
+            dart_vertex.append(number.setdefault(frozenset(orbit), len(number)))
+        edges = tuple(
+            (dart_vertex[d], dart_vertex[a]) for d, a in enumerate(m.alpha) if d < a
+        )
+        assert underlying_graph(m) == (Multigraph(len(number), edges), tuple(dart_vertex))
+        faces_seen.add(len(face_lengths))
+        components_seen.add(components)
+    # the families reach maps with several faces and several components
+    assert max(faces_seen) >= 3 and max(components_seen) >= 2
 
 
 def test_multigraph_conventions():

@@ -282,6 +282,13 @@ def test_configuration_model_accepts_plain_sequences():
     assert m.n_darts == 6
 
 
+@pytest.mark.parametrize("degrees", [(1, 1), (2, 3, 3), (), (3, 4)])
+def test_configuration_model_checks_degrees_as_a_degree_sequence(degrees):
+    # the degree rule of DegreeSequence, plus an even degree sum
+    with pytest.raises(ParameterError):
+        sample_configuration_model(degrees, random.Random(0))
+
+
 def test_branch_size_sampler_tables_match_closed_forms():
     def mean(cum):
         return sum(k * (cum[k] - cum[k - 1]) for k in range(1, len(cum)))
