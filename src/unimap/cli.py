@@ -24,8 +24,8 @@ from .core import core
 from .errors import UnimapError
 from .expansion import cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
 from .experiments import (
-    _turn_classes,
     persist_report,
+    profile_census,
     run_core_expander_experiment,
     verify_branch_profile_law,
     verify_cm_unicellular,
@@ -97,17 +97,13 @@ def _cmd_sample_cm(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     from collections import Counter
 
+    census = profile_census(args.n)
     counts: Counter = Counter()
-    total = 0
-    for m, period in _turn_classes(args.n):
-        total += period
-        if args.classify == "faces":
-            # a polygon gluing has one face by construction
-            counts[1] += period
-            continue
-        v = m.n_vertices()
-        # Euler with one face: V - n + 1 = 2 - 2g
-        counts[(args.n + 1 - v) // 2 if args.classify == "genus" else v] += period
+    for (g, _core_edges, _marked, _others), count in census.items():
+        # one face by construction, so Euler gives V = n + 1 - 2g
+        key = {"genus": g, "vertices": args.n + 1 - 2 * g, "faces": 1}[args.classify]
+        counts[key] += count
+    total = sum(census.values())
     print("key,count,total")
     for key in sorted(counts):
         print(f"{key},{counts[key]},{total}")

@@ -23,14 +23,14 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
-from .core import _Segments, core
+from .core import core
 from .errors import EnumerationCapError, ParameterError
 from .expansion import branch_substitution_transfer_check, cheeger_exact, wilson_interval
-from .maps import CombinatorialMap, Multigraph, from_polygon_gluing, underlying_graph
+from .maps import Multigraph, underlying_graph
 from .samplers import (
     ENUMERATION_CAP,
     DegreeSequence,
@@ -209,75 +209,45 @@ def persist_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, s
 # Exhaustive censuses shared by the exact checks.
 
 
-def _turn_classes(n: int) -> Iterator[tuple[CombinatorialMap, int]]:
-    """One polygon gluing per class of turns, with the size of its class.
-
-    Turning a gluing by r (dart d -> d - r mod 2n) gives the same map
-    rooted at dart r, so genus, vertices, core and branch sizes are
-    constant on a class.  Read a gluing as its chord word
-    c[d] = alpha[d] - d mod 2n, which a turn by r shifts cyclically by r.
-    The class is represented by the gluing whose word is least among its
-    shifts, and its size is the word's period p: the least r > 0 with an
-    equal shift, else 2n.  Its members are the representative rooted at
-    darts 0..p-1.  Every pairing is still built, and so validated, by
-    `from_polygon_gluing`, whose check of the pairing is the only one a
-    gluing gets; only the work done per map is shared.  The word is built
-    only for a pairing that passes `_least_chord_first`.
-    """
-    n_darts = 2 * n
-    for pairing in enumerate_pairings(n):
-        m = from_polygon_gluing(pairing, n)
-        if not _least_chord_first(pairing, n_darts):
-            continue
-        c = [(a - d) % n_darts for d, a in enumerate(m.alpha)]
-        head = c[0]
-        # only a shift that starts at another least letter can tie or win
-        period = n_darts
-        for r in range(1, n_darts):
-            if c[r] == head and (turned := c[r:] + c[:r]) <= c:
-                period = r if turned == c else 0
-                break
-        if period:
-            yield m, period
-
-
-def _least_chord_first(pairing: tuple[tuple[int, int], ...], n_darts: int) -> bool:
-    """Whether a gluing's chord word c starts with its least letter, read
-    off the pairs of `enumerate_pairings` without building the word.
-
-    The first pair is (0, head) with head = c[0], and a pair (a, b) with
-    a < b has the letters c[a] = b - a and c[b] = n_darts - (b - a).  So
-    c[0] == min(c) exactly when head <= b - a <= n_darts - head for every
-    pair, and the test stops at the first chord that fails it.
-    """
-    head = pairing[0][1]
-    top = n_darts - head
-    for a, b in pairing:
-        if not head <= b - a <= top:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def profile_census(n: int) -> dict:
     """Branch-size profiles of every rooted one-face map with n edges.
 
     Covers all (2n-1)!! polygon pairings with one decomposition per class
-    of turns (see `_turn_classes`): the class's genus and branch sizes are
-    read once, and its p rootings are tallied by the size of the branch
-    their root marks without visiting a root (see `_Segments.rootings`).
-    Keys are (genus, core_edges, marked_size, sorted_other_sizes); plane
-    trees are tallied under (0, 0, 0, ()) since they have no core.
+    of turns (see `census.turn_classes`): the class's genus and branch
+    sizes are read once, and its p rootings are tallied by the size of the
+    branch their root marks without visiting a root (see
+    `_Segments.rootings`).  Keys are (genus, core_edges, marked_size,
+    sorted_other_sizes); plane trees are tallied under (0, 0, 0, ()) since
+    they have no core.
+
+    The chunks of `census.census_chunks` are dealt round-robin to one share
+    per CPU this process may use (`fork_shares`).  Keys are put in order of
+    the chunk where they first show, then of their first showing in it,
+    which is the order a single walk meets them, so the dict, key order
+    included, is the one a single walk gives.  The census raises unless
+    the shares built (2n-1)!! gluings in all.
     """
+    # imported here, so that a process that runs no census does not carry them
+    from .census import census_chunks, census_share
+    from .parallel import fork_shares, share_count
+
+    if n < 1:
+        raise ParameterError(f"a census needs n >= 1, got {n}")
+    enumerate_pairings(n)  # refuses n past the cap before any work starts
+    shares = share_count(sum(1 for _ in census_chunks(n)))
     counts: Counter = Counter()
-    for m, period in _turn_classes(n):
-        g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
-        if g == 0:
-            counts[(0, 0, 0, ())] += period
-            continue
-        for marked, others, rootings in _Segments(m).rootings(period):
-            counts[(g, 1 + len(others), marked, others)] += rootings
-    return dict(counts)
+    place: dict = {}
+    built = 0
+    for tally, first, walked in fork_shares(partial(census_share, n, shares), shares):
+        for rank, key in enumerate(tally):
+            spot = (first[key], rank)
+            place[key] = min(place.get(key, spot), spot)
+        counts.update(tally)
+        built += walked
+    if built != double_factorial_odd(n):
+        raise RuntimeError(f"the census built {built} of {double_factorial_odd(n)} gluings")
+    return {key: counts[key] for key in sorted(place, key=place.__getitem__)}
 
 
 @lru_cache(maxsize=None)
@@ -313,8 +283,9 @@ def _d_power_coefficient(n: int, power: int) -> int:
 def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentReport:
     """Probability that a 2p-gon gluing has one vertex equals 1/(p+1).
 
-    Exhaustive over all (2p-1)!! pairings, exact rationals throughout; also
-    cross-checks the closed one-vertex count (2p)!/(2^p p! (p+1)).
+    Exhaustive over all (2p-1)!! pairings, read off `profile_census(p)`,
+    exact rationals throughout; also cross-checks the closed one-vertex
+    count (2p)!/(2^p p! (p+1)).
     """
     t0 = time.perf_counter()
     p_list = tuple(p_list)
@@ -333,7 +304,8 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     ok = True
     for p in p_list:
         total = double_factorial_odd(p)
-        ones = sum(period for m, period in _turn_classes(p) if m.n_vertices() == 1)
+        # one vertex means genus p/2, by Euler with one face
+        ones = sum(c for (g, *_), c in profile_census(p).items() if 2 * g == p)
         prob = Fraction(ones, total)
         law = Fraction(1, p + 1)
         formula = count_one_vertex_maps(p)

@@ -118,11 +118,15 @@ def sample_pairing(n_points: int, rng: random.Random) -> tuple[tuple[int, int], 
     return tuple(sorted(pairs))
 
 
-def enumerate_pairings(n_pairs: int) -> Iterator[tuple[tuple[int, int], ...]]:
+def enumerate_pairings(
+    n_pairs: int, prefix: tuple[tuple[int, int], ...] = ()
+) -> Iterator[tuple[tuple[int, int], ...]]:
     """All perfect matchings of 0..2*n_pairs-1, lexicographically.
 
-    There are (2p-1)!! of them, so the generator refuses to start beyond
-    ``ENUMERATION_CAP`` pairs.
+    With a `prefix`, only those whose first pairs are `prefix`, which must
+    then be pairs as the enumeration makes them: each pairs the least point
+    not yet taken with a greater free one.  There are (2p-1)!! matchings,
+    so the generator refuses to start beyond ``ENUMERATION_CAP`` pairs.
     """
     if n_pairs < 0:
         raise ParameterError(f"n_pairs must be nonnegative, got {n_pairs}")
@@ -131,21 +135,28 @@ def enumerate_pairings(n_pairs: int) -> Iterator[tuple[tuple[int, int], ...]]:
             f"{n_pairs} pairs means {double_factorial_odd(n_pairs)} matchings; "
             f"exhaustive enumeration stops at {ENUMERATION_CAP} pairs"
         )
-    return _pairings(n_pairs)
+    free = list(range(2 * n_pairs))
+    for a, b in prefix:
+        if not free or a != free[0] or b not in free[1:]:
+            raise ParameterError(f"{prefix} does not start a matching of {n_pairs} pairs")
+        free.remove(a)
+        free.remove(b)
+    return _pairings(tuple(prefix), free)
 
 
-def _pairings(n_pairs: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """The matchings of `enumerate_pairings`, by one explicit stack.
+def _pairings(prefix: tuple, free: list[int]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The matchings of `enumerate_pairings` that extend `prefix` on the
+    points `free`, by one explicit stack.
 
     A stack entry is a prefix of pairs and the points it leaves free; the
     least free point is paired with each other one in turn, pushed in
     reverse so they pop in increasing order.  Four free points are
     finished at once: their three matchings in lexicographic order.
     """
-    if n_pairs < 2:
-        yield ((0, 1),) if n_pairs else ()
+    if len(free) < 4:
+        yield prefix + tuple(zip(free[::2], free[1::2]))
         return
-    stack = [((), list(range(2 * n_pairs)))]
+    stack = [(prefix, free)]
     pop, push = stack.pop, stack.append
     while stack:
         prefix, free = pop()

@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 
+import unimap.census
 import unimap.core
 import unimap.experiments
+import unimap.parallel
+from unimap.census import _least_chord_first, census_chunks, census_share, turn_classes
 from unimap.core import _Segments, branch_size_profile, core_less_M
 from unimap.errors import EnumerationCapError, ParameterError
 from unimap.expansion import wilson_interval
@@ -20,8 +25,6 @@ from unimap.experiments import (
     ExperimentReport,
     _cm_map_is_unicellular,
     _d_power_coefficient,
-    _least_chord_first,
-    _turn_classes,
     min_degree3_census,
     persist_report,
     profile_census,
@@ -99,9 +102,81 @@ def test_profile_census_cap(monkeypatch):
         raise AssertionError("a gluing was built past the cap")
 
     # the cap is checked before any work
-    monkeypatch.setattr(unimap.experiments, "from_polygon_gluing", no_gluing)
+    monkeypatch.setattr(unimap.census, "from_polygon_gluing", no_gluing)
     with pytest.raises(EnumerationCapError):
         profile_census(9)
+
+
+@pytest.mark.parametrize("n", (0, -1, 9))
+def test_census_refuses_a_bad_n_before_any_work(monkeypatch, n):
+    def no_work(*args):
+        raise AssertionError("work started for a bad n")
+
+    monkeypatch.setattr(unimap.census, "from_polygon_gluing", no_work)
+    monkeypatch.setattr(unimap.parallel, "fork_shares", no_work)
+    error = EnumerationCapError if n > 0 else ParameterError
+    with pytest.raises(error):
+        profile_census.__wrapped__(n)
+    with pytest.raises(error):
+        min_degree3_census.__wrapped__(n)
+
+
+@cache
+def _single_walk(n: int) -> dict:
+    """The census as one walk over all pairings in this process."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(unimap.census, "census_chunks", lambda n: iter([()]))
+        return profile_census.__wrapped__(n)
+
+
+@pytest.mark.parametrize("n", (6, 7))
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+def test_census_shares_match_a_single_walk(monkeypatch, n, cpus):
+    single = _single_walk(n)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    shared = profile_census.__wrapped__(n)
+    assert list(shared.items()) == list(single.items())  # key order included
+    with pytest.raises(ChildProcessError):  # no child is left behind
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_census_shares_cover_every_chunk_once(monkeypatch, k):
+    walked = []
+
+    def record(n, prefix, built):
+        walked.append(prefix)
+        built.append(0)
+        return iter(())
+
+    monkeypatch.setattr(unimap.census, "turn_classes", record)
+    for s in range(k):
+        census_share(7, k, s)
+    chunks = list(census_chunks(7))
+    assert len(chunks) == 13 * 11
+    assert sorted(walked) == sorted(chunks) and len(set(walked)) == len(chunks)
+
+
+def test_census_chunks_cut_the_enumeration_in_order():
+    chunks = list(census_chunks(6))
+    assert len(chunks) == 11 * 9
+    pairings = list(enumerate_pairings(6))
+    assert list(dict.fromkeys(p[:2] for p in pairings)) == chunks
+    # the chunks' walks, one after another, are the whole walk
+    assert [p for c in chunks for p in enumerate_pairings(6, c)] == pairings
+    assert list(census_chunks(5)) == [()]
+
+
+def test_census_raises_unless_every_gluing_is_built(monkeypatch):
+    # a share that builds one gluing too few, in a forked child as well
+    def one_short(n, prefix, built):
+        yield from turn_classes(n, prefix, built)
+        built[-1] -= 1
+
+    monkeypatch.setattr(unimap.census, "turn_classes", one_short)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError, match="built"):
+        profile_census.__wrapped__(6)
 
 
 def _turned(pairing, r: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -113,7 +188,7 @@ def _turned(pairing, r: int, n: int) -> tuple[tuple[int, int], ...]:
 def test_turn_classes_partition_every_gluing(n):
     # covers periods below 2n too, such as ((0, 2), (1, 3)) with p = 1
     seen = []
-    for m, period in _turn_classes(n):
+    for m, period in turn_classes(n):
         pairing = tuple((d, a) for d, a in enumerate(m.alpha) if d < a)
         members = {from_polygon_gluing(_turned(pairing, r, n), n) for r in range(2 * n)}
         assert len(members) == period
@@ -131,7 +206,7 @@ def test_chord_filter_matches_the_least_letter_of_the_word(n):
 def test_rooting_tally_matches_every_rooting_of_a_class(n):
     # classes with p < 2n, such as ((0, 2), (1, 3)) with p = 1, included
     short = 0
-    for m, period in _turn_classes(n):
+    for m, period in turn_classes(n):
         if m.n_vertices() == n + 1:  # a plane tree has no core
             continue
         segs = _Segments(m)
@@ -158,7 +233,7 @@ def test_profile_census_builds_every_gluing(monkeypatch):
         built.append(pairing)
         return from_polygon_gluing(pairing, n)
 
-    monkeypatch.setattr(unimap.experiments, "from_polygon_gluing", counting)
+    monkeypatch.setattr(unimap.census, "from_polygon_gluing", counting)
     profile_census.__wrapped__(4)
     assert len(built) == len(set(built)) == 105
 

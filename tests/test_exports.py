@@ -120,10 +120,8 @@ def test_every_public_definition_is_exported(name):
 
 # imports of an underscore name from another package module, each with its reason
 PRIVATE_IMPORTS_BY_DESIGN = {
-    ("unimap.experiments", "unimap.core", "_Segments"):
+    ("unimap.census", "unimap.core", "_Segments"):
         "the census tallies a class's rootings off its branch sizes",
-    ("unimap.cli", "unimap.experiments", "_turn_classes"):
-        "enumerate walks the census's classes of turns",
 }
 
 

@@ -61,6 +61,22 @@ def test_enumerate_pairings_cap():
         enumerate_pairings(9)
 
 
+@pytest.mark.parametrize(
+    "prefix",
+    [((1, 2),), ((0, 0),), ((0, 6),), ((0, 1), (3, 4)), ((0, 1), (2, 3), (4, 5), (6, 7))],
+)
+def test_enumerate_pairings_refuses_a_prefix_it_would_not_make(prefix):
+    with pytest.raises(ParameterError):
+        enumerate_pairings(3, prefix)
+
+
+def test_enumerate_pairings_from_a_prefix():
+    assert list(enumerate_pairings(3, ((0, 2),))) == [
+        p for p in enumerate_pairings(3) if p[0] == (0, 2)
+    ]
+    assert list(enumerate_pairings(2, ((0, 3), (1, 2)))) == [((0, 3), (1, 2))]
+
+
 @pytest.mark.parametrize("p", range(0, 8))
 def test_enumerate_pairings_keeps_the_recursive_order(p):
     assert list(enumerate_pairings(p)) == list(enumerate_pairings_recursive(p))
