@@ -29,8 +29,8 @@ from typing import Any
 
 from .core import core
 from .errors import EnumerationCapError, ParameterError
-from .expansion import branch_substitution_transfer_check, cheeger_exact, wilson_interval
-from .maps import Multigraph, underlying_graph
+from .expansion import cheeger_exact, wilson_interval
+from .maps import underlying_graph
 from .samplers import (
     ENUMERATION_CAP,
     DegreeSequence,
@@ -86,15 +86,16 @@ class ExperimentConfig:
     """What was run: a name and its parameters.
 
     ``parameters`` must be JSON-serializable.  A run is Monte Carlo exactly
-    when its parameters carry a seed, which must be an int.  The content
-    digest covers the name, parameters, and mode.
+    when its parameters carry a seed, which must be an int and not a bool:
+    True would be written as true and seed the streams as "True", not 1.
+    The content digest covers the name, parameters, and mode.
     """
 
     name: str
     parameters: dict
 
     def __post_init__(self) -> None:
-        if "seed" in self.parameters and not isinstance(self.parameters["seed"], int):
+        if "seed" in self.parameters and type(self.parameters["seed"]) is not int:
             raise ParameterError("monte-carlo experiments require an integer seed")
 
     @property
@@ -588,18 +589,6 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
 # Randomized checks and experiments.
 
 
-def _random_connected_multigraph(rng: random.Random, max_vertices: int) -> Multigraph:
-    n_v = rng.randint(2, max_vertices)
-    edges = []
-    for v in range(1, n_v):
-        edges.append((rng.randrange(v), v))
-    for _ in range(rng.randint(0, n_v)):
-        u = rng.randrange(n_v)
-        v = rng.randrange(n_v)
-        edges.append((min(u, v), max(u, v)))
-    return Multigraph(n_v, tuple(sorted(edges)))
-
-
 def verify_substitution_transfer(
     *,
     instances: int = 500,
@@ -613,8 +602,20 @@ def verify_substitution_transfer(
     replaces every edge by a path through a random tree of at most M edges,
     and compares exact Cheeger constants.  The inequality is a theorem, so a
     single violation is a failure.
+
+    Instance i is dealt to share i mod k of one share per CPU this process
+    may use (`fork_shares`), and the shares' violation counts add.  Each
+    instance draws from its own stream, seeded by its index, so the split
+    changes no draw and the report is the one a single loop gives.  The
+    parameters are checked before any share starts.
     """
+    # imported here, so that a process that runs no transfer check does not carry them
+    from .parallel import fork_shares, share_count
+    from .transfer import transfer_share
+
     t0 = time.perf_counter()
+    if any(type(x) is not int for x in (instances, max_h_vertices, max_m)):
+        raise ParameterError("instances, max_h_vertices and max_m must be ints")
     if instances < 1 or max_h_vertices < 2 or max_m < 1:
         raise ParameterError("need instances >= 1, max_h_vertices >= 2, max_m >= 1")
     config = ExperimentConfig(
@@ -626,13 +627,9 @@ def verify_substitution_transfer(
             "seed": seed,
         },
     )
-    violations = 0
-    for i in range(instances):
-        rng = random.Random(f"{seed}:transfer:{i}")
-        h_graph = _random_connected_multigraph(rng, max_h_vertices)
-        m_cap = rng.randint(1, max_m)
-        if not branch_substitution_transfer_check(h_graph, m_cap, rng):
-            violations += 1
+    shares = share_count(instances)
+    work = partial(transfer_share, seed, instances, max_h_vertices, max_m, shares)
+    violations = sum(fork_shares(work, shares))
     observed = {"instances": instances, "violations": violations}
     expected = {
         "violations": {"value": 0, "source": "transfer-inequality"},

@@ -1,5 +1,11 @@
 """Exact work split across forked processes.
 
+Two jobs are split: the exhaustive census (`experiments.profile_census`)
+and the seeded substitution-transfer check
+(`experiments.verify_substitution_transfer`).  The transfer split changes
+no random stream, since each instance's rng is seeded by the instance's
+index, not drawn from a stream that earlier instances advance.
+
 `share_count` says how many shares a job is cut into: one per CPU that
 this process may use.  `fork_shares(work, k)` returns `[work(0), ...,
 work(k - 1)]`: share 0 runs in this process, and each other share in a

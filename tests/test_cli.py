@@ -440,6 +440,7 @@ BAD_MAPS = {
         (("verify", "--claim", "cm-unicellular", "--degrees", "3,x"), ""),
         (("verify", "--claim", "one-vertex-law", "--p"), ""),
         (("verify", "--claim", "one-vertex-law", "--p", "2", "2"), ""),
+        (("verify", "--claim", "substitution-transfer", "--instances", "0"), "instances"),
         (("experiment", "core-expander", "--theta", "0.4", "--epsilon", "0.1", "--n", "20,20",
           "--trials", "2", "--seed", "3", "--out", "{tmp}/ce"), ""),
         (("series", "--which", "T", "--order", "-3"), ""),
@@ -468,6 +469,7 @@ BAD_MAPS = {
         "verify-degrees",
         "empty-p-list",
         "repeated-p",
+        "transfer-instances-zero",
         "core-expander-repeated-n",
         "negative-order-T",
         "negative-order-D",

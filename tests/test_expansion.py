@@ -178,6 +178,8 @@ def test_cheeger_exact_matches_reference_engine(monkeypatch):
         return cheeger_exact(g, cap=cap)
 
     monkeypatch.setattr(expansion, "cheeger_exact", recording)
+    # one share, so that every call is made in this process and recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     verify_substitution_transfer(instances=2000, seed=13)
     monkeypatch.undo()
     assert len(met) == 4000  # the base graph and its spliced graph, per instance

@@ -16,6 +16,7 @@ import unimap.census
 import unimap.core
 import unimap.experiments
 import unimap.parallel
+import unimap.transfer
 from unimap.census import _least_chord_first, census_chunks, census_share, turn_classes
 from unimap.core import _Segments, branch_size_profile, core_less_M
 from unimap.errors import EnumerationCapError, ParameterError
@@ -67,6 +68,8 @@ def test_config_validation_and_digest():
         ExperimentConfig("demo", {"seed": "7"})  # seed must be an int
     with pytest.raises(ParameterError):
         ExperimentConfig("demo", {"seed": None})
+    with pytest.raises(ParameterError):  # True would be written as true
+        ExperimentConfig("demo", {"seed": True})
 
 
 def test_report_payload_excludes_runtime():
@@ -427,6 +430,68 @@ def test_substitution_transfer_small_run():
     r = verify_substitution_transfer(instances=40, seed=3)
     assert r.verdict == "pass"
     assert r.observed["violations"] == 0
+
+
+def _transfer_on(monkeypatch, cpus: int, **params) -> ExperimentReport:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    report = verify_substitution_transfer(**params)
+    with pytest.raises(ChildProcessError):  # no child is left behind
+        os.waitpid(-1, os.WNOHANG)
+    return report
+
+
+@pytest.mark.parametrize("instances", (1, 2, 7, 500))
+@pytest.mark.parametrize("seed", (0, 13))
+def test_transfer_shares_match_one_share(monkeypatch, seed, instances):
+    payloads = [
+        _transfer_on(monkeypatch, cpus, instances=instances, seed=seed).payload_json()
+        for cpus in (1, 2, 3)
+    ]
+    assert payloads[1:] == payloads[:1] * 2
+
+
+@pytest.mark.parametrize("instances", (7, 500))
+def test_transfer_shares_add_their_violations(monkeypatch, instances):
+    # a check that fails on every two-vertex base graph, in forked shares too
+    check = unimap.transfer.branch_substitution_transfer_check
+
+    def failing_on_two(h_graph, m_cap, rng):
+        return check(h_graph, m_cap, rng) and h_graph.n_vertices != 2
+
+    monkeypatch.setattr(unimap.transfer, "branch_substitution_transfer_check", failing_on_two)
+    reports = [_transfer_on(monkeypatch, cpus, instances=instances, seed=13) for cpus in (1, 2, 3)]
+    one = reports[0].observed["violations"]
+    assert one > 0
+    for r in reports:
+        assert r.observed["violations"] == one
+        assert r.verdict == "fail"
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"instances": 2.5},
+        {"instances": True},
+        {"instances": 0},
+        {"max_h_vertices": 3.0},
+        {"max_h_vertices": True},
+        {"max_h_vertices": 1},
+        {"max_m": 1.5},
+        {"max_m": True},
+        {"max_m": 0},
+        {"seed": True},
+        {"seed": 1.5},
+        {"seed": "1"},
+    ],
+    ids=repr,
+)
+def test_transfer_refuses_bad_parameters_before_any_share(monkeypatch, params):
+    def no_work(*args):
+        raise AssertionError("a share started for bad parameters")
+
+    monkeypatch.setattr(unimap.parallel, "fork_shares", no_work)
+    with pytest.raises(ParameterError):
+        verify_substitution_transfer(**params)
 
 
 def test_core_expander_experiment_shape():
