@@ -96,13 +96,12 @@ def census_chunks(n: int) -> Iterator[tuple]:
                 yield ((0, b), (a, c))
 
 
-def census_share(n: int, k: int, s: int) -> tuple[dict, dict, int]:
-    """Chunks s, s + k, s + 2k, ... of the census: their tally, the chunk
-    in which each of its keys first shows, and the gluings built."""
+def census_share(n: int, k: int, s: int) -> tuple[dict, int]:
+    """Chunks s, s + k, s + 2k, ... of the census: their tally and the
+    gluings built."""
     counts: Counter = Counter()
-    first: dict = {}
     built: list[int] = []
-    for i, prefix in islice(enumerate(census_chunks(n)), s, None, k):
+    for prefix in islice(census_chunks(n), s, None, k):
         for m, period in turn_classes(n, prefix, built):
             g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
             if g == 0:
@@ -110,6 +109,4 @@ def census_share(n: int, k: int, s: int) -> tuple[dict, dict, int]:
                 continue
             for marked, others, rootings in _Segments(m).rootings(period):
                 counts[(g, 1 + len(others), marked, others)] += rootings
-        for key in islice(counts, len(first), None):  # the keys new in chunk i
-            first[key] = i
-    return dict(counts), first, sum(built)
+    return dict(counts), sum(built)

@@ -223,11 +223,9 @@ def profile_census(n: int) -> dict:
     they have no core.
 
     The chunks of `census.census_chunks` are dealt round-robin to one share
-    per CPU this process may use (`fork_shares`).  Keys are put in order of
-    the chunk where they first show, then of their first showing in it,
-    which is the order a single walk meets them, so the dict, key order
-    included, is the one a single walk gives.  The census raises unless
-    the shares built (2n-1)!! gluings in all.
+    per CPU this process may use (`fork_shares`), and the shares' tallies
+    add.  Keys are sorted, so the dict does not depend on the split.  The
+    census raises unless the shares built (2n-1)!! gluings in all.
     """
     # imported here, so that a process that runs no census does not carry them
     from .census import census_chunks, census_share
@@ -238,17 +236,13 @@ def profile_census(n: int) -> dict:
     enumerate_pairings(n)  # refuses n past the cap before any work starts
     shares = share_count(sum(1 for _ in census_chunks(n)))
     counts: Counter = Counter()
-    place: dict = {}
     built = 0
-    for tally, first, walked in fork_shares(partial(census_share, n, shares), shares):
-        for rank, key in enumerate(tally):
-            spot = (first[key], rank)
-            place[key] = min(place.get(key, spot), spot)
+    for tally, walked in fork_shares(partial(census_share, n, shares), shares):
         counts.update(tally)
         built += walked
     if built != double_factorial_odd(n):
         raise RuntimeError(f"the census built {built} of {double_factorial_odd(n)} gluings")
-    return {key: counts[key] for key in sorted(place, key=place.__getitem__)}
+    return dict(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
@@ -354,9 +348,10 @@ def verify_cm_unicellular(
     """P(one face) for the configuration model on a fixed degree sequence.
 
     Exact when the sequence has at most 14 darts (every pairing enumerated);
-    Monte Carlo with a 99% Wilson interval otherwise, in which case a seed is
-    required.  The reference point is the 1/(3n) asymptotic with the proved
-    floor 1/(6n); parity-violating sequences report probability exactly zero.
+    Monte Carlo with a 99% Wilson interval otherwise, in which case an int
+    seed and int trials are required.  The reference point is the 1/(3n)
+    asymptotic with the proved floor 1/(6n); parity-violating sequences
+    report probability exactly zero.
     """
     t0 = time.perf_counter()
     if not isinstance(degrees, DegreeSequence):
@@ -366,60 +361,38 @@ def verify_cm_unicellular(
         raise ParameterError(f"degree sum must be even, got {total}")
     n = total // 2
     exact = total <= 14
-    if not exact and seed is None:
-        raise ParameterError("monte-carlo path requires a seed")
+    if not exact and (type(seed) is not int or type(trials) is not int):
+        raise ParameterError("the monte-carlo path requires an int seed and int trials")
 
     sigma = block_rotation(degrees.entries)
-
-    params: dict = {"degrees": list(degrees.entries)}
     floor = Fraction(1, 6 * n)
-    target = Fraction(1, 3 * n)
     expected = {
-        "probability": {"value": target, "source": "asymptotic-target"},
+        "probability": {"value": Fraction(1, 3 * n), "source": "asymptotic-target"},
         "floor": {"value": floor, "source": "closed-form"},
     }
-
+    params: dict = {"degrees": list(degrees.entries)}
     if not degrees.admits_unicellular:
-        config = ExperimentConfig(name="cm-unicellular", parameters=params)
-        observed = {
+        observed: dict = {
             "probability": Fraction(0),
             "note": "no one-face map exists for this sequence (parity)",
         }
-        return ExperimentReport(
-            config=config,
-            observed=observed,
-            expected=expected,
-            verdict="pass",
-            runtime_s=time.perf_counter() - t0,
-        )
-
-    if exact:
-        config = ExperimentConfig(name="cm-unicellular", parameters=params)
-        hits = 0
-        count = 0
-        for pairing in enumerate_pairings(n):
-            count += 1
-            if _cm_map_is_unicellular(pairing, sigma):
-                hits += 1
-        prob = Fraction(hits, count)
+        verdict = "pass"
+    elif exact:
+        pairings = double_factorial_odd(n)
+        hits = sum(_cm_map_is_unicellular(p, sigma) for p in enumerate_pairings(n))
         observed = {
-            "probability": prob,
+            "probability": Fraction(hits, pairings),
             "unicellular_pairings": hits,
-            "pairings": count,
+            "pairings": pairings,
         }
-        verdict = "pass" if prob >= floor else "fail"
+        verdict = "pass" if observed["probability"] >= floor else "fail"
     else:
-        params = dict(params, trials=trials, seed=seed)
-        config = ExperimentConfig(name="cm-unicellular", parameters=params)
-        hits = 0
-        for t in range(trials):
-            rng = random.Random(f"{seed}:cm:{t}")
-            if _cm_map_is_unicellular(sample_pairing(total, rng), sigma):
-                hits += 1
+        params.update(trials=trials, seed=seed)
+        rngs = (random.Random(f"{seed}:cm:{t}") for t in range(trials))
+        hits = sum(_cm_map_is_unicellular(sample_pairing(total, rng), sigma) for rng in rngs)
         lo, hi = wilson_interval(hits, trials)
-        prob = Fraction(hits, trials)
         observed = {
-            "probability": prob,
+            "probability": Fraction(hits, trials),
             "wilson_99_low": lo,
             "wilson_99_high": hi,
             "trials": trials,
@@ -431,7 +404,7 @@ def verify_cm_unicellular(
         else:
             verdict = "informational"
     return ExperimentReport(
-        config=config,
+        config=ExperimentConfig(name="cm-unicellular", parameters=params),
         observed=observed,
         expected=expected,
         verdict=verdict,
@@ -662,6 +635,28 @@ def _cheeger_or_none(m, where: str) -> Fraction | None:
         raise EnumerationCapError(f"{where}: {exc}") from exc
 
 
+def _sample_record(
+    n: int, g: int, t: int, seed: int, M: int, m_grid: list[int]
+) -> tuple[Fraction | None, Fraction | None, tuple[int, ...]]:
+    """Trial t at n: its sample of U(n, g), drawn from the stream seeded by
+    (seed, n, t), read as h(core), h(core less M), each None when the graph
+    has no cut, and the edges that trimming at each M' of `m_grid` keeps.
+
+    The kept counts come from the branch sizes of the sample's `core`:
+    trimming at M' keeps sum_b (b if b < M' else 1) edges, which is
+    `core_less_M(m, M').n_edges` by construction.  Only the core less M
+    is built, for its Cheeger constant, and only when some branch has at
+    least M edges: otherwise it is `reconstruct(core(m))`, which is m.
+    """
+    m = sample_unicellular_fixed_genus(n, g, random.Random(f"{seed}:core:{n}:{t}"))
+    dec = core(m)
+    sizes = [b.n_edges for b in dec.branches]
+    trimmed = m if max(sizes) < M else dec.core_less_M(M)
+    h_core = _cheeger_or_none(dec.core, f"n={n}, trial {t}, the core")
+    h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={M}")
+    return h_core, h_trim, tuple(sum(b if b < mm else 1 for b in sizes) for mm in m_grid)
+
+
 def run_core_expander_experiment(
     theta: float,
     epsilon: float,
@@ -671,27 +666,25 @@ def run_core_expander_experiment(
 ) -> ExperimentReport:
     """Sample U(n, ceil(theta n)) and measure the core's expansion behaviour.
 
-    For each sample the experiment records the edge fraction retained by the
-    core with branches shorter than the pipeline's M, the exact Cheeger
-    constants of the core and of that trimmed core, and whether the
-    substitution inequality h(trimmed) >= h(core)/(2M+1) holds.  The overall
-    verdict is informational (the expander statement is asymptotic) but any
-    violation of the per-sample inequality or a non-positive core Cheeger
-    constant flips it to fail.  Edge-fraction-versus-M curves are emitted as
-    long-format data rows.  Each point of a curve is read off the branch
-    sizes of the sample's `core`: trimming at M keeps sum_b (b if b < M
-    else 1) edges, which is `core_less_M(m, M).n_edges` by construction.
-    Only the trimmed core at the pipeline's M is rebuilt, for its Cheeger
-    constant, and only when some branch has at least M edges: otherwise
-    it is `reconstruct(core(m))`, which is m itself.
+    `_sample_record` does one trial's work, and each n's row is read off
+    its trials' records: the least exact Cheeger constants of the core and
+    of the core less the pipeline's M, how many trials break the
+    substitution inequality h(trimmed) >= h(core)/(2M+1), and how many
+    cores reach kappa.  The verdict is informational (the expander
+    statement is asymptotic), but a violation of that inequality or a
+    non-positive core Cheeger constant flips it to fail.  The mean
+    edge fraction kept at each M of a grid is emitted as long-format data
+    rows, one curve per n.
 
     A core can collapse to a single vertex (every core edge a loop, which
-    happens exactly when the core has 2g edges).  Such samples have no cut to
-    measure; they count as vacuous expanders, are tallied separately, and are
-    skipped by the transfer check.
+    happens exactly when the core has 2g edges).  Such samples have no cut
+    to measure; they count as vacuous expanders that reach kappa, are
+    tallied separately, and are skipped by the transfer check.
     """
     t0 = time.perf_counter()
     n_list = tuple(n_list)
+    if type(trials) is not int or any(type(n) is not int for n in n_list):
+        raise ParameterError("trials and each n must be ints")
     if not n_list or trials < 1:
         raise ParameterError("need at least one n and one trial")
     if len(set(n_list)) != len(n_list):
@@ -708,95 +701,51 @@ def run_core_expander_experiment(
         },
     )
     m_grid = sorted({2, 4, 8, 16, 32, 64, pipe.M})
+    kappa = Fraction(str(pipe.kappa))
     observed: dict = {}
     data: list[dict] = []
-    any_transfer_violation = False
-    any_nonpositive = False
     for n in n_list:
         g = _genus_for(theta, n)
-        fractions_at_m = {mm: Fraction(0) for mm in m_grid}
-        h_cores: list[Fraction] = []
-        h_trimmed: list[Fraction] = []
-        transfer_violations = 0
-        kappa_hits = 0
-        vacuous = 0
-        for t in range(trials):
-            rng = random.Random(f"{seed}:core:{n}:{t}")
-            m = sample_unicellular_fixed_genus(n, g, rng)
-            dec = core(m)
-            sizes = [b.n_edges for b in dec.branches]
-            # with no branch of M edges or more, trimming changes nothing
-            trimmed = m if max(sizes) < pipe.M else dec.core_less_M(pipe.M)
-            h_core = _cheeger_or_none(dec.core, f"n={n}, trial {t}, the core")
-            h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={pipe.M}")
-            if h_core is None:
-                # single-vertex core: no cut exists, vacuously an expander
-                vacuous += 1
-                kappa_hits += 1
-            else:
-                h_cores.append(h_core)
-                if h_core <= 0:
-                    any_nonpositive = True
-                if h_core >= Fraction(str(pipe.kappa)):
-                    kappa_hits += 1
-                if h_trim is not None and h_trim < h_core / (2 * pipe.M + 1):
-                    transfer_violations += 1
-                    any_transfer_violation = True
-            if h_trim is not None:
-                h_trimmed.append(h_trim)
-            for mm in m_grid:
-                kept = sum(b if b < mm else 1 for b in sizes)
-                fractions_at_m[mm] += Fraction(kept, n)
-        mean_fraction = {mm: v / trials for mm, v in fractions_at_m.items()}
-        observed[f"n={n}"] = {
+        records = [_sample_record(n, g, t, seed, pipe.M, m_grid) for t in range(trials)]
+        h_cores = [h for h, _, _ in records if h is not None]
+        h_trimmed = [h for _, h, _ in records if h is not None]
+        kept = map(sum, zip(*(k for _, _, k in records)))
+        curve = {mm: Fraction(k, n * trials) for mm, k in zip(m_grid, kept)}
+        row = observed[f"n={n}"] = {
             "g": g,
-            "mean_edge_fraction_at_M": float(mean_fraction[pipe.M]),
-            "min_h_core": min(h_cores) if h_cores else None,
-            "min_h_trimmed": min(h_trimmed) if h_trimmed else None,
-            "transfer_violations": transfer_violations,
-            "kappa_satisfied": kappa_hits,
-            "vacuous_cores": vacuous,
+            "mean_edge_fraction_at_M": float(curve[pipe.M]),
+            "min_h_core": min(h_cores, default=None),
+            "min_h_trimmed": min(h_trimmed, default=None),
+            "transfer_violations": sum(
+                hc is not None and ht is not None and ht < hc / (2 * pipe.M + 1)
+                for hc, ht, _ in records
+            ),
+            "kappa_satisfied": trials - sum(h < kappa for h in h_cores),
+            "vacuous_cores": trials - len(h_cores),
             "trials": trials,
         }
-        for mm in m_grid:
-            data.append(
-                {
-                    "experiment": "core-expander",
-                    "n": n,
-                    "quantity": f"edge_fraction[M={mm}]",
-                    "value": float(mean_fraction[mm]),
-                }
-            )
-        if h_cores:
-            data.append(
-                {
-                    "experiment": "core-expander",
-                    "n": n,
-                    "quantity": "min_h_core",
-                    "value": float(min(h_cores)),
-                }
-            )
-        if h_trimmed:
-            data.append(
-                {
-                    "experiment": "core-expander",
-                    "n": n,
-                    "quantity": "min_h_trimmed",
-                    "value": float(min(h_trimmed)),
-                }
-            )
+        points = [(f"edge_fraction[M={mm}]", v) for mm, v in curve.items()]
+        points += [(q, row[q]) for q in ("min_h_core", "min_h_trimmed")]
+        data += [
+            {"experiment": "core-expander", "n": n, "quantity": q, "value": float(v)}
+            for q, v in points
+            if v is not None
+        ]
     expected = {
         "edge_fraction": {"value": 1.0 - epsilon, "source": "asymptotic-target"},
         "kappa": {"value": pipe.kappa, "source": "constant-pipeline"},
         "M": {"value": pipe.M, "source": "constant-pipeline"},
         "transfer_violations": {"value": 0, "source": "transfer-inequality"},
     }
-    verdict = "fail" if (any_transfer_violation or any_nonpositive) else "informational"
+    failed = any(
+        row["transfer_violations"] or (row["min_h_core"] is not None and row["min_h_core"] <= 0)
+        for row in observed.values()
+    )
     return ExperimentReport(
         config=config,
         observed=observed,
         expected=expected,
-        verdict=verdict,
+        verdict="fail" if failed else "informational",
         data=tuple(data),
         runtime_s=time.perf_counter() - t0,
     )

@@ -139,8 +139,27 @@ def test_census_shares_match_a_single_walk(monkeypatch, n, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     shared = profile_census.__wrapped__(n)
     assert list(shared.items()) == list(single.items())  # key order included
+    assert list(shared) == sorted(shared)
     with pytest.raises(ChildProcessError):  # no child is left behind
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_census_key_order_reaches_no_payload(monkeypatch):
+    from perfbench.workloads import CENSUS_N, CENSUS_PAYLOAD_SHA256
+
+    one_vertex = verify_one_vertex_law().payload_json()
+    monkeypatch.setattr(
+        unimap.experiments, "profile_census", lambda n: dict(reversed(profile_census(n).items()))
+    )
+    monkeypatch.setattr(unimap.experiments, "min_degree3_census", min_degree3_census.__wrapped__)
+    assert verify_one_vertex_law().payload_json() == one_vertex
+    for (claim, g), digest in CENSUS_PAYLOAD_SHA256.items():
+        check = {
+            "decomposition-identity": verify_decomposition_identity,
+            "branch-profile": verify_branch_profile_law,
+        }[claim]
+        payload = check(CENSUS_N, g).payload_json()
+        assert hashlib.sha256(payload.encode()).hexdigest() == digest, (claim, g)
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
@@ -390,6 +409,18 @@ def test_cm_unicellular_monte_carlo_requires_seed():
         verify_cm_unicellular((3, 3, 3, 3, 3, 3), trials=100)
 
 
+@pytest.mark.parametrize("trials,seed", [(True, 1), (2.0, 1), (100, True)], ids=repr)
+def test_cm_unicellular_refuses_bad_monte_carlo_parameters_before_sampling(
+    monkeypatch, trials, seed
+):
+    def no_sample(*args):
+        raise AssertionError("sampled with bad parameters")
+
+    monkeypatch.setattr(unimap.experiments, "sample_pairing", no_sample)
+    with pytest.raises(ParameterError):
+        verify_cm_unicellular((3,) * 6, trials=trials, seed=seed)
+
+
 def test_cm_unicellular_monte_carlo_deterministic():
     d = (3, 3, 3, 3, 3, 3)
     a = verify_cm_unicellular(d, trials=2000, seed=5)
@@ -512,6 +543,20 @@ def test_core_expander_refuses_a_repeated_n():
         run_core_expander_experiment(0.4, 0.1, (20, 20), trials=2, seed=3)
 
 
+@pytest.mark.parametrize(
+    "n_list,trials",
+    [((12,), True), ((12,), 2.0), ((12.0,), 2), ((12, True), 2)],
+    ids=repr,
+)
+def test_core_expander_refuses_non_int_counts_before_sampling(monkeypatch, n_list, trials):
+    def no_sample(*args):
+        raise AssertionError("sampled with bad counts")
+
+    monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", no_sample)
+    with pytest.raises(ParameterError, match="ints"):
+        run_core_expander_experiment(0.4, 0.1, n_list, trials, 0)
+
+
 def test_core_expander_decomposes_each_sample_once(monkeypatch):
     core = unimap.core.core
     calls = []
@@ -549,6 +594,40 @@ def test_core_expander_single_vertex_core_is_vacuous():
     obs = r.observed["n=16"]
     assert obs["vacuous_cores"] >= 1
     assert obs["kappa_satisfied"] == obs["trials"]
+
+
+def _core_expander_with_h(monkeypatch, fake) -> ExperimentReport:
+    """The run at (16, 20), 4 trials, seed 3, with `fake(h, where)` in
+    place of each exact Cheeger constant that exists."""
+    cheeger = unimap.experiments._cheeger_or_none
+
+    def patched(m, where):
+        h = cheeger(m, where)
+        return None if h is None else fake(h, where)
+
+    monkeypatch.setattr(unimap.experiments, "_cheeger_or_none", patched)
+    return run_core_expander_experiment(0.4, 0.1, (16, 20), trials=4, seed=3)
+
+
+def test_core_expander_fails_on_a_transfer_violation(monkeypatch):
+    r = _core_expander_with_h(
+        monkeypatch, lambda h, where: Fraction(1, 10**6) if "core less" in where else h
+    )
+    assert r.verdict == "fail"
+    for n in (16, 20):
+        assert r.observed[f"n={n}"]["transfer_violations"] == 4
+
+
+def test_core_expander_fails_on_a_core_without_expansion(monkeypatch):
+    r = _core_expander_with_h(
+        monkeypatch, lambda h, where: Fraction(0) if where.endswith("the core") else h
+    )
+    assert r.verdict == "fail"
+    for n in (16, 20):
+        obs = r.observed[f"n={n}"]
+        assert obs["min_h_core"] == 0
+        assert obs["kappa_satisfied"] == 0
+        assert obs["transfer_violations"] == 0
 
 
 def test_core_expander_names_the_graph_past_the_cheeger_cap():
