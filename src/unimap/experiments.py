@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Any
 
@@ -162,7 +163,8 @@ def persist_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, s
     """Write report.json, append results.jsonl, refresh manifest.json.
 
     Long-format rows (experiment, n, quantity, value) go to data.csv when the
-    report carries any.  Returns the paths written.
+    report carries any; otherwise an earlier report's data.csv is removed.
+    Returns the paths written.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -188,8 +190,9 @@ def persist_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, s
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     paths["manifest"] = str(manifest_path)
 
+    csv_path = out / "data.csv"
+    csv_path.unlink(missing_ok=True)  # a report without rows keeps no earlier rows
     if report.data:
-        csv_path = out / "data.csv"
         with csv_path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["experiment", "n", "quantity", "value"])
@@ -210,7 +213,7 @@ def persist_report(report: ExperimentReport, out_dir: str | Path) -> dict[str, s
 # Exhaustive censuses shared by the exact checks.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def profile_census(n: int) -> dict:
     """Branch-size profiles of every rooted one-face map with n edges.
 
@@ -231,8 +234,8 @@ def profile_census(n: int) -> dict:
     from .census import census_chunks, census_share
     from .parallel import fork_shares, share_count
 
-    if n < 1:
-        raise ParameterError(f"a census needs n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"a census needs an int n >= 1, got {n!r}")
     enumerate_pairings(n)  # refuses n past the cap before any work starts
     shares = share_count(sum(1 for _ in census_chunks(n)))
     counts: Counter = Counter()
@@ -245,7 +248,7 @@ def profile_census(n: int) -> dict:
     return dict(sorted(counts.items()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def min_degree3_census(e: int) -> dict[int, int]:
     """Count of rooted one-face maps with e edges and min degree 3, by genus.
 
@@ -289,8 +292,8 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     if len(set(p_list)) != len(p_list):
         raise ParameterError(f"p_list repeats a value: {p_list}")
     for p in p_list:
-        if p < 2 or p % 2 != 0:
-            raise ParameterError(f"one-vertex gluings need even p >= 2, got {p}")
+        if type(p) is not int or p < 2 or p % 2 != 0:
+            raise ParameterError(f"one-vertex gluings need an even int p >= 2, got {p!r}")
         if p > ENUMERATION_CAP:
             raise EnumerationCapError(f"exhaustive check needs p <= {ENUMERATION_CAP}, got {p}")
     config = ExperimentConfig(name="one-vertex-law", parameters={"p_list": list(p_list)})
@@ -412,6 +415,16 @@ def verify_cm_unicellular(
     )
 
 
+def _check_census_claim(what: str, n: int, g: int) -> None:
+    """Refuse an (n, g) that a census claim cannot read, before any census."""
+    if type(n) is not int or type(g) is not int:
+        raise ParameterError(f"{what} needs n and g to be ints, got n={n!r}, g={g!r}")
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{what} needs n <= {ENUMERATION_CAP}, got {n}")
+    if g < 1 or 2 * g > n:
+        raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
+
+
 def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
     """#{maps in U(n,g) whose core has e edges} against the counting formula.
 
@@ -420,10 +433,7 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
     sides by exhaustive enumeration plus exact series coefficients, every e.
     """
     t0 = time.perf_counter()
-    if n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"identity check needs n <= {ENUMERATION_CAP}, got {n}")
-    if g < 1 or 2 * g > n:
-        raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
+    _check_census_claim("identity check", n, g)
     config = ExperimentConfig(name="decomposition-identity", parameters={"n": n, "g": g})
     census = profile_census(n)
     by_edges: Counter = Counter()
@@ -433,10 +443,7 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
     observed_counts = {str(e): by_edges[e] for e in sorted(by_edges)}
     expected_counts: dict[str, int] = {}
     for e in range(1, n + 1):
-        n_eg = min_degree3_census(e).get(g, 0)
-        if n_eg == 0:
-            continue
-        value = n_eg * _d_power_coefficient(n, e - 1)
+        value = min_degree3_census(e).get(g, 0) * _d_power_coefficient(n, e - 1)
         if value:
             expected_counts[str(e)] = value
     ok = observed_counts == expected_counts
@@ -473,32 +480,16 @@ def _branch_profile_law(
     """
     d = series_D(n)
     weights: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-
-    def rec(remaining: int, slots: int, chosen: tuple[int, ...]) -> None:
-        if slots == 0:
-            if remaining >= 1:
-                marked = remaining
-                key = (marked, tuple(sorted(chosen)))
-                w = (
-                    Fraction(marked)
-                    * Fraction(d[marked])
-                    * beta**marked
-                    * _multiset_orderings(tuple(sorted(chosen)))
-                )
-                for y in chosen:
-                    w *= Fraction(d[y]) * beta**y
-                weights[key] = weights.get(key, Fraction(0)) + w
-            return
-        # leave at least 1 edge for the marked branch and each further slot
-        for y in range(1, remaining - slots + 1):
-            if chosen and y < chosen[-1]:
-                continue  # enumerate sorted tuples once
-            rec(remaining - y, slots - 1, chosen + (y,))
-
-    rec(n, e - 1, ())
+    # each sorted tuple of the other sizes once; a size past n - e + 1 would
+    # leave some branch empty, and the marked branch takes what is left
+    for others in combinations_with_replacement(range(1, n - e + 2), e - 1):
+        marked = n - sum(others)
+        if marked >= 1:
+            w = marked * d[marked] * beta**marked * _multiset_orderings(others)
+            for y in others:
+                w *= d[y] * beta**y
+            weights[marked, others] = w
     total = sum(weights.values())
-    if total == 0:
-        return {}
     return {k: v / total for k, v in weights.items()}
 
 
@@ -511,10 +502,7 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
     evaluated at two different beta values to confirm beta cancels.
     """
     t0 = time.perf_counter()
-    if n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"profile law check needs n <= {ENUMERATION_CAP}, got {n}")
-    if g < 1 or 2 * g > n:
-        raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
+    _check_census_claim("profile law check", n, g)
     config = ExperimentConfig(name="branch-profile", parameters={"n": n, "g": g})
     census = profile_census(n)
     by_e: dict[int, Counter] = {}

@@ -56,19 +56,13 @@ def catalan(k: int) -> int:
     return math.comb(2 * k, k) // (k + 1)
 
 
-def _normalize(x: Fraction | int) -> Fraction | int:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
-
-
 class TruncatedSeries:
     """A power series truncated at a fixed order, with exact coefficients."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Fraction | int]):
-        self.coeffs: tuple[Fraction | int, ...] = tuple(_normalize(c) for c in coeffs)
+        self.coeffs: tuple[Fraction | int, ...] = tuple(coeffs)
 
     @property
     def order(self) -> int:
@@ -80,9 +74,8 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return all(
-            Fraction(a) == Fraction(b) for a, b in zip(self.coeffs, other.coeffs)
-        ) and len(self.coeffs) == len(other.coeffs)
+        # ints and Fractions compare and hash exactly: hash(Fraction(2)) == hash(2)
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
@@ -137,15 +130,13 @@ class TruncatedSeries:
             raise ArithmeticError("quotient is not a power series")
         num = self.coeffs[v:]
         den = other.coeffs[v:]
-        n = min(len(num), len(den))
-        inv_lead = Fraction(1, 1) / Fraction(den[0])
-        out: list[Fraction | int] = []
-        for k in range(n):
-            acc = Fraction(num[k]) if k < len(num) else Fraction(0)
+        out: list[Fraction] = []
+        for k in range(min(len(num), len(den))):
+            acc = num[k]
             for j in range(1, k + 1):
-                if j < len(den) and den[j]:
-                    acc -= Fraction(den[j]) * out[k - j]
-            out.append(acc * inv_lead)
+                if den[j]:
+                    acc -= den[j] * out[k - j]
+            out.append(Fraction(acc, den[0]))
         return TruncatedSeries(out)
 
 

@@ -258,6 +258,47 @@ def c_times_d_power(n: int, power: int) -> int:
     return prod[n]
 
 
+def branch_profile_law(
+    n: int, e: int, beta: Fraction
+) -> dict[tuple[int, tuple[int, ...]], Fraction]:
+    """Conditional law of (marked size, sorted other sizes) given e core edges.
+
+    A recursive walk over the sorted sizes of the e - 1 other branches, the
+    marked branch taking what is left of n.  A profile weighs
+    marked * dt_marked * prod(dt_y) * beta**n times the orderings of the
+    others, with dt_k = binom(2k-1, k-1); the weights are normalised.
+    """
+
+    def dt(k: int) -> int:
+        return math.comb(2 * k - 1, k - 1)
+
+    weights: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+
+    def rec(remaining: int, slots: int, chosen: tuple[int, ...]) -> None:
+        if slots == 0:
+            if remaining >= 1:
+                orderings = math.factorial(len(chosen))
+                for y in set(chosen):
+                    orderings //= math.factorial(chosen.count(y))
+                w = Fraction(remaining * dt(remaining) * orderings) * beta**remaining
+                for y in chosen:
+                    w *= dt(y) * beta**y
+                key = (remaining, tuple(sorted(chosen)))
+                weights[key] = weights.get(key, Fraction(0)) + w
+            return
+        # leave at least 1 edge for the marked branch and each further slot
+        for y in range(1, remaining - slots + 1):
+            if chosen and y < chosen[-1]:
+                continue  # enumerate sorted tuples once
+            rec(remaining - y, slots - 1, chosen + (y,))
+
+    rec(n, e - 1, ())
+    total = sum(weights.values())
+    if total == 0:
+        return {}
+    return {k: v / total for k, v in weights.items()}
+
+
 def expected_marked_size(beta: float) -> float:
     """E(X_beta) = beta*C'(beta)/C(beta) = 1 + 6*beta/(1-4*beta), the mean
     of the marked branch-size law."""

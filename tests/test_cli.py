@@ -365,6 +365,26 @@ def test_verify_persists_report(tmp_path, capsys):
     assert (tmp_path / "manifest.json").exists()
 
 
+def test_a_report_without_rows_leaves_no_stale_data_csv(tmp_path, capsys):
+    code, _, _ = run(
+        capsys,
+        "experiment", "core-expander",
+        "--theta", "0.4",
+        "--epsilon", "0.1",
+        "--n", "10",
+        "--trials", "2",
+        "--seed", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0 and (tmp_path / "data.csv").exists()
+    code, _, _ = run(
+        capsys, "verify", "--claim", "one-vertex-law", "--p", "2", "--out", str(tmp_path)
+    )
+    assert code == 0
+    assert json.loads((tmp_path / "manifest.json").read_text())["claim"] == "one-vertex-law"
+    assert not (tmp_path / "data.csv").exists()
+
+
 def test_experiment_core_expander(tmp_path, capsys):
     code, _, err = run(
         capsys,

@@ -24,6 +24,7 @@ from unimap.expansion import wilson_interval
 from unimap.experiments import (
     ExperimentConfig,
     ExperimentReport,
+    _branch_profile_law,
     _cm_map_is_unicellular,
     _d_power_coefficient,
     min_degree3_census,
@@ -47,6 +48,7 @@ from unimap.samplers import (
 from unimap.series import derive_constants
 
 from .oracles import (
+    branch_profile_law,
     c_times_d_power,
     chord_word_starts_least,
     harer_zagier_table,
@@ -110,14 +112,14 @@ def test_profile_census_cap(monkeypatch):
         profile_census(9)
 
 
-@pytest.mark.parametrize("n", (0, -1, 9))
+@pytest.mark.parametrize("n", (0, -1, 9, 2.0, True), ids=repr)
 def test_census_refuses_a_bad_n_before_any_work(monkeypatch, n):
     def no_work(*args):
         raise AssertionError("work started for a bad n")
 
     monkeypatch.setattr(unimap.census, "from_polygon_gluing", no_work)
     monkeypatch.setattr(unimap.parallel, "fork_shares", no_work)
-    error = EnumerationCapError if n > 0 else ParameterError
+    error = EnumerationCapError if n == 9 else ParameterError
     with pytest.raises(error):
         profile_census.__wrapped__(n)
     with pytest.raises(error):
@@ -320,6 +322,20 @@ def test_one_vertex_law_passes():
         verify_one_vertex_law((2, 2))
 
 
+def _no_census(monkeypatch) -> None:
+    def no_census(*args):
+        raise AssertionError("a census started for bad parameters")
+
+    monkeypatch.setattr(unimap.experiments, "profile_census", no_census)
+    monkeypatch.setattr(unimap.experiments, "min_degree3_census", no_census)
+
+
+def test_one_vertex_law_refuses_a_non_int_p_before_any_census(monkeypatch):
+    _no_census(monkeypatch)
+    with pytest.raises(ParameterError, match="int p"):
+        verify_one_vertex_law((4.0,))
+
+
 @pytest.mark.parametrize(
     "degrees,one_face", [((4, 4, 4), 1440), ((3, 4, 5), 1440), ((3, 3, 6), 1350)]
 )
@@ -443,6 +459,15 @@ def test_d_power_coefficient_closed_form_matches_series_products():
             assert _d_power_coefficient(n, power) == c_times_d_power(n, power), (n, power)
 
 
+@pytest.mark.parametrize("check", (verify_decomposition_identity, verify_branch_profile_law))
+@pytest.mark.parametrize("n,g", [(6, 1.5), (6, True), (6.0, 1)], ids=repr)
+def test_exact_claims_refuse_a_non_int_n_or_g_before_any_census(monkeypatch, check, n, g):
+    # 1.5 used to pass over an empty comparison, and True to write "g":true
+    _no_census(monkeypatch)
+    with pytest.raises(ParameterError, match="ints"):
+        check(n, g)
+
+
 def test_decomposition_identity_validation():
     with pytest.raises(EnumerationCapError):
         verify_decomposition_identity(9, 1)
@@ -455,6 +480,13 @@ def test_branch_profile_law_small(n, g):
     r = verify_branch_profile_law(n, g)
     assert r.verdict == "pass"
     assert r.observed["beta_independent"] is True
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_branch_profile_law_matches_the_recursive_walk(n):
+    for e in range(1, n + 1):
+        for beta in (Fraction(1, 10), Fraction(2, 10)):
+            assert _branch_profile_law(n, e, beta) == branch_profile_law(n, e, beta), (e, beta)
 
 
 def test_substitution_transfer_small_run():

@@ -160,3 +160,43 @@ def test_oracles_import_only_classes_from_the_package():
         if not inspect.isclass(getattr(importlib.import_module(module), attr))
     ]
     assert not_classes == []
+
+
+# functions of the package that call their own name, each with its reason
+RECURSION_BY_DESIGN = {
+    ("unimap.experiments", "_jsonable"): "its depth is the nesting of a report, about 5",
+    ("unimap.trees", "enumerate_plane_trees.forests"):
+        "its depth is n_edges, and it returns Cat(n) trees, so no n deep "
+        "enough to reach the recursion limit could ever finish",
+}
+
+
+def _callee(func: ast.expr) -> str | None:
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        if func.value.id in ("self", "cls"):
+            return func.attr
+    return None
+
+
+def test_no_function_calls_its_own_name():
+    # a recursive walk reaches Python's recursion limit on a deep enough
+    # input, so the package walks with loops and explicit stacks
+    found = set()
+    for name in MODULES:
+        stack = [((), _module_tree(importlib.import_module(name)))]
+        while stack:
+            prefix, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    stack.append((prefix, child))
+                    continue
+                path = (*prefix, child.name)
+                stack.append((path, child))
+                if not isinstance(child, ast.ClassDef) and any(
+                    isinstance(sub, ast.Call) and _callee(sub.func) == child.name
+                    for sub in ast.walk(child)
+                ):
+                    found.add((name, ".".join(path)))
+    assert found == set(RECURSION_BY_DESIGN)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict
+from fractions import Fraction
 
 import pytest
 
@@ -44,6 +45,16 @@ def test_truncated_series_algebra():
     assert q * TruncatedSeries([1, 1, 0]) == a
     with pytest.raises(ZeroDivisionError):
         a / _zero(2)
+
+
+def test_int_and_fraction_coefficients_compare_and_hash_alike():
+    a = TruncatedSeries([2, 0])
+    b = TruncatedSeries([Fraction(4, 2), Fraction(0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != TruncatedSeries([2, 0, 0])
+    assert a != TruncatedSeries([Fraction(5, 2), 0])
+    # the closed form divides Fractions, the ratio recurrence stays in ints
+    assert hash(series_D_closed_form(20)) == hash(series_D(20))
 
 
 def test_sqrt_series_squares_back():
