@@ -28,13 +28,15 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Any
 
+from . import errors
 from .core import core
-from .errors import EnumerationCapError, ParameterError
+from .errors import EnumerationCapError, ParameterError, UnimapError
 from .expansion import cheeger_exact, wilson_interval
 from .maps import underlying_graph
 from .samplers import (
     ENUMERATION_CAP,
     DegreeSequence,
+    _genus_count_column,
     block_rotation,
     count_one_vertex_maps,
     double_factorial_odd,
@@ -623,12 +625,22 @@ def _cheeger_or_none(m, where: str) -> Fraction | None:
         raise EnumerationCapError(f"{where}: {exc}") from exc
 
 
+def _fraction(pair: tuple[int, int] | None) -> Fraction | None:
+    return None if pair is None else Fraction(*pair)
+
+
+def _as_pair(h: Fraction | None) -> tuple[int, int] | None:
+    return None if h is None else (h.numerator, h.denominator)
+
+
 def _sample_record(
     n: int, g: int, t: int, seed: int, M: int, m_grid: list[int]
-) -> tuple[Fraction | None, Fraction | None, tuple[int, ...]]:
+) -> tuple[tuple[int, int] | None, tuple[int, int] | None, tuple[int, ...]]:
     """Trial t at n: its sample of U(n, g), drawn from the stream seeded by
-    (seed, n, t), read as h(core), h(core less M), each None when the graph
-    has no cut, and the edges that trimming at each M' of `m_grid` keeps.
+    (seed, n, t), read as h(core), h(core less M), each a (numerator,
+    denominator) pair, or None when the graph has no cut, and the edges
+    that trimming at each M' of `m_grid` keeps.  Ints only, so that the
+    record can leave a forked share.
 
     The kept counts come from the branch sizes of the sample's `core`:
     trimming at M' keeps sum_b (b if b < M' else 1) edges, which is
@@ -642,7 +654,24 @@ def _sample_record(
     trimmed = m if max(sizes) < M else dec.core_less_M(M)
     h_core = _cheeger_or_none(dec.core, f"n={n}, trial {t}, the core")
     h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={M}")
-    return h_core, h_trim, tuple(sum(b if b < mm else 1 for b in sizes) for mm in m_grid)
+    kept = tuple(sum(b if b < mm else 1 for b in sizes) for mm in m_grid)
+    return _as_pair(h_core), _as_pair(h_trim), kept
+
+
+def _trial_share(
+    units: list[tuple[int, int, int]], seed: int, M: int, m_grid: list[int], k: int, s: int
+) -> tuple[list, tuple[int, str, str] | None]:
+    """The records of units s, s + k, s + 2k, ... of
+    `run_core_expander_experiment`, each unit an (n, g, t), up to the first
+    that raises a package error; that error as (unit index, class name,
+    message), or None."""
+    records = []
+    for i in range(s, len(units), k):
+        try:
+            records.append(_sample_record(*units[i], seed, M, m_grid))
+        except UnimapError as exc:
+            return records, (i, type(exc).__name__, str(exc))
+    return records, None
 
 
 def run_core_expander_experiment(
@@ -668,7 +697,19 @@ def run_core_expander_experiment(
     happens exactly when the core has 2g edges).  Such samples have no cut
     to measure; they count as vacuous expanders that reach kappa, are
     tallied separately, and are skipped by the transfer check.
+
+    The trials (n, t), listed n first, are dealt trial i to share i mod k
+    of one share per CPU this process may use (`fork_shares`), and their
+    records are put back in that order.  Each trial draws from its own
+    stream, so the split changes no draw.  The constants and each n's count
+    table are built before the shares start, so every share inherits them.
+    A trial that raises a package error makes the run raise the error of
+    the first such trial in that order, of the same class and with the same
+    message, as a single loop over the trials would.
     """
+    # imported here, so that a process that runs no experiment does not carry it
+    from .parallel import fork_shares, share_count
+
     t0 = time.perf_counter()
     n_list = tuple(n_list)
     if type(trials) is not int or any(type(n) is not int for n in n_list):
@@ -690,11 +731,23 @@ def run_core_expander_experiment(
     )
     m_grid = sorted({2, 4, 8, 16, 32, 64, pipe.M})
     kappa = Fraction(str(pipe.kappa))
+    genera = {n: _genus_for(theta, n) for n in n_list}
+    for n, g in genera.items():
+        if 2 * g <= n:  # the sampler refuses the other n itself
+            _genus_count_column(n)
+    units = [(n, g, t) for n, g in genera.items() for t in range(trials)]
+    shares = share_count(len(units))
+    done = fork_shares(partial(_trial_share, units, seed, pipe.M, m_grid, shares), shares)
+    failures = [failure for _, failure in done if failure is not None]
+    if failures:
+        _, name, message = min(failures)
+        raise getattr(errors, name)(message)
+    flat = (done[i % shares][0][i // shares] for i in range(len(units)))
+    all_records = [(_fraction(hc), _fraction(ht), kept) for hc, ht, kept in flat]
     observed: dict = {}
     data: list[dict] = []
-    for n in n_list:
-        g = _genus_for(theta, n)
-        records = [_sample_record(n, g, t, seed, pipe.M, m_grid) for t in range(trials)]
+    for a, (n, g) in enumerate(genera.items()):
+        records = all_records[a * trials : (a + 1) * trials]
         h_cores = [h for h, _, _ in records if h is not None]
         h_trimmed = [h for _, h, _ in records if h is not None]
         kept = map(sum, zip(*(k for _, _, k in records)))

@@ -1,10 +1,12 @@
 """Exact work split across forked processes.
 
-Two jobs are split: the exhaustive census (`experiments.profile_census`)
-and the seeded substitution-transfer check
-(`experiments.verify_substitution_transfer`).  The transfer split changes
-no random stream, since each instance's rng is seeded by the instance's
-index, not drawn from a stream that earlier instances advance.
+Three jobs are split: the exhaustive census (`experiments.profile_census`),
+the seeded substitution-transfer check
+(`experiments.verify_substitution_transfer`) and the trials of the
+core-expander experiment (`experiments.run_core_expander_experiment`).
+The seeded splits change no random stream, since each instance's or
+trial's rng is seeded by its index, not drawn from a stream that earlier
+ones advance.
 
 `share_count` says how many shares a job is cut into: one per CPU that
 this process may use.  `fork_shares(work, k)` returns `[work(0), ...,

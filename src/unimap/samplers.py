@@ -47,7 +47,8 @@ ENUMERATION_CAP = 8
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """A degree sequence (d_1, ..., d_k) in the core regime: every d_i >= 3.
+    """A degree sequence (d_1, ..., d_k) in the core regime: every d_i is an
+    int (not a bool) and d_i >= 3.
 
     ``admits_unicellular`` is the parity gate for one-face outcomes of the
     configuration model: the dart count must be even and half of it plus the
@@ -62,6 +63,8 @@ class DegreeSequence:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ParameterError("degree sequence is empty")
+        if any(type(d) is not int for d in entries):
+            raise ParameterError(f"degrees must be ints, got {entries}")
         if any(d < 3 for d in entries):
             raise ParameterError(f"degrees must be >= 3, got {entries}")
 
@@ -183,31 +186,34 @@ def sample_polygon_gluing(n: int, rng: random.Random) -> CombinatorialMap:
 
 
 @lru_cache(maxsize=64)
-def _harer_zagier_column(n: int) -> tuple[int, ...]:
+def _genus_count_column(n: int) -> tuple[int, ...]:
     """eps_h(n) for h = 0..n//2: the gluings of the 2n-gon with genus h.
 
-    Built bottom-up over m = 1..n from the Harer-Zagier recurrence
-    (m+1) eps_h(m) = (4m-2) eps_h(m-1) + (2m-1)(m-1)(2m-3) eps_{h-1}(m-2),
-    keeping only the two previous columns.  With eps_0(0) = 1 and
-    eps_{-1} = 0 its h = 0 row is the Catalan recurrence.  Every division
+    Read off the Chapuy-Feray-Fusy identity (J. Combin. Theory Ser. A 120,
+    2013) 4^h eps_h(n) = Cat(n) c(n+1, n+1-2h), where c(m, k) counts the
+    permutations of m elements with k cycles, all of odd length.  Row m
+    holds r_m[j] = c(m, m-2j), the entries of the other parity being 0,
+    and is built from the two rows before it by
+    c(m, k) = c(m-1, k-1) + (m-1)(m-2) c(m-2, k), that is
+    r_m[j] = r_{m-1}[j] + (m-1)(m-2) r_{m-2}[j-1].  Every division by 4^h
     is checked to be exact.
     """
-    before: tuple[int, ...] = ()  # column m-2
-    col: tuple[int, ...] = (1,)  # column m-1
-    for m in range(1, n + 1):
-        a = 4 * m - 2
-        b = (2 * m - 1) * (m - 1) * (2 * m - 3)
-        nxt = []
-        for h in range(m // 2 + 1):
-            total = a * col[h] if h < len(col) else 0
-            if 0 < h <= len(before):
-                total += b * before[h - 1]
-            q, r = divmod(total, m + 1)
-            if r:
-                raise ArithmeticError(f"Harer-Zagier recurrence not integral at m={m}, h={h}")
-            nxt.append(q)
-        before, col = col, tuple(nxt)
-    return col
+    before: tuple[int, ...] = ()  # row m-2
+    row: tuple[int, ...] = (1,)  # row m-1: c(0, 0) = 1
+    for m in range(1, n + 2):
+        b = (m - 1) * (m - 2)
+        nxt = list(row) + [0] * ((m + 1) // 2 - len(row))
+        for j in range(1, min(len(before) + 1, len(nxt))):
+            nxt[j] += b * before[j - 1]
+        before, row = row, tuple(nxt)
+    cat = math.comb(2 * n, n) // (n + 1)
+    col = []
+    for h, r in enumerate(row):
+        v = cat * r
+        if v & ((1 << 2 * h) - 1):
+            raise ArithmeticError(f"odd-cycle count not divisible by 4^h at n={n}, h={h}")
+        col.append(v >> 2 * h)
+    return tuple(col)
 
 
 def _genus_step_weight(n: int, h: int, p: int) -> int:
@@ -215,7 +221,7 @@ def _genus_step_weight(n: int, h: int, p: int) -> int:
 
     Chapuy's trisection identity: summed over p >= 1 this is 2h eps_h(n).
     """
-    return math.comb(n + 1 - 2 * (h - p), 2 * p + 1) * _harer_zagier_column(n)[h - p]
+    return math.comb(n + 1 - 2 * (h - p), 2 * p + 1) * _genus_count_column(n)[h - p]
 
 
 def _vertex_corners(alpha: Sequence[int]) -> list[int]:
@@ -281,7 +287,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     steps = []
     h = g
     while h > 0:
-        u = rng.randrange(2 * h * _harer_zagier_column(n)[h])
+        u = rng.randrange(2 * h * _genus_count_column(n)[h])
         for p in range(1, h + 1):
             w = _genus_step_weight(n, h, p)
             if u < w:
@@ -293,7 +299,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
         h -= p
     if _log.isEnabledFor(logging.DEBUG):
         log10_attempts = math.log10(double_factorial_odd(n)) - math.log10(
-            _harer_zagier_column(n)[g]
+            _genus_count_column(n)[g]
         )
         _log.debug(
             "genus-%d map with %d edges by genus steps %s; rejection would need "

@@ -19,7 +19,7 @@ import unimap.parallel
 import unimap.transfer
 from unimap.census import _least_chord_first, census_chunks, census_share, turn_classes
 from unimap.core import _Segments, branch_size_profile, core_less_M
-from unimap.errors import EnumerationCapError, ParameterError
+from unimap.errors import DecompositionError, EnumerationCapError, ParameterError, UnimapError
 from unimap.expansion import wilson_interval
 from unimap.experiments import (
     ExperimentConfig,
@@ -407,6 +407,12 @@ def test_constant_outputs_are_pinned(run, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("degrees", [(3.0, 3.0, 4.0), (4.5, 3.5), (3, 3, True)], ids=repr)
+def test_cm_unicellular_refuses_non_int_degrees(degrees):
+    with pytest.raises(ParameterError):
+        verify_cm_unicellular(degrees)
+
+
 def test_cm_unicellular_exact_small():
     r = verify_cm_unicellular((3, 3))
     assert r.verdict == "pass"
@@ -599,8 +605,57 @@ def test_core_expander_decomposes_each_sample_once(monkeypatch):
 
     monkeypatch.setattr(unimap.core, "core", counting_core)
     monkeypatch.setattr(unimap.experiments, "core", counting_core)
+    # a forked share's calls never reach this list, so one share runs them all
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_core_expander_experiment(0.4, 0.1, (12, 16), trials=3, seed=2)
     assert len(calls) == 6
+
+
+def _core_expander_on(monkeypatch, cpus: int, *args) -> ExperimentReport:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    try:
+        return run_core_expander_experiment(0.4, 0.1, *args)
+    finally:
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [((12, 16), 3, 2), ((30, 40, 50, 60), 5, 20260816)],
+    ids=["small", "criterion-11"],
+)
+def test_core_expander_shares_match_one_share(monkeypatch, args):
+    payloads = [_core_expander_on(monkeypatch, cpus, *args).payload_json() for cpus in (1, 2, 3)]
+    assert payloads[1:] == payloads[:1] * 2
+
+
+def _core_expander_error(monkeypatch, cpus: int, *args) -> tuple[type, str]:
+    with pytest.raises(UnimapError) as info:
+        _core_expander_on(monkeypatch, cpus, *args)
+    return type(info.value), str(info.value)
+
+
+def test_core_expander_cap_error_is_the_same_under_every_split(monkeypatch):
+    errors = [_core_expander_error(monkeypatch, cpus, (150,), 3, 1) for cpus in (1, 2, 3)]
+    assert errors[0][0] is EnumerationCapError
+    assert errors[1:] == errors[:1] * 2
+
+
+def test_core_expander_raises_the_first_failing_trials_error(monkeypatch):
+    # trials 1 and 2 fail: under two shares trial 1 fails in the child and
+    # trial 2 in this process, and the run must still name trial 1
+    cheeger = unimap.experiments._cheeger_or_none
+
+    def failing(m, where):
+        if "trial 0" in where:
+            return cheeger(m, where)
+        raise DecompositionError(f"made to fail: {where}")
+
+    monkeypatch.setattr(unimap.experiments, "_cheeger_or_none", failing)
+    for cpus in (1, 2, 3):
+        error = _core_expander_error(monkeypatch, cpus, (16,), 3, 3)
+        assert error == (DecompositionError, "made to fail: n=16, trial 1, the core")
 
 
 def test_core_expander_edge_fractions_match_trimmed_maps():

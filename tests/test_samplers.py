@@ -24,9 +24,9 @@ from unimap.samplers import (
     sample_polygon_gluing,
     sample_unicellular_fixed_genus,
     _branch_size_tables,
+    _genus_count_column,
     _genus_step_weight,
     _glue_corners,
-    _harer_zagier_column,
     _vertex_corners,
 )
 from unimap.series import expected_plain_size
@@ -162,9 +162,10 @@ def test_fixed_genus_sampler_large_n_without_recursion(g):
 
 
 def test_harer_zagier_column_matches_oracle():
-    table = harer_zagier_table(60)
-    for n in range(61):
-        assert _harer_zagier_column(n) == tuple(table[(n, g)] for g in range(n // 2 + 1))
+    # the odd-cycle column against the Harer-Zagier recurrence
+    table = harer_zagier_table(200)
+    for n in range(201):
+        assert _genus_count_column(n) == tuple(table[(n, g)] for g in range(n // 2 + 1))
 
 
 def test_genus_step_weights_sum_to_trisection_total():
@@ -273,6 +274,15 @@ def test_degree_sequence_validation():
     d = DegreeSequence((3, 3, 4, 4))
     assert d.total == 14 and d.k == 4
     assert d.admits_unicellular  # 7 + 4 = 11 odd
+
+
+@pytest.mark.parametrize(
+    "entries", [(3.0, 3.0, 4.0), (4.5, 3.5), (3, True, 4), (3, 3, 4.0)], ids=repr
+)
+def test_degree_sequence_refuses_non_int_degrees(entries):
+    # a float or bool degree used to reach block_rotation's range() as a TypeError
+    with pytest.raises(ParameterError, match="ints"):
+        DegreeSequence(entries)
 
 
 def test_degree_sequence_parity_rule():

@@ -254,3 +254,20 @@ def test_tail_bound_validation():
         tail_bound(0.2, 0.9, 3)  # A must exceed 1
     with pytest.raises(ParameterError):
         tail_bound(0.24, 2.0, 3)  # A*beta* leaves the disc
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [
+        series_sqrt_one_minus_4z,
+        series_T,
+        series_D,
+        series_C,
+        series_D_closed_form,
+        series_C_closed_form,
+    ],
+)
+@pytest.mark.parametrize("order", [-1, -5, True, False, 2.0, "3", None], ids=repr)
+def test_series_refuse_an_order_that_is_not_an_int_at_least_0(maker, order):
+    with pytest.raises(ParameterError, match="order"):
+        maker(order)
