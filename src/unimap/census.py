@@ -4,22 +4,21 @@ processes can share.
 `turn_classes` walks the polygon gluings whose pairings start with a given
 prefix, one gluing per class of turns.  `census_chunks` gives the prefixes
 that cut the whole walk into chunks, in enumeration order, and
-`census_share` tallies the branch-size profiles of every k-th chunk, so
-that k processes can each take one share (see `unimap.parallel` and
+`chunk_tally` tallies the branch-size profiles of one chunk, so that
+`unimap.parallel.fork_map` can deal the chunks across processes (see
 `unimap.experiments.profile_census`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import islice
 from typing import Iterator
 
 from .core import _Segments
 from .maps import CombinatorialMap, from_polygon_gluing
 from .samplers import enumerate_pairings
 
-__all__ = ["census_chunks", "census_share", "turn_classes"]
+__all__ = ["census_chunks", "chunk_tally", "turn_classes"]
 
 
 def turn_classes(
@@ -96,17 +95,16 @@ def census_chunks(n: int) -> Iterator[tuple]:
                 yield ((0, b), (a, c))
 
 
-def census_share(n: int, k: int, s: int) -> tuple[dict, int]:
-    """Chunks s, s + k, s + 2k, ... of the census: their tally and the
-    gluings built."""
+def chunk_tally(n: int, prefix: tuple) -> tuple[dict, int]:
+    """The census chunk of the pairings that start with `prefix`: its tally
+    and the gluings built."""
     counts: Counter = Counter()
     built: list[int] = []
-    for prefix in islice(census_chunks(n), s, None, k):
-        for m, period in turn_classes(n, prefix, built):
-            g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
-            if g == 0:
-                counts[(0, 0, 0, ())] += period
-                continue
-            for marked, others, rootings in _Segments(m).rootings(period):
-                counts[(g, 1 + len(others), marked, others)] += rootings
+    for m, period in turn_classes(n, prefix, built):
+        g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
+        if g == 0:
+            counts[(0, 0, 0, ())] += period
+            continue
+        for marked, others, rootings in _Segments(m).rootings(period):
+            counts[(g, 1 + len(others), marked, others)] += rootings
     return dict(counts), sum(built)

@@ -28,9 +28,8 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Any
 
-from . import errors
 from .core import core
-from .errors import EnumerationCapError, ParameterError, UnimapError
+from .errors import EnumerationCapError, ParameterError
 from .expansion import cheeger_exact, wilson_interval
 from .maps import underlying_graph
 from .samplers import (
@@ -227,22 +226,21 @@ def profile_census(n: int) -> dict:
     sorted_other_sizes); plane trees are tallied under (0, 0, 0, ()) since
     they have no core.
 
-    The chunks of `census.census_chunks` are dealt round-robin to one share
-    per CPU this process may use (`fork_shares`), and the shares' tallies
-    add.  Keys are sorted, so the dict does not depend on the split.  The
-    census raises unless the shares built (2n-1)!! gluings in all.
+    The chunks of `census.census_chunks` go through `parallel.fork_map`,
+    and their tallies add.  Keys are sorted, so the dict does not depend on
+    the split.  The census raises unless the chunks built (2n-1)!! gluings
+    in all.
     """
     # imported here, so that a process that runs no census does not carry them
-    from .census import census_chunks, census_share
-    from .parallel import fork_shares, share_count
+    from .census import census_chunks, chunk_tally
+    from .parallel import fork_map
 
     if type(n) is not int or n < 1:
         raise ParameterError(f"a census needs an int n >= 1, got {n!r}")
     enumerate_pairings(n)  # refuses n past the cap before any work starts
-    shares = share_count(sum(1 for _ in census_chunks(n)))
     counts: Counter = Counter()
     built = 0
-    for tally, walked in fork_shares(partial(census_share, n, shares), shares):
+    for tally, walked in fork_map(partial(chunk_tally, n), list(census_chunks(n))):
         counts.update(tally)
         built += walked
     if built != double_factorial_odd(n):
@@ -566,15 +564,14 @@ def verify_substitution_transfer(
     and compares exact Cheeger constants.  The inequality is a theorem, so a
     single violation is a failure.
 
-    Instance i is dealt to share i mod k of one share per CPU this process
-    may use (`fork_shares`), and the shares' violation counts add.  Each
-    instance draws from its own stream, seeded by its index, so the split
-    changes no draw and the report is the one a single loop gives.  The
-    parameters are checked before any share starts.
+    The instances go through `parallel.fork_map`, each drawing from its own
+    stream, seeded by its index, so the report and any error are the ones
+    a single loop gives.  The parameters are checked before any instance
+    starts.
     """
     # imported here, so that a process that runs no transfer check does not carry them
-    from .parallel import fork_shares, share_count
-    from .transfer import transfer_share
+    from .parallel import fork_map
+    from .transfer import transfer_violated
 
     t0 = time.perf_counter()
     if any(type(x) is not int for x in (instances, max_h_vertices, max_m)):
@@ -590,9 +587,8 @@ def verify_substitution_transfer(
             "seed": seed,
         },
     )
-    shares = share_count(instances)
-    work = partial(transfer_share, seed, instances, max_h_vertices, max_m, shares)
-    violations = sum(fork_shares(work, shares))
+    work = partial(transfer_violated, seed, max_h_vertices, max_m)
+    violations = sum(fork_map(work, range(instances)))
     observed = {"instances": instances, "violations": violations}
     expected = {
         "violations": {"value": 0, "source": "transfer-inequality"},
@@ -634,13 +630,13 @@ def _as_pair(h: Fraction | None) -> tuple[int, int] | None:
 
 
 def _sample_record(
-    n: int, g: int, t: int, seed: int, M: int, m_grid: list[int]
+    seed: int, M: int, m_grid: list[int], unit: tuple[int, int, int]
 ) -> tuple[tuple[int, int] | None, tuple[int, int] | None, tuple[int, ...]]:
-    """Trial t at n: its sample of U(n, g), drawn from the stream seeded by
-    (seed, n, t), read as h(core), h(core less M), each a (numerator,
-    denominator) pair, or None when the graph has no cut, and the edges
-    that trimming at each M' of `m_grid` keeps.  Ints only, so that the
-    record can leave a forked share.
+    """Trial t at n, for `unit` = (n, g, t): its sample of U(n, g), drawn
+    from the stream seeded by (seed, n, t), read as h(core), h(core less
+    M), each a (numerator, denominator) pair, or None when the graph has no
+    cut, and the edges that trimming at each M' of `m_grid` keeps.  Ints
+    only, so that the record can leave a forked share.
 
     The kept counts come from the branch sizes of the sample's `core`:
     trimming at M' keeps sum_b (b if b < M' else 1) edges, which is
@@ -648,6 +644,7 @@ def _sample_record(
     is built, for its Cheeger constant, and only when some branch has at
     least M edges: otherwise it is `reconstruct(core(m))`, which is m.
     """
+    n, g, t = unit
     m = sample_unicellular_fixed_genus(n, g, random.Random(f"{seed}:core:{n}:{t}"))
     dec = core(m)
     sizes = [b.n_edges for b in dec.branches]
@@ -656,22 +653,6 @@ def _sample_record(
     h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={M}")
     kept = tuple(sum(b if b < mm else 1 for b in sizes) for mm in m_grid)
     return _as_pair(h_core), _as_pair(h_trim), kept
-
-
-def _trial_share(
-    units: list[tuple[int, int, int]], seed: int, M: int, m_grid: list[int], k: int, s: int
-) -> tuple[list, tuple[int, str, str] | None]:
-    """The records of units s, s + k, s + 2k, ... of
-    `run_core_expander_experiment`, each unit an (n, g, t), up to the first
-    that raises a package error; that error as (unit index, class name,
-    message), or None."""
-    records = []
-    for i in range(s, len(units), k):
-        try:
-            records.append(_sample_record(*units[i], seed, M, m_grid))
-        except UnimapError as exc:
-            return records, (i, type(exc).__name__, str(exc))
-    return records, None
 
 
 def run_core_expander_experiment(
@@ -698,17 +679,14 @@ def run_core_expander_experiment(
     to measure; they count as vacuous expanders that reach kappa, are
     tallied separately, and are skipped by the transfer check.
 
-    The trials (n, t), listed n first, are dealt trial i to share i mod k
-    of one share per CPU this process may use (`fork_shares`), and their
-    records are put back in that order.  Each trial draws from its own
-    stream, so the split changes no draw.  The constants and each n's count
-    table are built before the shares start, so every share inherits them.
-    A trial that raises a package error makes the run raise the error of
-    the first such trial in that order, of the same class and with the same
-    message, as a single loop over the trials would.
+    The trials (n, t), listed n first, go through `parallel.fork_map`, each
+    drawing from its own stream, so the report and any error are the ones
+    a single loop over the trials gives.  The parameters, the constants
+    and each n's count table are checked and built before any trial
+    starts, so every share inherits them.
     """
     # imported here, so that a process that runs no experiment does not carry it
-    from .parallel import fork_shares, share_count
+    from .parallel import fork_map
 
     t0 = time.perf_counter()
     n_list = tuple(n_list)
@@ -733,16 +711,11 @@ def run_core_expander_experiment(
     kappa = Fraction(str(pipe.kappa))
     genera = {n: _genus_for(theta, n) for n in n_list}
     for n, g in genera.items():
-        if 2 * g <= n:  # the sampler refuses the other n itself
-            _genus_count_column(n)
+        if n < 1 or 2 * g > n:
+            raise ParameterError(f"no one-face map has n={n} edges and genus g={g}")
+        _genus_count_column(n)
     units = [(n, g, t) for n, g in genera.items() for t in range(trials)]
-    shares = share_count(len(units))
-    done = fork_shares(partial(_trial_share, units, seed, pipe.M, m_grid, shares), shares)
-    failures = [failure for _, failure in done if failure is not None]
-    if failures:
-        _, name, message = min(failures)
-        raise getattr(errors, name)(message)
-    flat = (done[i % shares][0][i // shares] for i in range(len(units)))
+    flat = fork_map(partial(_sample_record, seed, pipe.M, m_grid), units)
     all_records = [(_fraction(hc), _fraction(ht), kept) for hc, ht, kept in flat]
     observed: dict = {}
     data: list[dict] = []

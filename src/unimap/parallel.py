@@ -1,24 +1,26 @@
-"""Exact work split across forked processes.
+"""`fork_map(fn, units)`: `[fn(u) for u in units]`, split across processes.
 
-Three jobs are split: the exhaustive census (`experiments.profile_census`),
-the seeded substitution-transfer check
-(`experiments.verify_substitution_transfer`) and the trials of the
-core-expander experiment (`experiments.run_core_expander_experiment`).
-The seeded splits change no random stream, since each instance's or
-trial's rng is seeded by its index, not drawn from a stream that earlier
-ones advance.
+It splits the census chunks, the transfer instances and the core-expander
+trials of `unimap.experiments`.  The seeded jobs change no random stream,
+since each unit's rng is seeded by its index.
 
-`share_count` says how many shares a job is cut into: one per CPU that
-this process may use.  `fork_shares(work, k)` returns `[work(0), ...,
-work(k - 1)]`: share 0 runs in this process, and each other share in a
-child made by `os.fork`, which sends its result back through a pipe as
-`marshal` bytes and leaves by `os._exit`.  So a result must be made of what
-marshal carries (ints, strings, tuples, lists, plain dicts), and `work`
-must not count on side effects in this process.  No child outlives the
-call, whether it returns or raises.  A process that runs other threads
-gets one share, since a forked child could inherit a lock that one of
-them holds.  `multiprocessing` is not used: importing its pool alone adds
-more than 1 MiB to the resident memory of the process.
+Dealing.  The units are cut into k shares, one per CPU in this process's
+affinity mask and at most one per unit, and unit i goes to share i mod k.
+Share 0 runs in this process and each other share in a child made by
+`os.fork`, which replies through a pipe in `marshal` and leaves by
+`os._exit`.  So a result must be made of what marshal carries (ints,
+strings, tuples, lists, plain dicts), and `fn` must not count on side
+effects in this process.  No child outlives the call.  A process that
+cannot fork gets one share, as does one that runs other threads, since a
+forked child could inherit a lock that one of them holds.  `multiprocessing` is not used: importing
+its pool alone adds more than 1 MiB to the resident memory of the process.
+
+Errors.  A share stops at its first unit that raises a `UnimapError`, and
+the call raises the error of the least-indexed such unit, of the same
+class (from `unimap.errors`) and with the same message, as a single loop
+would under any number of shares.  Any other error raises as it is in
+share 0; in a child, or when a child dies without a reply, it raises
+`RuntimeError` naming the share.
 """
 
 from __future__ import annotations
@@ -27,29 +29,50 @@ import marshal
 import os
 import signal
 import threading
-from typing import Any, Callable
+from functools import partial
+from typing import Any, Callable, Sequence
 
-__all__ = ["fork_shares", "share_count"]
+from . import errors
+from .errors import UnimapError
+
+__all__ = ["fork_map"]
 
 
-def share_count(chunks: int) -> int:
-    """How many shares to cut a job of `chunks` chunks into: one per CPU in
-    this process's affinity mask, at most one per chunk, and 1 where the
-    platform cannot fork or other threads run."""
+def fork_map(fn: Callable[[Any], Any], units: Sequence) -> list:
+    """`[fn(u) for u in units]`, dealt across processes as the module says."""
+    shares = _share_count(len(units))
+    done = _fork_shares(partial(_share, fn, units, shares), shares)
+    failures = [failure for _, failure in done if failure is not None]
+    if failures:
+        _, name, message = min(failures)
+        raise getattr(errors, name)(message)
+    return [done[i % shares][0][i // shares] for i in range(len(units))]
+
+
+def _share(fn: Callable[[Any], Any], units: Sequence, shares: int, s: int) -> tuple:
+    """The results of units s, s + shares, ... up to the first that raises a
+    package error; that error as (unit index, class name, message), or None."""
+    results = []
+    for i in range(s, len(units), shares):
+        try:
+            results.append(fn(units[i]))
+        except UnimapError as exc:
+            return results, (i, type(exc).__name__, str(exc))
+    return results, None
+
+
+def _share_count(units: int) -> int:
+    """How many shares `units` units are cut into, as the module says."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     if threading.active_count() > 1:
         return 1
-    return min(len(os.sched_getaffinity(0)), chunks)
+    return max(1, min(len(os.sched_getaffinity(0)), units))
 
 
-def fork_shares(work: Callable[[int], Any], shares: int) -> list:
-    """`[work(s) for s in range(shares)]`, one share per process.
-
-    A share that fails makes the call raise `RuntimeError` with the child's
-    error; a failure here kills the children.  Either way every child is
-    reaped before the call ends.
-    """
+def _fork_shares(work: Callable[[int], Any], shares: int) -> list:
+    """`[work(s) for s in range(shares)]`, one share per process.  A failure
+    here kills the children, and every child is reaped before the call ends."""
     if shares == 1:
         return [work(0)]
     pids: list[int] = []

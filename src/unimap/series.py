@@ -24,6 +24,7 @@ and must agree exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -360,6 +361,9 @@ def derive_constants(
     keeps sup f below -c; M the smallest integer killing the branch-tail
     factor up to the epsilon budget; kappa = delta/(2M - 1).
     """
+    for name, x in (("theta", theta), ("epsilon", epsilon), ("eta", eta)):
+        if not isinstance(x, numbers.Real):
+            raise ParameterError(f"{name} must be a real number, got {x!r}")
     if not 0.0 < theta < 0.5:
         raise ParameterError(f"theta must lie in (0, 1/2), got {theta}")
     if not 0.0 < epsilon < 1.0:

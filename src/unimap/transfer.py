@@ -1,10 +1,9 @@
-"""Random instances of the substitution-transfer check, in shares that
-processes can split.
+"""Random instances of the substitution-transfer check, one at a time.
 
 Instance i draws its base graph, its size cap and its spliced trees from
 one stream, `random.Random(f"{seed}:transfer:{i}")`, so instances are
-independent and `transfer_share` can take every k-th of them (see
-`unimap.parallel` and `unimap.experiments.verify_substitution_transfer`).
+independent and `unimap.parallel.fork_map` can deal them across processes
+(see `unimap.experiments.verify_substitution_transfer`).
 The module is imported only when a transfer check runs, so that a process
 that runs none does not compile it.
 """
@@ -16,7 +15,7 @@ import random
 from .expansion import branch_substitution_transfer_check
 from .maps import Multigraph
 
-__all__ = ["transfer_share"]
+__all__ = ["transfer_violated"]
 
 
 def _random_connected_multigraph(rng: random.Random, max_vertices: int) -> Multigraph:
@@ -31,16 +30,10 @@ def _random_connected_multigraph(rng: random.Random, max_vertices: int) -> Multi
     return Multigraph(n_v, tuple(sorted(edges)))
 
 
-def transfer_share(
-    seed: int, instances: int, max_h_vertices: int, max_m: int, k: int, s: int
-) -> int:
-    """Violations among transfer instances s, s + k, s + 2k, ... of
-    `verify_substitution_transfer`."""
-    violations = 0
-    for i in range(s, instances, k):
-        rng = random.Random(f"{seed}:transfer:{i}")
-        h_graph = _random_connected_multigraph(rng, max_h_vertices)
-        m_cap = rng.randint(1, max_m)
-        if not branch_substitution_transfer_check(h_graph, m_cap, rng):
-            violations += 1
-    return violations
+def transfer_violated(seed: int, max_h_vertices: int, max_m: int, i: int) -> bool:
+    """Whether transfer instance i of `verify_substitution_transfer` breaks
+    the inequality."""
+    rng = random.Random(f"{seed}:transfer:{i}")
+    h_graph = _random_connected_multigraph(rng, max_h_vertices)
+    m_cap = rng.randint(1, max_m)
+    return not branch_substitution_transfer_check(h_graph, m_cap, rng)

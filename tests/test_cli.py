@@ -463,6 +463,8 @@ BAD_MAPS = {
         (("verify", "--claim", "substitution-transfer", "--instances", "0"), "instances"),
         (("experiment", "core-expander", "--theta", "0.4", "--epsilon", "0.1", "--n", "20,20",
           "--trials", "2", "--seed", "3", "--out", "{tmp}/ce"), ""),
+        (("experiment", "core-expander", "--theta", "0.4", "--epsilon", "0.1", "--n", "20,1",
+          "--trials", "2", "--seed", "3", "--out", "{tmp}/ce"), "n=1"),
         (("series", "--which", "T", "--order", "-3"), ""),
         (("series", "--which", "D", "--order", "-3"), ""),
         (("series", "--which", "C", "--order", "-3"), ""),
@@ -491,6 +493,7 @@ BAD_MAPS = {
         "repeated-p",
         "transfer-instances-zero",
         "core-expander-repeated-n",
+        "core-expander-infeasible-n",
         "negative-order-T",
         "negative-order-D",
         "negative-order-C",

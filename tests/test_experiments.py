@@ -17,7 +17,7 @@ import unimap.core
 import unimap.experiments
 import unimap.parallel
 import unimap.transfer
-from unimap.census import _least_chord_first, census_chunks, census_share, turn_classes
+from unimap.census import _least_chord_first, census_chunks, turn_classes
 from unimap.core import _Segments, branch_size_profile, core_less_M
 from unimap.errors import DecompositionError, EnumerationCapError, ParameterError, UnimapError
 from unimap.expansion import wilson_interval
@@ -118,7 +118,7 @@ def test_census_refuses_a_bad_n_before_any_work(monkeypatch, n):
         raise AssertionError("work started for a bad n")
 
     monkeypatch.setattr(unimap.census, "from_polygon_gluing", no_work)
-    monkeypatch.setattr(unimap.parallel, "fork_shares", no_work)
+    monkeypatch.setattr(unimap.parallel, "fork_map", no_work)
     error = EnumerationCapError if n == 9 else ParameterError
     with pytest.raises(error):
         profile_census.__wrapped__(n)
@@ -165,20 +165,26 @@ def test_census_key_order_reaches_no_payload(monkeypatch):
 
 
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_census_shares_cover_every_chunk_once(monkeypatch, k):
-    walked = []
+def test_census_shares_cover_every_chunk_once(monkeypatch, tmp_path, k):
+    # each walk, in whichever process, appends its prefix and pid to a file
+    log = tmp_path / "walked"
 
     def record(n, prefix, built):
-        walked.append(prefix)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {json.dumps(prefix)}\n")
         built.append(0)
         return iter(())
 
     monkeypatch.setattr(unimap.census, "turn_classes", record)
-    for s in range(k):
-        census_share(7, k, s)
+    monkeypatch.setattr(unimap.experiments, "double_factorial_odd", lambda n: 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+    assert profile_census.__wrapped__(7) == {}
+    lines = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    walked = [tuple(map(tuple, json.loads(prefix))) for _, prefix in lines]
     chunks = list(census_chunks(7))
     assert len(chunks) == 13 * 11
     assert sorted(walked) == sorted(chunks) and len(set(walked)) == len(chunks)
+    assert len({pid for pid, _ in lines}) == k
 
 
 def test_census_chunks_cut_the_enumeration_in_order():
@@ -558,9 +564,21 @@ def test_transfer_refuses_bad_parameters_before_any_share(monkeypatch, params):
     def no_work(*args):
         raise AssertionError("a share started for bad parameters")
 
-    monkeypatch.setattr(unimap.parallel, "fork_shares", no_work)
+    monkeypatch.setattr(unimap.parallel, "fork_map", no_work)
     with pytest.raises(ParameterError):
         verify_substitution_transfer(**params)
+
+
+def test_transfer_error_is_the_same_under_every_split(monkeypatch):
+    # instance 1 draws a base graph past the exact cap, in a forked share
+    # under two CPUs and in this process under one
+    for cpus in (1, 2, 3):
+        with pytest.raises(UnimapError) as info:
+            _transfer_on(monkeypatch, cpus, instances=2, max_h_vertices=30, max_m=1, seed=99)
+        assert type(info.value) is EnumerationCapError
+        assert str(info.value) == "28 vertices exceeds the exact cap 24"
+        with pytest.raises(ChildProcessError):  # no child is left behind
+            os.waitpid(-1, os.WNOHANG)
 
 
 def test_core_expander_experiment_shape():
@@ -593,6 +611,22 @@ def test_core_expander_refuses_non_int_counts_before_sampling(monkeypatch, n_lis
     monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", no_sample)
     with pytest.raises(ParameterError, match="ints"):
         run_core_expander_experiment(0.4, 0.1, n_list, trials, 0)
+
+
+@pytest.mark.parametrize("n_list", [(1,), (0,), (-3,), (20, 1)], ids=repr)
+def test_core_expander_refuses_an_infeasible_n_before_any_trial(monkeypatch, n_list):
+    def no_work(*args):
+        raise AssertionError("a trial started for an infeasible n")
+
+    monkeypatch.setattr(unimap.parallel, "fork_map", no_work)
+    with pytest.raises(ParameterError, match=f"n={n_list[-1]} edges and genus g="):
+        run_core_expander_experiment(0.4, 0.1, n_list, 2, 0)
+
+
+@pytest.mark.parametrize("bad", ["0.4", None, 0.4j], ids=repr)
+def test_core_expander_refuses_a_non_real_theta(bad):
+    with pytest.raises(ParameterError, match="theta must be a real number"):
+        run_core_expander_experiment(bad, 0.1, (20,), 1, 0)
 
 
 def test_core_expander_decomposes_each_sample_once(monkeypatch):

@@ -202,3 +202,30 @@ def test_no_function_calls_its_own_name():
                 ):
                     found.add((name, ".".join(path)))
     assert found == set(RECURSION_BY_DESIGN)
+
+
+def _process_machinery(tree: ast.Module) -> set[str]:
+    """`os.fork`, `os._exit` and `marshal` where a module's code uses them."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "os" and node.attr in ("fork", "_exit"):
+                found.add(f"os.{node.attr}")
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name == "marshal")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found.update(f"os.{a.name}" for a in node.names if a.name in ("fork", "_exit"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "marshal":
+            found.add("marshal")
+    return found
+
+
+def test_only_parallel_forks_and_marshals():
+    # dealing units to processes, and carrying their results and errors
+    # back, is decided in one module, which every split job goes through
+    found = {
+        (path.name, use)
+        for path in sorted(SRC.glob("*.py"))
+        for use in _process_machinery(ast.parse(path.read_text()))
+    }
+    assert found == {("parallel.py", use) for use in ("os.fork", "os._exit", "marshal")}

@@ -237,6 +237,14 @@ def test_derive_constants_validation():
         derive_constants(0.3, 0.1, eta=1.5)
 
 
+@pytest.mark.parametrize("bad", ["0.4", None, 0.4j], ids=repr)
+@pytest.mark.parametrize("name", ("theta", "epsilon", "eta"))
+def test_derive_constants_refuses_a_non_real_parameter(name, bad):
+    params = {"theta": 0.3, "epsilon": 0.1, "eta": 0.05, name: bad}
+    with pytest.raises(ParameterError, match=f"{name} must be a real number"):
+        derive_constants(**params)
+
+
 def test_tail_bound_dominates_exact_tail():
     p = derive_constants(0.3, 0.1)
     beta = p.beta_star / 2.0
