@@ -49,6 +49,7 @@ __all__ = [
     "BranchDecomposition",
     "branch_size_profile",
     "core",
+    "core_and_branch_sizes",
     "core_less_M",
     "reconstruct",
 ]
@@ -224,6 +225,33 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
     gluing; the inverse is `reconstruct`.
     """
     segs = _Segments(m)
+    first, the_core = _rooted_core(segs, m)
+    alpha, r = m.alpha, m.root
+    n_core = len(segs.mate)
+    branches: list[DoublyRootedTree] = []
+    marked: tuple[int, ...] = ()
+    # one branch per core edge, in core edge order: by the edge's smaller dart
+    for i in [d for d, a in enumerate(the_core.alpha) if d < a]:
+        contour, split = segs.branch((first + i) % n_core)
+        at = {d: t for t, d in enumerate(contour)}
+        word = [1 if at[alpha[d]] > t else -1 for t, d in enumerate(contour)]
+        branches.append(DoublyRootedTree(word, split))
+        if i == 0:
+            marked = dyck_address(word, min(at[r], at[alpha[r]]) + 1)
+    return BranchDecomposition(core=the_core, branches=tuple(branches), marked_edge=marked)
+
+
+def core_and_branch_sizes(m: CombinatorialMap) -> tuple[CombinatorialMap, tuple[int, ...]]:
+    """``core(m).core`` and the edge counts of its branches, sorted, read
+    off one walk around the face without building any branch's tree."""
+    segs = _Segments(m)
+    return _rooted_core(segs, m)[1], tuple(segs.sizes())
+
+
+def _rooted_core(segs: _Segments, m: CombinatorialMap) -> tuple[int, CombinatorialMap]:
+    """The core of ``m`` as `core` emits it, and the segment its dart 0
+    stands for: the root's segment, or that segment's mate when the root's
+    branch is presented from the other end."""
     alpha, r = m.alpha, m.root
     first = segs.owner[r]
     contour, split = segs.branch(first)
@@ -234,23 +262,9 @@ def core(m: CombinatorialMap) -> BranchDecomposition:
         first = segs.mate[first]
     # core dart i of the emitted core is the i-th segment from `first`
     n_core = len(segs.mate)
-    order = [(first + i) % n_core for i in range(n_core)]
-    partner = [(segs.mate[j] - first) % n_core for j in order]
-    edges = tuple((i, a) for i, a in enumerate(partner) if i < a)
-    branches: list[DoublyRootedTree] = []
-    marked: tuple[int, ...] = ()
-    for i, _ in edges:
-        contour, split = segs.branch(order[i])
-        at = {d: t for t, d in enumerate(contour)}
-        word = [1 if at[alpha[d]] > t else -1 for t, d in enumerate(contour)]
-        branches.append(DoublyRootedTree(word, split))
-        if i == 0:
-            marked = dyck_address(word, min(at[r], at[alpha[r]]) + 1)
-    return BranchDecomposition(
-        core=from_polygon_gluing(edges, len(edges)),
-        branches=tuple(branches),
-        marked_edge=marked,
-    )
+    partner = [(segs.mate[(first + i) % n_core] - first) % n_core for i in range(n_core)]
+    edges = [(i, a) for i, a in enumerate(partner) if i < a]
+    return first, from_polygon_gluing(edges, len(edges))
 
 
 def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:

@@ -118,11 +118,12 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
     pruning once the volume passes half of the total; their number can
     grow exponentially, so a graph with more than ``cap`` vertices is
     refused.  Set-up is O(edges): each vertex's neighbours become a
-    bitmask, plus one bit per further parallel edge, and connectivity is
-    one flood over them.  Ties go to the
-    lexicographically smallest subset, decided on the bitmasks (see
-    `_mask_precedes`), and the witness is built from the search's own
-    boundary and volume.  Disconnected graphs short-circuit to h = 0 with
+    bitmask, and connectivity is one flood over them.  A subset carries
+    its edge counts into every vertex, parallel edges with multiplicity,
+    as the fields of one int, so a candidate's count is one field read.
+    Ties go to the lexicographically smallest subset, decided on the
+    bitmasks (see `_mask_precedes`), and the witness is built from the
+    search's own boundary and volume.  Disconnected graphs short-circuit to h = 0 with
     the flood's reach, vertex 0's component, as the witness.
 
     A set that holds a vertex but not its pendant leaf is never searched.
@@ -150,16 +151,12 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         raise EnumerationCapError(f"{n} vertices exceeds the exact cap {cap}")
 
     # adj_mask[v] is the bitmask of v's neighbours and plain_deg[v] its
-    # degree without loops, which never cross a cut; an edge already in
-    # adj_mask is a repeat, one more parallel edge
+    # degree without loops, which never cross a cut
     adj_mask = [0] * n
     plain_deg = list(g.degrees)
-    repeats = []
     for u, v in g.edges:
         if u == v:
             plain_deg[u] -= 2
-        elif adj_mask[u] >> v & 1:
-            repeats.append((u, v))
         else:
             adj_mask[u] |= 1 << v
             adj_mask[v] |= 1 << u
@@ -171,16 +168,17 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         vol = sum(deg[v] for v in subset)
         return CutWitness(subset, 0, vol, 2 * half - vol)
 
-    # a vertex without parallel edges counts its edges into a subset with
-    # one popcount against single[v]; for the others, layers[v] is
-    # adj_mask[v] plus one bit per repeat, and the count sums the layers'
-    # overlaps with the subset
-    single = adj_mask[:]
-    layers: dict[int, list[int]] = {}
-    for u, v in repeats:
-        for a, b in ((u, v), (v, u)):
-            single[a] = 0
-            layers.setdefault(a, [adj_mask[a]]).append(1 << b)
+    # field v of a subset's int, `width` bits at shift[v], counts its edges
+    # into v; no count exceeds a plain degree, so none spills over, and
+    # fields[v], the int of v's own edges, is what adding v adds
+    width = max(plain_deg).bit_length()
+    fmask = (1 << width) - 1
+    shift = [v * width for v in range(n)]
+    fields = [0] * n
+    for u, v in g.edges:
+        if u != v:
+            fields[u] += 1 << shift[v]
+            fields[v] += 1 << shift[u]
     # leaves[x] is the bitmask of x's degree-1 neighbours
     leaves = [0] * n
     for w in range(n):
@@ -204,13 +202,15 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
         if leaves[anchor] & below:
             continue
         # states: (subset mask, candidates, permanently banned, vol,
-        # boundary, leaves of the subset); the vertices below the anchor
-        # start out banned; each connected subset with minimum vertex =
-        # anchor shows up exactly once because siblings ban every
-        # candidate branched on before them
-        stack = [(start, adj_mask[anchor] & ~below, below, vol0, bnd0, leaves[anchor])]
+        # boundary, leaves of the subset, its edge-count int); the vertices
+        # below the anchor start out banned; each connected subset with
+        # minimum vertex = anchor shows up exactly once because siblings
+        # ban every candidate branched on before them
+        stack = [
+            (start, adj_mask[anchor] & ~below, below, vol0, bnd0, leaves[anchor], fields[anchor])
+        ]
         while stack:
-            mask, cand, banned, vol, bnd, held = stack.pop()
+            mask, cand, banned, vol, bnd, held, ins = stack.pop()
             tried = 0
             c = cand
             while c:
@@ -225,19 +225,16 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
                 new_held = held | leaves[v]
                 if new_held & new_banned:
                     continue
-                lay = single[v]
-                if lay:
-                    into = (mask & lay).bit_count()
-                else:
-                    into = sum((mask & layer).bit_count() for layer in layers[v])
-                new_bnd = bnd + plain_deg[v] - 2 * into
+                new_bnd = bnd + plain_deg[v] - 2 * (ins >> shift[v] & fmask)
                 new_mask = mask | vbit
                 lhs, rhs = new_bnd * best_vol, best_bnd * new_vol
                 if lhs < rhs or (lhs == rhs and _mask_precedes(new_mask, best_mask)):
                     best_bnd, best_vol, best_mask = new_bnd, new_vol, new_mask
                 # c holds the candidates not yet tried, none in the subset
                 new_cand = c | (adj_mask[v] & ~new_mask & ~new_banned)
-                stack.append((new_mask, new_cand, new_banned, new_vol, new_bnd, new_held))
+                stack.append(
+                    (new_mask, new_cand, new_banned, new_vol, new_bnd, new_held, ins + fields[v])
+                )
 
     if not best_mask:
         raise EmptySideError("no subset with volume at most half the total")

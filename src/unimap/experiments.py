@@ -28,7 +28,7 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Any
 
-from .core import core
+from .core import core, core_and_branch_sizes
 from .errors import EnumerationCapError, ParameterError
 from .expansion import cheeger_exact, wilson_interval
 from .maps import underlying_graph
@@ -638,18 +638,19 @@ def _sample_record(
     cut, and the edges that trimming at each M' of `m_grid` keeps.  Ints
     only, so that the record can leave a forked share.
 
-    The kept counts come from the branch sizes of the sample's `core`:
-    trimming at M' keeps sum_b (b if b < M' else 1) edges, which is
-    `core_less_M(m, M').n_edges` by construction.  Only the core less M
-    is built, for its Cheeger constant, and only when some branch has at
-    least M edges: otherwise it is `reconstruct(core(m))`, which is m.
+    The core and the branch sizes come from `core_and_branch_sizes`, one
+    walk around the face that builds no branch tree.  Trimming at M'
+    keeps sum_b (b if b < M' else 1) edges, which is
+    `core_less_M(m, M').n_edges` by construction.  `core(m)` runs, to
+    build the core less M for its Cheeger constant, only when some branch
+    has at least M edges: otherwise the core less M is
+    `reconstruct(core(m))`, which is m.
     """
     n, g, t = unit
     m = sample_unicellular_fixed_genus(n, g, random.Random(f"{seed}:core:{n}:{t}"))
-    dec = core(m)
-    sizes = [b.n_edges for b in dec.branches]
-    trimmed = m if max(sizes) < M else dec.core_less_M(M)
-    h_core = _cheeger_or_none(dec.core, f"n={n}, trial {t}, the core")
+    the_core, sizes = core_and_branch_sizes(m)
+    trimmed = m if max(sizes) < M else core(m).core_less_M(M)
+    h_core = _cheeger_or_none(the_core, f"n={n}, trial {t}, the core")
     h_trim = _cheeger_or_none(trimmed, f"n={n}, trial {t}, the core less M={M}")
     kept = tuple(sum(b if b < mm else 1 for b in sizes) for mm in m_grid)
     return _as_pair(h_core), _as_pair(h_trim), kept

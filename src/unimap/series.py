@@ -48,7 +48,6 @@ __all__ = [
     "series_sqrt_one_minus_4z",
     "solve_beta",
     "solve_beta_closed_form",
-    "sup_rate_over_block",
     "tail_bound",
 ]
 
@@ -310,25 +309,6 @@ def rate_function(u: float, y: float) -> float:
     )
 
 
-def sup_rate_over_block(eta: float, y_cap: float) -> float:
-    """sup of f(u, y) over u in [eta, 1], y in [0, y_cap].
-
-    For fixed u the function is unimodal in y (its y-derivative is strictly
-    decreasing), with maximiser y* = u - u^2/2, so the supremum over the
-    interval is attained at min(y_cap, y*).  Over u we scan a grid of
-    step 1e-3.
-    """
-    best = -math.inf
-    steps = max(1, round((1.0 - eta) / 1e-3))
-    for i in range(steps + 1):
-        u = min(1.0, eta + i * 1e-3)
-        y = min(y_cap, u - 0.5 * u * u)
-        val = rate_function(u, y)
-        if val > best:
-            best = val
-    return best
-
-
 @dataclass(frozen=True)
 class ConstantPipeline:
     """All derived constants for one (theta, epsilon, eta) input triple."""
@@ -378,14 +358,25 @@ def derive_constants(
     W = eval_D(A * beta_star) / (A * beta_star)
     c = -rate_function(eta, 0.0) / 2.0
 
-    # Largest delta on the grid {1e-3, ..., 0.999} keeping the whole block
-    # below -c; the feasible set is downward closed so a binary search over
-    # the grid index finds its top.  The y-interval [0, eta*delta) is open; by
-    # continuity its supremum equals the closed-interval supremum used here.
+    # Largest delta on the grid {1e-3, ..., 0.999} keeping the rate below -c
+    # on the whole block u in [eta, 1], y in [0, eta*delta]; the feasible set
+    # is downward closed so a binary search over the grid index finds its
+    # top.  For fixed u the rate is unimodal in y (its y-derivative is
+    # strictly decreasing) with maximiser u - u^2/2, so its supremum over
+    # [0, y_cap] is at min(y_cap, u - u^2/2).  u runs over a grid of step
+    # 1e-3, and a block fails at its first grid point that reaches -c.  The
+    # y-interval [0, eta*delta) is open; by continuity its supremum equals
+    # the closed-interval supremum used here.
     lo_idx, hi_idx = 0, 1000
+    steps = max(1, round((1.0 - eta) / 1e-3))
 
     def feasible(idx: int) -> bool:
-        return sup_rate_over_block(eta, eta * (idx * 1e-3)) < -c
+        y_cap = eta * (idx * 1e-3)
+        for i in range(steps + 1):
+            u = min(1.0, eta + i * 1e-3)
+            if rate_function(u, min(y_cap, u - 0.5 * u * u)) >= -c:
+                return False
+        return True
 
     if not feasible(1):
         raise InfeasibleConstantsError(

@@ -305,6 +305,25 @@ def expected_marked_size(beta: float) -> float:
     return 1.0 + 6.0 * beta / (1.0 - 4.0 * beta)
 
 
+def sup_rate_over_block(rate_function, eta: float, y_cap: float) -> float:
+    """sup of ``rate_function(u, y)`` over u in [eta, 1], y in [0, y_cap].
+
+    The package's earlier scan, kept as it was, with the rate passed in:
+    for fixed u the rate is unimodal in y with maximiser y* = u - u^2/2,
+    so the supremum over the interval is attained at min(y_cap, y*).
+    Over u it scans a grid of step 1e-3, the whole grid every time.
+    """
+    best = -math.inf
+    steps = max(1, round((1.0 - eta) / 1e-3))
+    for i in range(steps + 1):
+        u = min(1.0, eta + i * 1e-3)
+        y = min(y_cap, u - 0.5 * u * u)
+        val = rate_function(u, y)
+        if val > best:
+            best = val
+    return best
+
+
 def write_multigraph(g: Multigraph) -> str:
     """Edge-list text: header ``p mg <n_vertices> <n_edges>``, one edge per line."""
     lines = [f"p mg {g.n_vertices} {g.n_edges}"]

@@ -15,11 +15,13 @@ from unimap.core import (
     BranchDecomposition,
     branch_size_profile,
     core,
+    core_and_branch_sizes,
     core_less_M,
     reconstruct,
 )
 from unimap.errors import DecompositionError, ParameterError
 from unimap.maps import CombinatorialMap, from_polygon_gluing, genus, vertex_degrees
+from unimap.parallel import fork_map
 from unimap.samplers import (
     enumerate_pairings,
     sample_polygon_gluing,
@@ -223,6 +225,41 @@ def test_branch_sizes_count_every_edge_once():
             continue
         dec = core(m)
         assert sum(b.n_edges for b in dec.branches) == m.n_edges
+
+
+def _core_read(m: CombinatorialMap):
+    """What `core_and_branch_sizes` must return, read off `core`."""
+    dec = core(m)
+    return dec.core, tuple(sorted(b.n_edges for b in dec.branches))
+
+
+def _core_read_mismatches(unit: tuple[int, int, int]) -> list[int]:
+    """Indices of the gluings with n edges, every k-th from s for ``unit``
+    = (n, k, s), whose core read differs from `core`'s."""
+    n, k, s = unit
+    bad = []
+    for i, pairing in enumerate(enumerate_pairings(n)):
+        if i % k == s:
+            m = from_polygon_gluing(pairing, n)
+            if genus(m) > 0 and core_and_branch_sizes(m) != _core_read(m):
+                bad.append(i)
+    return bad
+
+
+def test_core_and_branch_sizes_match_core_exhaustively():
+    # every positive-genus gluing with 1..7 edges, 134,706 of them at
+    # n = 7, dealt across the CPUs this process may use
+    units = [(n, 4, s) for n in range(1, 8) for s in range(4)]
+    assert fork_map(_core_read_mismatches, units) == [[]] * len(units)
+
+
+def test_core_and_branch_sizes_match_core_on_rerooted_samples():
+    rng = random.Random(20261020)
+    for _ in range(500):
+        n = rng.randint(2, 120)
+        m = sample_unicellular_fixed_genus(n, rng.randint(1, n // 2), rng)
+        m = replace(m, root=rng.randrange(m.n_darts))
+        assert core_and_branch_sizes(m) == _core_read(m)
 
 
 def test_core_less_m_extremes():

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from unimap.errors import (
     EnumerationCapError,
     ParameterError,
 )
-from unimap import expansion
+from unimap import experiments, expansion
 from unimap.expansion import (
     CutWitness,
     _mask_precedes,
@@ -31,8 +32,8 @@ from unimap.expansion import (
     spectral_cheeger_bounds,
     wilson_interval,
 )
-from unimap.experiments import verify_substitution_transfer
-from unimap.maps import Multigraph
+from unimap.experiments import run_core_expander_experiment, verify_substitution_transfer
+from unimap.maps import Multigraph, underlying_graph
 from unimap.samplers import DegreeSequence
 from unimap.trees import dyck_partners
 
@@ -232,6 +233,41 @@ def test_cheeger_exact_matches_reference_with_leaves_on_loops_and_bundles():
         if n + sum(legs) >= 2
     ]
     assert _assert_matches_reference(graphs) > 1000
+
+
+def test_cheeger_exact_matches_reference_on_sampled_cores(monkeypatch):
+    # the underlying graph of every sample and every core of one seeded run
+    # at the benchmark's shape, where core vertices carry many parallel edges
+    maps = []
+    cheeger = experiments._cheeger_or_none
+
+    def recording(m, where):
+        maps.append(m)
+        return cheeger(m, where)
+
+    monkeypatch.setattr(experiments, "_cheeger_or_none", recording)
+    # one share, so that every call is made in this process and recorded
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    run_core_expander_experiment(0.4, 0.1, (30, 40, 50, 60), 40, 1)
+    monkeypatch.undo()
+    assert len(maps) == 320  # no branch reaches M, so the core less M is the sample
+    graphs = [g for g in (underlying_graph(m)[0] for m in maps) if g.n_vertices >= 2]
+    assert max(max(Counter(g.edges).values()) for g in graphs) >= 5
+    assert _assert_matches_reference(graphs) == len(graphs)
+
+
+def test_cheeger_exact_matches_reference_on_heavy_bundles():
+    # bundles of 5 to 13 parallel edges, and loops, on 2 to 9 vertices
+    rng = random.Random(25)
+    graphs = []
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        edges = []
+        for _ in range(rng.randint(1, 2 * n)):
+            u, v = sorted((rng.randrange(n), rng.randrange(n)))
+            edges += [(u, v)] * (rng.randint(5, 13) if u != v else rng.randint(1, 3))
+        graphs.append(Multigraph(n, tuple(edges)))
+    assert _assert_matches_reference(graphs) == 300
 
 
 def test_cheeger_exact_builds_its_witness_without_h_value():

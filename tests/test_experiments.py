@@ -5,7 +5,7 @@ import json
 import os
 import random
 from collections import Counter
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -18,13 +18,15 @@ import unimap.experiments
 import unimap.parallel
 import unimap.transfer
 from unimap.census import _least_chord_first, census_chunks, turn_classes
-from unimap.core import _Segments, branch_size_profile, core_less_M
+from unimap.core import _Segments, branch_size_profile, core, core_less_M
 from unimap.errors import DecompositionError, EnumerationCapError, ParameterError, UnimapError
 from unimap.expansion import wilson_interval
 from unimap.experiments import (
     ExperimentConfig,
     ExperimentReport,
+    _as_pair,
     _branch_profile_law,
+    _cheeger_or_none,
     _cm_map_is_unicellular,
     _d_power_coefficient,
     min_degree3_census,
@@ -630,19 +632,59 @@ def test_core_expander_refuses_a_non_real_theta(bad):
 
 
 def test_core_expander_decomposes_each_sample_once(monkeypatch):
-    core = unimap.core.core
-    calls = []
-
-    def counting_core(m):
-        calls.append(m)
-        return core(m)
-
-    monkeypatch.setattr(unimap.core, "core", counting_core)
-    monkeypatch.setattr(unimap.experiments, "core", counting_core)
-    # a forked share's calls never reach this list, so one share runs them all
+    # a trial walks its sample's face once, in `core_and_branch_sizes`, and
+    # calls `core` only when some branch has at least M = 102 edges, which
+    # no sample with 12 or 16 edges has
+    walks, calls = [], []
+    face_tour = unimap.core.face_tour
+    monkeypatch.setattr(unimap.core, "face_tour", lambda m: walks.append(m) or face_tour(m))
+    monkeypatch.setattr(unimap.experiments, "core", lambda m: calls.append(m))
+    # a forked share's calls never reach these lists, so one share runs them all
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_core_expander_experiment(0.4, 0.1, (12, 16), trials=3, seed=2)
-    assert len(calls) == 6
+    assert len(walks) == 6 and calls == []
+
+
+def _record_by_branch_trees(m, M: int, m_grid: list[int]) -> tuple:
+    """A trial's record read off every branch tree of ``core(m)``, as
+    `_sample_record` read it before it took the core read."""
+    dec = core(m)
+    sizes = [b.n_edges for b in dec.branches]
+    trimmed = m if max(sizes) < M else dec.core_less_M(M)
+    return (
+        _as_pair(_cheeger_or_none(dec.core, "the core")),
+        _as_pair(_cheeger_or_none(trimmed, "the core less M")),
+        tuple(sum(b if b < mm else 1 for b in sizes) for mm in m_grid),
+    )
+
+
+def test_core_expander_records_with_a_small_m_match_the_branch_trees(monkeypatch):
+    # with M = 3 most samples have a branch to collapse, so `core` runs
+    real_sample = unimap.experiments.sample_unicellular_fixed_genus
+    real_record = unimap.experiments._sample_record
+    samples, records, calls = [], [], []
+
+    def sample(n, g, rng):
+        samples.append(real_sample(n, g, rng))
+        return samples[-1]
+
+    def record(seed, M, m_grid, unit):
+        records.append((M, m_grid, real_record(seed, M, m_grid, unit)))
+        return records[-1][2]
+
+    monkeypatch.setattr(
+        unimap.experiments, "derive_constants", lambda *a: replace(derive_constants(*a), M=3)
+    )
+    monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", sample)
+    monkeypatch.setattr(unimap.experiments, "_sample_record", record)
+    monkeypatch.setattr(unimap.experiments, "core", lambda m: calls.append(m) or core(m))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    report = run_core_expander_experiment(0.4, 0.1, (12, 16, 30), trials=4, seed=5)
+    assert report.expected["M"]["value"] == 3
+    assert len(samples) == len(records) == 12
+    assert 0 < len(calls) <= 12
+    for m, (M, m_grid, rec) in zip(samples, records):
+        assert M == 3 and rec == _record_by_branch_trees(m, M, m_grid)
 
 
 def _core_expander_on(monkeypatch, cpus: int, *args) -> ExperimentReport:
@@ -662,6 +704,15 @@ def _core_expander_on(monkeypatch, cpus: int, *args) -> ExperimentReport:
 def test_core_expander_shares_match_one_share(monkeypatch, args):
     payloads = [_core_expander_on(monkeypatch, cpus, *args).payload_json() for cpus in (1, 2, 3)]
     assert payloads[1:] == payloads[:1] * 2
+
+
+# Payload sha256 of the benchmark's core-expander shape, (30, 40, 50, 60)
+# x 40 trials, at seed 1; it holds while every trial keeps its stream.
+def test_core_expander_at_benchmark_scale_is_pinned(monkeypatch):
+    digest = "e3207fb8ffed9a1b4c8235b517e6e6146c9ccbc2c9fba8b5997acfd9785bacc8"
+    for cpus in (1, 2):
+        report = _core_expander_on(monkeypatch, cpus, (30, 40, 50, 60), 40, 1)
+        assert hashlib.sha256(report.payload_json().encode()).hexdigest() == digest, cpus
 
 
 def _core_expander_error(monkeypatch, cpus: int, *args) -> tuple[type, str]:

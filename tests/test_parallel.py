@@ -119,9 +119,14 @@ def test_the_least_indexed_package_error_wins(monkeypatch, tmp_path, cpus):
     with pytest.raises(EnumerationCapError) as info:
         fork_map(_logging(log, fn), range(8))
     assert type(info.value) is EnumerationCapError and str(info.value) == "unit 3"
-    # each share stops at its first failing unit
+    # every unit up to the least failure runs, and each share stops at its
+    # first failing unit; whether a unit past unit 3 starts in another
+    # share depends on when unit 3 fails
     ran = sorted(u for u, _ in _calls(log))
-    assert ran == [u for u in range(8) if not any(f < u and f % cpus == u % cpus for f in failing)]
+    assert ran[:4] == [0, 1, 2, 3]
+    stopped = {u for u in range(8) if any(f < u and f % cpus == u % cpus for f in failing)}
+    assert not stopped & set(ran)
+    assert len(ran) == len(set(ran))
     assert _no_child_left()
 
 
@@ -162,4 +167,59 @@ def test_a_failure_here_kills_the_children_at_once(monkeypatch):
     with pytest.raises(ValueError, match="deliberate"):
         fork_map(work, range(3))
     assert time.monotonic() - t0 < 10
+    assert _no_child_left()
+
+
+def test_a_child_failing_below_share_0s_failure_wins(monkeypatch):
+    # share 0 fails at unit 2 first; the child, still running unit 1, is
+    # not past that failure, so it is waited for and its failure wins
+    def fn(u):
+        if u == 1:
+            time.sleep(0.3)
+            raise DecompositionError("unit 1")
+        if u == 2:
+            raise EnumerationCapError("unit 2")
+        return u
+
+    _pin(monkeypatch, 2)
+    with pytest.raises(DecompositionError, match="unit 1"):
+        fork_map(fn, range(4))
+    assert _no_child_left()
+
+
+def test_a_share_stops_before_a_unit_past_a_failure(monkeypatch, tmp_path):
+    # unit 2 fails here while the child is still in unit 1, which is
+    # before the failure and runs out; the child then starts no more units
+    def fn(u):
+        if u == 1:
+            time.sleep(0.3)
+        if u == 2:
+            raise EnumerationCapError("unit 2")
+        return u
+
+    _pin(monkeypatch, 2)
+    log = tmp_path / "calls"
+    with pytest.raises(EnumerationCapError, match="unit 2"):
+        fork_map(_logging(log, fn), range(8))
+    assert sorted(u for u, _ in _calls(log)) == [0, 1, 2]
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("cpus,fails,slow", [(2, 0, 1), (3, 1, 2)], ids=["here", "in-a-child"])
+def test_a_unit_past_a_failure_is_not_waited_for(monkeypatch, cpus, fails, slow):
+    # unit `fails` fails soon, in this process or in a child, while unit
+    # `slow`, past it in another child, would run for 30 s: it is killed
+    def fn(u):
+        if u == fails:
+            time.sleep(0.2)
+            raise EnumerationCapError(f"unit {u}")
+        if u == slow:
+            time.sleep(30)
+        return u
+
+    _pin(monkeypatch, cpus)
+    t0 = time.monotonic()
+    with pytest.raises(EnumerationCapError, match=f"unit {fails}"):
+        fork_map(fn, range(2 * cpus))
+    assert time.monotonic() - t0 < 5
     assert _no_child_left()

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import pytest
 
-from unimap.errors import ParameterError
+from unimap.errors import InfeasibleConstantsError, ParameterError
 from unimap.series import (
     TruncatedSeries,
     catalan,
@@ -24,9 +24,10 @@ from unimap.series import (
     series_sqrt_one_minus_4z,
     solve_beta,
     solve_beta_closed_form,
-    sup_rate_over_block,
     tail_bound,
 )
+
+from .oracles import sup_rate_over_block
 
 ORDER = 50
 
@@ -171,7 +172,7 @@ def test_rate_function_domain():
 
 def test_sup_rate_over_block_vs_brute_grid():
     eta, y_cap = 0.1, 0.02
-    sup = sup_rate_over_block(eta, y_cap)
+    sup = sup_rate_over_block(rate_function, eta, y_cap)
     brute = max(
         rate_function(u, min(y_cap, u - 0.5 * u * u, max(0.0, u - 1e-12)))
         for u in [eta + i * (1 - eta) / 4000 for i in range(4001)]
@@ -182,6 +183,45 @@ def test_sup_rate_over_block_vs_brute_grid():
     ys = [i / 2000 for i in range(1, 1000)]
     best_y = max(ys, key=lambda y: rate_function(u, y))
     assert best_y == pytest.approx(u - 0.5 * u * u, abs=2e-3)
+
+
+def _delta_by_full_scans(eta: float) -> float:
+    """derive_constants' delta search with every block scanned in full by
+    the oracle: the same grid, bisection and errors."""
+    c = -rate_function(eta, 0.0) / 2.0
+
+    def feasible(idx: int) -> bool:
+        return sup_rate_over_block(rate_function, eta, eta * (idx * 1e-3)) < -c
+
+    if not feasible(1):
+        raise InfeasibleConstantsError(f"no feasible delta at eta={eta}: the smallest fails")
+    lo_idx, hi_idx = 0, 1000
+    while hi_idx - lo_idx > 1:
+        mid = (lo_idx + hi_idx) // 2
+        if feasible(mid):
+            lo_idx = mid
+        else:
+            hi_idx = mid
+    return lo_idx * 1e-3
+
+
+@pytest.mark.parametrize("eta", (0.01, 0.05, 0.2))
+def test_derive_constants_matches_a_search_over_full_block_scans(eta):
+    # the search stops a block's scan at its first failing grid point, and
+    # must find what scanning for the supremum finds
+    try:
+        delta = _delta_by_full_scans(eta)
+    except InfeasibleConstantsError:
+        delta = None
+    for theta in (0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
+        for epsilon in (0.05, 0.1, 0.3):
+            if delta is None:
+                with pytest.raises(InfeasibleConstantsError):
+                    derive_constants(theta, epsilon, eta)
+                continue
+            p = derive_constants(theta, epsilon, eta)
+            full = replace(p, delta=delta, kappa=delta / (2 * p.M - 1))
+            assert repr(p) == repr(full), (theta, epsilon)
 
 
 def test_derive_constants_frozen_regression():
