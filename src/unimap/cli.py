@@ -20,7 +20,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .core import core
+from .core import core, core_less_M
 from .errors import UnimapError
 from .expansion import cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
 from .experiments import (
@@ -113,7 +113,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_core(args: argparse.Namespace) -> int:
     m = decode_map(Path(args.infile).read_text().strip())
     dec = core(m)
-    out_map = dec.core_less_M(args.M) if args.M is not None else dec.core
+    out_map = core_less_M(m, args.M) if args.M is not None else dec.core
     Path(args.out).write_text(encode_map(out_map) + "\n")
 
     branches = []

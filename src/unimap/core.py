@@ -32,12 +32,22 @@ is the marked edge's down dart exactly when that edge's up dart lies at
 or after v2's exit.  Exactly one end of the branch satisfies this rule,
 so `core` and `reconstruct` invert each other on the nose, not just up
 to rooted isomorphism.
+
+Trimming needs no tree either.  Replacing every branch of >= M edges by
+one edge leaves a one-face map whose face word is the segments in face
+order, starting from the segment that `core` emits as core dart 0: a
+long branch's two segments keep one dart each, their core darts, which
+form the new edge, and every other segment keeps all its darts, paired
+by alpha as before.  The root stays where it was when its branch is
+kept; when its branch collapses, the root is the first segment's one
+dart, the single edge's down dart, as `reconstruct` places the mark
+``(0,)``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -92,23 +102,6 @@ class BranchDecomposition:
         r = self.core.root
         a = self.core.alpha[r]
         return self.attachments.index((min(r, a), max(r, a)))
-
-    def core_less_M(self, M: int) -> CombinatorialMap:
-        """Rebuild the map with every branch of >= M edges replaced by a
-        single edge.
-
-        With M = 2 this is the core itself up to the degree-2 chains; the
-        result keeps the root on its branch (collapsed branches move the
-        mark to their single surviving edge).
-        """
-        if M < 2:
-            raise ParameterError(f"M must be at least 2, got {M}")
-        edge = DoublyRootedTree((1, -1), 1)
-        branches = tuple(edge if b.n_edges >= M else b for b in self.branches)
-        marked = self.marked_edge
-        if self.branches[self.root_branch_index].n_edges >= M:
-            marked = (0,)
-        return reconstruct(replace(self, branches=branches, marked_edge=marked))
 
 
 class _Segments:
@@ -248,10 +241,10 @@ def core_and_branch_sizes(m: CombinatorialMap) -> tuple[CombinatorialMap, tuple[
     return _rooted_core(segs, m)[1], tuple(segs.sizes())
 
 
-def _rooted_core(segs: _Segments, m: CombinatorialMap) -> tuple[int, CombinatorialMap]:
-    """The core of ``m`` as `core` emits it, and the segment its dart 0
-    stands for: the root's segment, or that segment's mate when the root's
-    branch is presented from the other end."""
+def _first_segment(segs: _Segments, m: CombinatorialMap) -> int:
+    """The segment that `core` emits as core dart 0: the root's segment, or
+    that segment's mate when the root's branch is presented from the other
+    end."""
     alpha, r = m.alpha, m.root
     first = segs.owner[r]
     contour, split = segs.branch(first)
@@ -260,6 +253,13 @@ def _rooted_core(segs: _Segments, m: CombinatorialMap) -> tuple[int, Combinatori
         # that closes before v2's exit, so the root's branch is presented
         # from the other end
         first = segs.mate[first]
+    return first
+
+
+def _rooted_core(segs: _Segments, m: CombinatorialMap) -> tuple[int, CombinatorialMap]:
+    """The core of ``m`` as `core` emits it, and the segment its dart 0
+    stands for (see `_first_segment`)."""
+    first = _first_segment(segs, m)
     # core dart i of the emitted core is the i-th segment from `first`
     n_core = len(segs.mate)
     partner = [(segs.mate[(first + i) % n_core] - first) % n_core for i in range(n_core)]
@@ -307,10 +307,32 @@ def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
 def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
     """Replace every branch of >= M edges by a single edge.
 
-    Decomposes ``m`` first; a caller that already holds ``core(m)`` calls
-    :meth:`BranchDecomposition.core_less_M` on it instead.
+    Equal to collapsing those branches of ``core(m)`` and calling
+    `reconstruct`, but read off one walk around the face (see the module
+    docstring): no branch tree is built.
     """
-    return core(m).core_less_M(M)
+    segs = _Segments(m)
+    if M < 2:
+        raise ParameterError(f"M must be at least 2, got {M}")
+    tour, cut, mate = segs.tour, segs.cut, segs.mate
+    first = _first_segment(segs, m)
+    partner = list(m.alpha)
+    kept: list[int] = []
+    for j in list(range(first, len(mate))) + list(range(first)):
+        if segs.size(j) >= M:
+            # the collapsed branch's one edge joins the two core darts
+            q = tour[cut[j]]
+            partner[q] = tour[cut[mate[j]]]
+            kept.append(q)
+        else:
+            kept.extend(tour[cut[j] : cut[j + 1]])
+    root = 0 if segs.size(segs.owner[m.root]) >= M else kept.index(m.root)
+    kept = kept[root:] + kept[:root]
+    place = [0] * len(partner)
+    for t, d in enumerate(kept):
+        place[d] = t
+    pairing = [(t, place[partner[d]]) for t, d in enumerate(kept) if t < place[partner[d]]]
+    return from_polygon_gluing(pairing, len(kept) // 2)
 
 
 def branch_size_profile(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:

@@ -13,9 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
+from unimap.core import BranchDecomposition
 from unimap.errors import (
     EmptySideError,
     EnumerationCapError,
@@ -322,6 +324,24 @@ def sup_rate_over_block(rate_function, eta: float, y_cap: float) -> float:
         if val > best:
             best = val
     return best
+
+
+def core_less_M_by_reconstruct(dec: BranchDecomposition, M: int, reconstruct) -> CombinatorialMap:
+    """The map of ``dec`` with every branch of >= M edges replaced by a
+    single edge: the package's earlier trim, kept as it was, with
+    `core.reconstruct` passed in.
+
+    The long branches become the one-edge tree and `reconstruct` rebuilds
+    the map; a collapsed root branch moves the mark to its single edge.
+    """
+    if M < 2:
+        raise ParameterError(f"M must be at least 2, got {M}")
+    edge = DoublyRootedTree((1, -1), 1)
+    branches = tuple(edge if b.n_edges >= M else b for b in dec.branches)
+    marked = dec.marked_edge
+    if dec.branches[dec.root_branch_index].n_edges >= M:
+        marked = (0,)
+    return reconstruct(replace(dec, branches=branches, marked_edge=marked))
 
 
 def write_multigraph(g: Multigraph) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import sys
@@ -208,6 +209,59 @@ def test_core_subcommand_with_cutoff(tmp_path, capsys):
     m = decode_map(out.strip())
     trimmed = decode_map(trimmed_path.read_text().strip())
     assert core(m).core.n_edges <= trimmed.n_edges <= m.n_edges
+
+
+def test_core_subcommand_trim_is_pinned(tmp_path, capsys):
+    # the root lies on a 3-edge branch that --M 3 collapses, and that
+    # branch is presented from the end away from the root's segment
+    pairs = (
+        (0, 1), (2, 5), (3, 12), (4, 8), (6, 21), (7, 13),
+        (9, 16), (10, 11), (14, 18), (15, 17), (19, 20),
+    )
+    map_path = tmp_path / "map.json"
+    map_path.write_text(encode_map(from_polygon_gluing(pairs, 11)) + "\n")
+    out_path, branches_path = tmp_path / "trimmed.json", tmp_path / "b.json"
+    code, out, _ = run(
+        capsys,
+        "core",
+        "--in", str(map_path),
+        "--M", "3",
+        "--out", str(out_path),
+        "--branches", str(branches_path),
+    )
+    assert code == 0
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    assert sha(out_path.read_bytes()) == "a2ca3a4b7204f0efeb7f13a7f07d4e3ae82b7369f98a8bbafe136619e5fcb511"
+    assert sha(branches_path.read_bytes()) == "bf2ec79da9c029da6f34234ee95ed9948e913ca49276eb6cacc8ffd7d25222e2"
+    assert sha(out.encode()) == "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"  # empty
+
+
+@pytest.mark.parametrize(
+    "pairs,M,message",
+    [
+        (((0, 2), (1, 3)), "1", "M must be at least 2, got 1"),
+        (((0, 1), (2, 3)), "1", "genus-zero map has an empty core"),
+        (((0, 1), (2, 3)), "3", "genus-zero map has an empty core"),
+    ],
+    ids=["square-M-1", "plane-tree-M-1", "plane-tree-M-3"],
+)
+def test_core_subcommand_bad_trim_exits_2(tmp_path, capsys, pairs, M, message):
+    map_path = tmp_path / "map.json"
+    map_path.write_text(encode_map(from_polygon_gluing(pairs, 2)) + "\n")
+    out_path = tmp_path / "c.json"
+    code, out, err = run(
+        capsys,
+        "core",
+        "--in", str(map_path),
+        "--M", M,
+        "--out", str(out_path),
+        "--branches", str(tmp_path / "b.json"),
+    )
+    assert code == 2 and out == "" and not out_path.exists()
+    assert err.startswith("error:") and message in err
 
 
 def test_cheeger_exact_witness(tmp_path, capsys):

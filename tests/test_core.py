@@ -28,7 +28,7 @@ from unimap.samplers import (
     sample_unicellular_fixed_genus,
 )
 
-from .oracles import call_with_recursion_bound, path_torus, relabel
+from .oracles import call_with_recursion_bound, core_less_M_by_reconstruct, path_torus, relabel
 
 SQUARE = from_polygon_gluing(((0, 2), (1, 3)), 2)
 # hexagon with one pendant edge folded in: genus 1, one vertex of degree 2
@@ -276,8 +276,60 @@ def test_core_less_m_extremes():
 
 
 def test_core_less_m_validation():
-    with pytest.raises(ParameterError):
-        core_less_M(SQUARE, 1)
+    # the map is decomposed before M is checked, as `core` then the trim
+    # did, and each error matches that route's in class and message
+    tree = from_polygon_gluing(((0, 1), (2, 3)), 2)
+    cases = ((tree, 1, DecompositionError), (tree, 3, DecompositionError), (SQUARE, 1, ParameterError))
+    for m, M, error in cases:
+        with pytest.raises(error) as new:
+            core_less_M(m, M)
+        with pytest.raises(error) as old:
+            core_less_M_by_reconstruct(core(m), M, reconstruct)
+        assert type(new.value) is type(old.value) and str(new.value) == str(old.value)
+
+
+def test_core_less_m_matches_reconstruct_exhaustively():
+    # every positive-genus gluing with 1..6 edges, at M = 2, at each of its
+    # branch sizes above 1 and just past its largest branch
+    cases = 0
+    for n in range(1, 7):
+        for m in unicellular_maps(n):
+            dec = core(m)
+            sizes = sorted({b.n_edges for b in dec.branches})
+            for M in [2] + [b for b in sizes if b > 1] + [sizes[-1] + 1]:
+                assert core_less_M(m, M) == core_less_M_by_reconstruct(dec, M, reconstruct), (m, M)
+                cases += 1
+    assert cases == 32_785
+
+
+def test_core_less_m_matches_reconstruct_on_relabelled_samples():
+    # relabelled darts are not in face order, and a moved root can sit
+    # anywhere on its branch, so the trim has to follow the face walk
+    rng = random.Random(20261020)
+    for _ in range(200):
+        n = rng.randint(2, 80)
+        m = sample_unicellular_fixed_genus(n, rng.randint(1, n // 2), rng)
+        rerooted = replace(m, root=rng.randrange(m.n_darts))
+        for other in (m, relabel(m, rng), relabel(rerooted, rng)):
+            dec = core(other)
+            for M in (2, 3, 4, 8):
+                assert core_less_M(other, M) == core_less_M_by_reconstruct(dec, M, reconstruct)
+
+
+def test_core_less_m_on_deep_and_large_maps_without_recursion():
+    # path_torus's root starts its 10,001-edge branch, so M = 2 and
+    # M = 10,001 collapse the root's branch and M = 10,002 keeps it
+    deep = path_torus(10_000)
+    large = sample_unicellular_fixed_genus(2000, 800, random.Random(2000))
+    for m, grid in ((deep, (2, 10_001, 10_002)), (large, (2, 3, 4))):
+        dec = core(m)
+        for M in grid:
+            t0 = time.perf_counter()
+            trimmed = call_with_recursion_bound(core_less_M, m, M)
+            assert time.perf_counter() - t0 < 2.0
+            assert trimmed == core_less_M_by_reconstruct(dec, M, reconstruct)
+    assert core_less_M(deep, 10_001) == SQUARE
+    assert core_less_M(deep, 10_002) == deep
 
 
 def test_core_less_m_interpolates_edge_count():

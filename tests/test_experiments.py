@@ -18,7 +18,7 @@ import unimap.experiments
 import unimap.parallel
 import unimap.transfer
 from unimap.census import _least_chord_first, census_chunks, turn_classes
-from unimap.core import _Segments, branch_size_profile, core, core_less_M
+from unimap.core import _Segments, branch_size_profile, core, core_less_M, reconstruct
 from unimap.errors import DecompositionError, EnumerationCapError, ParameterError, UnimapError
 from unimap.expansion import wilson_interval
 from unimap.experiments import (
@@ -53,6 +53,7 @@ from .oracles import (
     branch_profile_law,
     c_times_d_power,
     chord_word_starts_least,
+    core_less_M_by_reconstruct,
     harer_zagier_table,
     min_degree3_counts,
 )
@@ -633,12 +634,12 @@ def test_core_expander_refuses_a_non_real_theta(bad):
 
 def test_core_expander_decomposes_each_sample_once(monkeypatch):
     # a trial walks its sample's face once, in `core_and_branch_sizes`, and
-    # calls `core` only when some branch has at least M = 102 edges, which
-    # no sample with 12 or 16 edges has
+    # trims with `core_less_M` only when some branch has at least M = 102
+    # edges, which no sample with 12 or 16 edges has
     walks, calls = [], []
     face_tour = unimap.core.face_tour
     monkeypatch.setattr(unimap.core, "face_tour", lambda m: walks.append(m) or face_tour(m))
-    monkeypatch.setattr(unimap.experiments, "core", lambda m: calls.append(m))
+    monkeypatch.setattr(unimap.experiments, "core_less_M", lambda m, M: calls.append(m))
     # a forked share's calls never reach these lists, so one share runs them all
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     run_core_expander_experiment(0.4, 0.1, (12, 16), trials=3, seed=2)
@@ -646,11 +647,12 @@ def test_core_expander_decomposes_each_sample_once(monkeypatch):
 
 
 def _record_by_branch_trees(m, M: int, m_grid: list[int]) -> tuple:
-    """A trial's record read off every branch tree of ``core(m)``, as
-    `_sample_record` read it before it took the core read."""
+    """A trial's record read off every branch tree of ``core(m)`` and
+    trimmed by `reconstruct`, as `_sample_record` read it before it took
+    the core and the trim from face walks."""
     dec = core(m)
     sizes = [b.n_edges for b in dec.branches]
-    trimmed = m if max(sizes) < M else dec.core_less_M(M)
+    trimmed = m if max(sizes) < M else core_less_M_by_reconstruct(dec, M, reconstruct)
     return (
         _as_pair(_cheeger_or_none(dec.core, "the core")),
         _as_pair(_cheeger_or_none(trimmed, "the core less M")),
@@ -659,7 +661,7 @@ def _record_by_branch_trees(m, M: int, m_grid: list[int]) -> tuple:
 
 
 def test_core_expander_records_with_a_small_m_match_the_branch_trees(monkeypatch):
-    # with M = 3 most samples have a branch to collapse, so `core` runs
+    # with M = 3 most samples have a branch to collapse, so `core_less_M` runs
     real_sample = unimap.experiments.sample_unicellular_fixed_genus
     real_record = unimap.experiments._sample_record
     samples, records, calls = [], [], []
@@ -677,7 +679,9 @@ def test_core_expander_records_with_a_small_m_match_the_branch_trees(monkeypatch
     )
     monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", sample)
     monkeypatch.setattr(unimap.experiments, "_sample_record", record)
-    monkeypatch.setattr(unimap.experiments, "core", lambda m: calls.append(m) or core(m))
+    monkeypatch.setattr(
+        unimap.experiments, "core_less_M", lambda m, M: calls.append(m) or core_less_M(m, M)
+    )
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     report = run_core_expander_experiment(0.4, 0.1, (12, 16, 30), trials=4, seed=5)
     assert report.expected["M"]["value"] == 3
