@@ -24,6 +24,7 @@ from .core import core, core_less_M
 from .errors import UnimapError
 from .expansion import cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
 from .experiments import (
+    ExperimentReport,
     persist_report,
     profile_census,
     run_core_expander_experiment,
@@ -218,24 +219,29 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    claim = args.claim
-    if claim == "one-vertex-law":
-        report = verify_one_vertex_law(tuple(args.p))
-    elif claim == "cm-unicellular":
-        if args.degrees is None:
-            raise UnimapError("cm-unicellular needs --degrees")
-        report = verify_cm_unicellular(args.degrees, trials=args.trials, seed=args.seed)
-    elif claim == "decomposition-identity":
-        report = verify_decomposition_identity(args.n, args.genus)
-    elif claim == "branch-profile":
-        report = verify_branch_profile_law(args.n, args.genus)
-    else:
-        report = verify_substitution_transfer(
-            instances=args.instances, seed=args.seed if args.seed is not None else 0
-        )
-    if args.out:
-        paths = persist_report(report, args.out)
+def _verify_cm_unicellular(args: argparse.Namespace) -> ExperimentReport:
+    if args.degrees is None:
+        raise UnimapError("cm-unicellular needs --degrees")
+    return verify_cm_unicellular(args.degrees, trials=args.trials, seed=args.seed)
+
+
+# each claim `unimap verify --claim` accepts, with the call that checks it
+_CLAIMS = {
+    "one-vertex-law": lambda args: verify_one_vertex_law(tuple(args.p)),
+    "cm-unicellular": _verify_cm_unicellular,
+    "decomposition-identity": lambda args: verify_decomposition_identity(args.n, args.genus),
+    "branch-profile": lambda args: verify_branch_profile_law(args.n, args.genus),
+    "substitution-transfer": lambda args: verify_substitution_transfer(
+        instances=args.instances, seed=args.seed if args.seed is not None else 0
+    ),
+}
+
+
+def _conclude(report: ExperimentReport, out: str | None) -> int:
+    """Persist the report under ``out``, or print its payload when ``out``
+    is None; then the "<claim>: <verdict>" line, and exit 1 on a fail."""
+    if out is not None:
+        paths = persist_report(report, out)
         print(f"{report.claim}: {report.verdict} -> {paths['report']}", file=sys.stderr)
     else:
         print(report.payload_json())
@@ -243,13 +249,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.verdict in ("pass", "informational") else 1
 
 
+def _cmd_verify(args: argparse.Namespace) -> int:
+    return _conclude(_CLAIMS[args.claim](args), args.out or None)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
     report = run_core_expander_experiment(
         args.theta, args.epsilon, args.n, args.trials, args.seed
     )
-    paths = persist_report(report, args.out)
-    print(f"core-expander: {report.verdict} -> {paths['report']}", file=sys.stderr)
-    return 0 if report.verdict in ("pass", "informational") else 1
+    return _conclude(report, args.out)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -315,17 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="run one claim check and report pass/fail")
-    p.add_argument(
-        "--claim",
-        required=True,
-        choices=(
-            "one-vertex-law",
-            "cm-unicellular",
-            "decomposition-identity",
-            "branch-profile",
-            "substitution-transfer",
-        ),
-    )
+    p.add_argument("--claim", required=True, choices=tuple(_CLAIMS))
     p.add_argument("--p", type=int, nargs="*", default=(2, 4, 6))
     p.add_argument("--degrees", type=_parse_int_list, default=None, help="for cm-unicellular")
     p.add_argument("--n", type=int, default=6)

@@ -64,25 +64,17 @@ __all__ = [
 _VERDICTS = ("pass", "fail", "informational")
 
 
-def _jsonable(x: Any) -> Any:
-    """Recursively convert report values to canonical JSON material.
-
-    Fractions become "p/q" strings so exact values survive serialization
-    unchanged; tuples flatten to lists; dict keys are stringified.
-    """
+def _fraction_str(x: Any) -> str:
+    """json's `default` hook: a Fraction becomes "p/q", so exact values
+    survive serialization unchanged; any other type json cannot write is
+    refused."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
-    if isinstance(x, dict):
-        return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, bool) or x is None or isinstance(x, (int, float, str)):
-        return x
     raise ParameterError(f"value of type {type(x).__name__} is not serializable")
 
 
 def _canonical_json(obj: Any) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_fraction_str)
 
 
 @dataclass(frozen=True)
@@ -106,10 +98,11 @@ class ExperimentConfig:
     def mode(self) -> str:
         return "monte-carlo" if "seed" in self.parameters else "exact"
 
+    def _fields(self) -> dict:
+        return {"name": self.name, "parameters": self.parameters, "mode": self.mode}
+
     def canonical_json(self) -> str:
-        return _canonical_json(
-            {"name": self.name, "parameters": self.parameters, "mode": self.mode}
-        )
+        return _canonical_json(self._fields())
 
     def digest(self) -> str:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
@@ -144,17 +137,19 @@ class ExperimentReport:
         return self.config.name
 
     def payload(self) -> dict:
-        return {
-            "config": json.loads(self.config.canonical_json()),
-            "claim": self.claim,
-            "observed": _jsonable(self.observed),
-            "expected": _jsonable(self.expected),
-            "verdict": self.verdict,
-            "data": _jsonable(list(self.data)),
-        }
+        return json.loads(self.payload_json())
 
     def payload_json(self) -> str:
-        return json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(
+            {
+                "config": self.config._fields(),
+                "claim": self.claim,
+                "observed": self.observed,
+                "expected": self.expected,
+                "verdict": self.verdict,
+                "data": self.data,
+            }
+        )
 
     def to_dict(self) -> dict:
         out = self.payload()

@@ -162,18 +162,19 @@ def enumerate_plane_trees(n_edges: int) -> list[tuple[int, ...]]:
     if n_edges < 0:
         raise ParameterError(f"n_edges must be nonnegative, got {n_edges}")
 
-    def forests(weight: int) -> list[tuple[int, ...]]:
-        # weight = total edges + number of trees
-        if weight == 0:
-            return [()]
-        out: list[tuple[int, ...]] = []
-        for first_edges in range(weight):
-            for first in forests(first_edges):
-                for rest in forests(weight - first_edges - 1):
-                    out.append((1,) + first + (-1,) + rest)
-        return out
-
-    return forests(n_edges)
+    # forests[w]: every forest of weight w = total edges + number of trees,
+    # built from the lighter ones
+    forests: list[list[tuple[int, ...]]] = [[()]]
+    for weight in range(1, n_edges + 1):
+        forests.append(
+            [
+                (1,) + first + (-1,) + rest
+                for first_edges in range(weight)
+                for first in forests[first_edges]
+                for rest in forests[weight - first_edges - 1]
+            ]
+        )
+    return forests[n_edges]
 
 
 def doubly_rooted_count(k: int) -> int:

@@ -11,7 +11,8 @@ from fractions import Fraction
 
 import pytest
 
-from unimap.cli import main
+import unimap.experiments
+from unimap.cli import _CLAIMS, main
 from unimap.core import core
 from unimap.maps import (
     Multigraph,
@@ -402,6 +403,35 @@ def test_verify_prints_payload(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "pass"
     assert "decomposition-identity: pass" in err
+
+
+# small arguments for each claim of `unimap verify`: a claim added to the
+# table without an entry here fails the test below
+SMALL_CLAIM_ARGS = {
+    "one-vertex-law": ("--p", "2"),
+    "cm-unicellular": ("--degrees", "3,3"),
+    "decomposition-identity": ("--n", "4", "--genus", "1"),
+    "branch-profile": ("--n", "4", "--genus", "1"),
+    "substitution-transfer": ("--instances", "3", "--seed", "1"),
+}
+
+
+@pytest.mark.parametrize("claim", _CLAIMS)
+def test_every_claim_runs_from_the_command_line(capsys, claim):
+    code, out, err = run(capsys, "verify", "--claim", claim, *SMALL_CLAIM_ARGS[claim])
+    payload = json.loads(out)
+    assert (code, payload["claim"]) == (0, claim)
+    assert err == f"{claim}: {payload['verdict']}\n"
+
+
+def test_a_failed_claim_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(unimap.experiments, "_cm_map_is_unicellular", lambda *args: False)
+    code, out, err = run(
+        capsys, "verify", "--claim", "cm-unicellular",
+        "--degrees", "3,3,3,3,3,3", "--trials", "1000", "--seed", "1",
+    )
+    assert (code, err) == (1, "cm-unicellular: fail\n")
+    assert json.loads(out)["verdict"] == "fail"
 
 
 def test_verify_persists_report(tmp_path, capsys):

@@ -93,6 +93,14 @@ def test_report_serializes_fractions_exactly():
     assert '"1/3"' in r.payload_json()
 
 
+def test_report_refuses_a_value_json_cannot_write():
+    report = ExperimentReport(ExperimentConfig("demo", {}), {"s": {1, 2}}, {}, "pass")
+    with pytest.raises(ParameterError, match="type set is not serializable"):
+        report.payload_json()
+    with pytest.raises(ParameterError, match="type set is not serializable"):
+        ExperimentConfig("demo", {"s": {1, 2}}).digest()
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_profile_census_covers_every_pairing(n):
     census = profile_census(n)
@@ -461,6 +469,22 @@ def test_cm_unicellular_monte_carlo_deterministic():
     assert a.verdict in ("pass", "informational")
 
 
+def test_cm_unicellular_monte_carlo_is_informational_when_its_interval_holds_the_floor():
+    # 18 darts, so n = 9 and the floor is 1/54; the 99% Wilson interval of
+    # 30 trials is too wide to fall on one side of it
+    r = verify_cm_unicellular((3,) * 6, trials=30, seed=1)
+    assert r.observed["wilson_99_low"] < 1 / 54 <= r.observed["wilson_99_high"]
+    assert r.verdict == "informational"
+
+
+def test_cm_unicellular_monte_carlo_fails_when_its_interval_ends_below_the_floor(monkeypatch):
+    monkeypatch.setattr(unimap.experiments, "_cm_map_is_unicellular", lambda *args: False)
+    r = verify_cm_unicellular((3,) * 6, trials=1000, seed=1)
+    assert r.observed["probability"] == 0
+    assert r.observed["wilson_99_high"] < 1 / 54
+    assert r.verdict == "fail"
+
+
 @pytest.mark.parametrize("n,g", [(3, 1), (4, 1), (4, 2), (5, 2), (6, 3)])
 def test_decomposition_identity_small(n, g):
     r = verify_decomposition_identity(n, g)
@@ -613,6 +637,16 @@ def test_core_expander_refuses_non_int_counts_before_sampling(monkeypatch, n_lis
 
     monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", no_sample)
     with pytest.raises(ParameterError, match="ints"):
+        run_core_expander_experiment(0.4, 0.1, n_list, trials, 0)
+
+
+@pytest.mark.parametrize("n_list,trials", [((), 2), ((12,), 0)], ids=repr)
+def test_core_expander_refuses_no_n_or_no_trial_before_sampling(monkeypatch, n_list, trials):
+    def no_sample(*args):
+        raise AssertionError("sampled with no n or no trial")
+
+    monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", no_sample)
+    with pytest.raises(ParameterError, match="at least one n and one trial"):
         run_core_expander_experiment(0.4, 0.1, n_list, trials, 0)
 
 

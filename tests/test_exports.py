@@ -165,12 +165,7 @@ def test_oracles_import_only_classes_from_the_package():
 
 
 # functions of the package that call their own name, each with its reason
-RECURSION_BY_DESIGN = {
-    ("unimap.experiments", "_jsonable"): "its depth is the nesting of a report, about 5",
-    ("unimap.trees", "enumerate_plane_trees.forests"):
-        "its depth is n_edges, and it returns Cat(n) trees, so no n deep "
-        "enough to reach the recursion limit could ever finish",
-}
+RECURSION_BY_DESIGN: dict[tuple[str, str], str] = {}
 
 
 def _callee(func: ast.expr) -> str | None:
