@@ -25,6 +25,7 @@ from .errors import UnimapError
 from .expansion import cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
 from .experiments import (
     ExperimentReport,
+    fraction_str,
     persist_report,
     profile_census,
     run_core_expander_experiment,
@@ -49,10 +50,6 @@ from .series import derive_constants, series_C, series_D, series_T
 __all__ = ["main"]
 
 _log = logging.getLogger(__name__)
-
-
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -142,19 +139,19 @@ def _cmd_cheeger(args: argparse.Namespace) -> int:
         payload = {"spectral_lower": low, "spectral_upper": high}
     elif args.kappa is not None:
         ok, wit = is_kappa_expander(g, args.kappa, cap=args.cap)
-        payload = {"kappa": _frac_str(args.kappa), "is_expander": ok}
+        payload = {"kappa": args.kappa, "is_expander": ok}
     else:
         payload, wit = {}, cheeger_exact(g, cap=args.cap)
     if wit is not None:
         payload.update(
             {
-                "h": _frac_str(wit.h_value),
+                "h": wit.h_value,
                 "subset": list(wit.subset),
                 "boundary": wit.boundary,
                 "vol": [wit.vol_x, wit.vol_complement],
             }
         )
-    Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(args.out).write_text(json.dumps(payload, indent=2, default=fraction_str) + "\n")
     return 0
 
 

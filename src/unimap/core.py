@@ -46,7 +46,7 @@ dart, the single edge's down dart, as `reconstruct` places the mark
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -171,7 +171,10 @@ class _Segments:
 
     def sizes(self) -> list[int]:
         """Edge counts of all branches, in increasing order."""
-        return sorted([self.size(j) for j, k in enumerate(self.mate) if j < k])
+        cut = self.cut
+        return sorted(
+            [(cut[j + 1] - cut[j] + cut[k + 1] - cut[k]) // 2 for j, k in enumerate(self.mate) if j < k]
+        )
 
     def profile(self, root: int) -> tuple[int, tuple[int, ...]]:
         """Branch sizes with dart ``root`` as the map's root: the marked
@@ -180,8 +183,9 @@ class _Segments:
         It serves one root, the map's own in `branch_size_profile`; the
         census tallies a whole class of rootings with `rootings`.
         """
-        marked = self.size(self.owner[root])
-        return marked, _without_one(self.sizes(), marked)
+        marked, sizes = self.size(self.owner[root]), self.sizes()
+        sizes.remove(marked)
+        return marked, tuple(sizes)
 
     def rootings(self, period: int) -> Iterator[tuple[int, tuple[int, ...], int]]:
         """`profile` over the roots 0..period-1, as (marked size, other
@@ -193,22 +197,23 @@ class _Segments:
         it maps each branch to one of the same size, and the darts of the
         k branches of size b form a turn-invariant set.  The turn permutes
         the 2n/p blocks of p consecutive darts cyclically, so each block,
-        0..p-1 among them, holds p/2n of the set's 2bk darts.
+        0..p-1 among them, holds p/2n of the set's 2bk darts.  The sizes
+        are sorted, so the k branches of size b are one run, sizes[i:i+k],
+        and the runs come in increasing b.
         """
-        n, sizes = len(self.tour), self.sizes()
-        for b, k in Counter(sizes).items():
+        n, sizes = len(self.tour), tuple(self.sizes())
+        i = 0
+        while i < len(sizes):
+            b = sizes[i]
+            k = bisect_right(sizes, b, i) - i
             roots, rest = divmod(2 * b * k * period, n)
             if rest:
                 raise ArithmeticError(
                     f"{2 * b * k} darts of size-{b} branches do not split over "
                     f"{n // period} turns of {period} darts"
                 )
-            yield b, _without_one(sizes, b), roots
-
-
-def _without_one(sizes: list[int], b: int) -> tuple[int, ...]:
-    i = sizes.index(b)
-    return tuple(sizes[:i] + sizes[i + 1 :])
+            yield b, sizes[:i] + sizes[i + 1 :], roots
+            i += k
 
 
 def core(m: CombinatorialMap) -> BranchDecomposition:
@@ -309,11 +314,13 @@ def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
 
     Equal to collapsing those branches of ``core(m)`` and calling
     `reconstruct`, but read off one walk around the face (see the module
-    docstring): no branch tree is built.
+    docstring): no branch tree is built.  M is checked before the map.
     """
-    segs = _Segments(m)
+    if type(M) is not int:
+        raise ParameterError(f"M must be an int, got {M!r}")
     if M < 2:
         raise ParameterError(f"M must be at least 2, got {M}")
+    segs = _Segments(m)
     tour, cut, mate = segs.tour, segs.cut, segs.mate
     first = _first_segment(segs, m)
     partner = list(m.alpha)

@@ -371,7 +371,7 @@ def branch_substitution_transfer_check(
     and check that the expansion drops by a factor of at most 2M+1.
 
     Sizes are uniform on 1..M and trees uniform given the size.  Both
-    Cheeger constants are exact, so the inequality check is too.
+    Cheeger constants are exact, and the inequality is compared on ints.
     """
     if M < 1:
         raise ParameterError(f"M must be at least 1, got {M}")
@@ -389,4 +389,8 @@ def branch_substitution_transfer_check(
         edges.extend(tree_edges)
     big = Multigraph(next_id, tuple(edges))
     wit = cheeger_exact(big, cap=max(24, big.n_vertices))
-    return wit.h_value >= base.h_value / (2 * M + 1)
+    # h(big) >= h(H) / (2M+1) with both sides multiplied by the smaller
+    # volumes, which are positive: every vertex of either graph has an edge
+    return wit.boundary * min(base.vol_x, base.vol_complement) * (2 * M + 1) >= (
+        base.boundary * min(wit.vol_x, wit.vol_complement)
+    )

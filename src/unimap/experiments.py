@@ -50,6 +50,7 @@ from .series import derive_constants, series_D
 __all__ = [
     "ExperimentConfig",
     "ExperimentReport",
+    "fraction_str",
     "min_degree3_census",
     "persist_report",
     "profile_census",
@@ -64,17 +65,17 @@ __all__ = [
 _VERDICTS = ("pass", "fail", "informational")
 
 
-def _fraction_str(x: Any) -> str:
-    """json's `default` hook: a Fraction becomes "p/q", so exact values
-    survive serialization unchanged; any other type json cannot write is
-    refused."""
+def fraction_str(x: Any) -> str:
+    """json's `default` hook, for reports and the CLI: a Fraction becomes
+    "p/q", so exact values survive serialization unchanged; any other type
+    json cannot write is refused."""
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     raise ParameterError(f"value of type {type(x).__name__} is not serializable")
 
 
 def _canonical_json(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_fraction_str)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=fraction_str)
 
 
 @dataclass(frozen=True)

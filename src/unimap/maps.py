@@ -135,6 +135,10 @@ def vertex_degrees(m: CombinatorialMap) -> tuple[int, ...]:
     return tuple(sorted(degrees))
 
 
+# bound once: every pairing of a census is built
+_new, _set = object.__new__, object.__setattr__
+
+
 def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> CombinatorialMap:
     """Glue the sides of a ``2n``-gon according to ``pairing``.
 
@@ -147,17 +151,22 @@ def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> Combinato
     at -1 and each pair writes both of its ends.  With ``n >= 1``, exactly
     ``n`` pairs and no slot left negative, the 2n writes reached all 2n
     slots, so each slot was written exactly once, every side lies in
-    ``0..2n-1`` and no pair joins a side to itself.  That makes ``alpha``
-    a fixed-point-free involution and ``sigma = gamma∘alpha`` a
-    permutation, so the map is built without ``CombinatorialMap``'s own
+    ``0..2n-1`` (a negative side leaves its value in its partner's slot)
+    and no pair joins a side to itself.  So ``alpha`` is a fixed-point-free
+    involution, and ``sigma = gamma∘alpha``, written beside it as
+    ``alpha[d] + 1`` with the last side's partner sent to 0, a
+    permutation: the map is built without ``CombinatorialMap``'s own
     checks.  Any pairing that fails raises :class:`MalformedMapError`.
     """
     try:
         n_pairs = len(pairing)
         alpha = [-1] * (2 * n)
+        sigma = alpha[:]
         for a, b in pairing:
             alpha[a] = b
             alpha[b] = a
+            sigma[a] = b + 1
+            sigma[b] = a + 1
     except (IndexError, TypeError, ValueError) as exc:
         raise MalformedMapError(f"not a pairing of the sides of a 2n-gon: {exc}") from exc
     if n < 1:
@@ -166,17 +175,14 @@ def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> Combinato
         raise MalformedMapError(f"pairing has {n_pairs} pairs, a {2 * n}-gon needs {n}")
     if min(alpha) < 0:
         raise MalformedMapError("pairing does not pair every polygon side exactly once")
-    # sigma(d) = gamma(alpha(d)), the side after d's partner; the side
-    # after the last one is side 0
-    sigma = [a + 1 for a in alpha]
     sigma[alpha[-1]] = 0
     # set the fields as the dataclass __init__ does; writing through
     # m.__dict__ would materialise a per-instance dict, which costs memory
     # and slows every later attribute read
-    m = object.__new__(CombinatorialMap)
-    object.__setattr__(m, "alpha", tuple(alpha))
-    object.__setattr__(m, "sigma", tuple(sigma))
-    object.__setattr__(m, "root", 0)
+    m = _new(CombinatorialMap)
+    _set(m, "alpha", tuple(alpha))
+    _set(m, "sigma", tuple(sigma))
+    _set(m, "root", 0)
     return m
 
 

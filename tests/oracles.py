@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -622,6 +623,21 @@ def chord_word_starts_least(pairing, n: int) -> bool:
         alpha[a], alpha[b] = b, a
     c = [(a - d) % (2 * n) for d, a in enumerate(alpha)]
     return c[0] == min(c)
+
+
+def rooting_tally_by_counter(sizes: list[int], n_darts: int, period: int):
+    """The census tally of one class of turns as `_Segments.rootings` made
+    it with a Counter: for each branch size b, in first-seen order, b, the
+    sorted sizes without one b, and the roots among 0..period-1 whose
+    branch has size b, k branches of size b holding 2bk of the darts."""
+    out = []
+    for b, k in Counter(sizes).items():
+        roots, rest = divmod(2 * b * k * period, n_darts)
+        if rest:
+            raise ArithmeticError(f"{2 * b * k} darts do not split over {n_darts // period} turns")
+        i = sizes.index(b)
+        out.append((b, tuple(sizes[:i] + sizes[i + 1 :]), roots))
+    return out
 
 
 def doubly_rooted_check_by_partners(word, exit) -> None:

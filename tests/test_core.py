@@ -276,10 +276,16 @@ def test_core_less_m_extremes():
 
 
 def test_core_less_m_validation():
-    # the map is decomposed before M is checked, as `core` then the trim
-    # did, and each error matches that route's in class and message
+    # M is checked before the map is read: a non-int, a bool or M < 2 is
+    # refused on any map, a plane tree included, and 2.5 is not read as 3
     tree = from_polygon_gluing(((0, 1), (2, 3)), 2)
-    cases = ((tree, 1, DecompositionError), (tree, 3, DecompositionError), (SQUARE, 1, ParameterError))
+    for m in (tree, SQUARE):
+        for M in (1, 0, -3, 2.5, 3.0, True, "3", None):
+            with pytest.raises(ParameterError):
+                core_less_M(m, M)
+    # with an int M, each error matches the route through `core` and the
+    # trim in class and message
+    cases = ((tree, 2, DecompositionError), (tree, 3, DecompositionError), (SQUARE, 1, ParameterError))
     for m, M, error in cases:
         with pytest.raises(error) as new:
             core_less_M(m, M)

@@ -452,6 +452,35 @@ def test_branch_substitution_transfer_on_cycles():
         branch_substitution_transfer_check(C4, 0, rng)
 
 
+def test_transfer_verdict_on_ints_matches_the_fractions(monkeypatch):
+    # the verdict compares ints, and must read as h(big) >= h(H) / (2M+1)
+    # does in Fractions: on seeded instances, and on cuts handed in place
+    # of the exact ones so that it can fail
+    seen = []
+
+    def recording(g, cap=24):
+        seen.append(cheeger_exact(g, cap=cap))
+        return seen[-1]
+
+    monkeypatch.setattr(expansion, "cheeger_exact", recording)
+    rng = random.Random(31)
+    for _ in range(60):
+        h_graph, M = random_multigraph(rng, 5), rng.randint(1, 4)
+        verdict = branch_substitution_transfer_check(h_graph, M, rng)
+        base, wit = seen[-2:]
+        assert verdict == (wit.h_value >= base.h_value / (2 * M + 1))
+    verdicts = Counter()
+    grid = itertools.product((1, 3), (1, 5), (2, 7), (0, 1, 2, 3), (1, 6), (3, 9), (1, 2))
+    for b_bnd, b_x, b_c, w_bnd, w_x, w_c, M in grid:
+        base, wit = CutWitness((0,), b_bnd, b_x, b_c), CutWitness((0,), w_bnd, w_x, w_c)
+        cuts = iter((base, wit))
+        monkeypatch.setattr(expansion, "cheeger_exact", lambda g, cap=24: next(cuts))
+        verdict = branch_substitution_transfer_check(C4, M, rng)
+        assert verdict == (wit.h_value >= base.h_value / (2 * M + 1))
+        verdicts[verdict] += 1
+    assert verdicts[True] and verdicts[False]
+
+
 def test_cut_witness_derives_h():
     # h = boundary / min(vol_x, vol_complement), read off the fields
     assert CutWitness((1, 0), 3, 4, 6).h_value == Fraction(3, 4)

@@ -56,6 +56,7 @@ from .oracles import (
     core_less_M_by_reconstruct,
     harer_zagier_table,
     min_degree3_counts,
+    rooting_tally_by_counter,
 )
 
 
@@ -255,6 +256,24 @@ def test_rooting_tally_matches_every_rooting_of_a_class(n):
         assert tally == Counter(segs.profile(r) for r in range(period))
         short += period < 2 * n
     assert short > 0
+
+
+def test_class_tally_matches_the_counter_tally_on_every_class():
+    # every class of turns with n <= 7: the sizes read off `cut` and
+    # `mate` against the branches' contours, and the run-by-run tally
+    # against the Counter-based one, triple by triple in the same order
+    classes = 0
+    for n in range(1, 8):
+        for m, period in turn_classes(n):
+            if m.n_vertices() == n + 1:  # a plane tree has no core
+                continue
+            segs = _Segments(m)
+            sizes = segs.sizes()
+            contours = [len(segs.branch(j)[0]) // 2 for j, k in enumerate(segs.mate) if j < k]
+            assert sizes == sorted(contours)
+            assert list(segs.rootings(period)) == rooting_tally_by_counter(sizes, 2 * n, period)
+            classes += 1
+    assert classes == 10_721  # positive-genus classes for n = 2..7
 
 
 def test_rooting_tally_refuses_an_inexact_share():

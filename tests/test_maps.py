@@ -81,6 +81,8 @@ def test_malformed_inputs_rejected():
         (((0, 0), (1, 2)), 2),  # a side glued to itself
         (((0, -2), (1, 3)), 2),  # negative side
         ((), 0),  # no polygon
+        (((0, -1), (1, 2)), 2),  # side -1, which Python reads as side 3
+        (((0, 1), (3, 3)), 2),  # the last side glued to itself
     ],
 )
 def test_malformed_pairings_rejected(pairing, n):
