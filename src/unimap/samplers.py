@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, ParameterError
@@ -113,8 +114,8 @@ def sample_pairing(n_points: int, rng: random.Random) -> tuple[tuple[int, int], 
     all (n-1)!! matchings: each matching comes from the same number of
     orders, 2^(n/2) (n/2)!.
     """
-    if n_points <= 0 or n_points % 2:
-        raise ParameterError(f"n_points must be positive and even, got {n_points}")
+    if type(n_points) is not int or n_points <= 0 or n_points % 2:
+        raise ParameterError(f"n_points must be a positive even int, got {n_points!r}")
     order = list(range(n_points))
     rng.shuffle(order)
     pairs = ((a, b) if a < b else (b, a) for a, b in zip(order[0::2], order[1::2]))
@@ -180,8 +181,8 @@ def sample_polygon_gluing(n: int, rng: random.Random) -> CombinatorialMap:
     The result is a uniform rooted one-face map with n edges; its genus is
     whatever the pairing dictates.
     """
-    if n < 1:
-        raise ParameterError(f"n must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"n must be a positive int, got {n!r}")
     return from_polygon_gluing(sample_pairing(2 * n, rng), n)
 
 
@@ -224,66 +225,13 @@ def _genus_step_weight(n: int, h: int, p: int) -> int:
     return math.comb(n + 1 - 2 * (h - p), 2 * p + 1) * _genus_count_column(n)[h - p]
 
 
-def _vertex_corners(alpha: Sequence[int]) -> list[int]:
-    """One dart per vertex of a polygon gluing, sorted by face position.
+def _genus_steps(n: int, g: int, rng: random.Random) -> list[int]:
+    """The genus steps p of one trisection sample, drawn top-down.
 
-    ``alpha`` is the edge involution in face order (sigma(d) = alpha(d)+1
-    mod 2n).  Each vertex is represented by the dart d minimising
-    (d - 1) mod 2n, its first corner after the root corner; the root dart
-    0 ranks last.
+    From genus h the step p has weight ``_genus_step_weight(n, h, p)`` out
+    of 2h eps_h(n); weights are computed only as far as the walk over p
+    reaches.
     """
-    n_darts = len(alpha)
-    seen = bytearray(n_darts)
-    corners = []
-    for r in range(1, n_darts + 1):
-        d = r % n_darts
-        if seen[d]:
-            continue
-        corners.append(d)
-        while not seen[d]:
-            seen[d] = 1
-            d = alpha[d] + 1
-            if d == n_darts:
-                d = 0
-    return corners
-
-
-def _glue_corners(alpha: Sequence[int], corners: Sequence[int]) -> list[int]:
-    """Merge the vertices at ``corners`` (2p+1 of them, in face order).
-
-    The new rotation is tau∘sigma with tau the cycle (c_1 ... c_{2p+1}),
-    so the new face walks the old one as the slices [0,c_1) [c_2,c_3) ...
-    [c_{2p},c_{2p+1}) [c_1,c_2) ... [c_{2p+1},2n), the root dart counting
-    as 2n.  Returned relabelled in that order, as the edge involution of
-    the glued polygon: one face, and genus p higher.
-    """
-    n_darts = len(alpha)
-    cuts = [0, *[c or n_darts for c in corners], n_darts]
-    pos = [0] * n_darts  # old dart -> new label
-    moved: list[int] = []  # the old partners, in the new order
-    t = 0
-    for i in (*range(0, len(cuts) - 1, 2), *range(1, len(cuts) - 1, 2)):
-        lo, hi = cuts[i], cuts[i + 1]
-        pos[lo:hi] = range(t, t + hi - lo)
-        moved += alpha[lo:hi]
-        t += hi - lo
-    return [pos[a] for a in moved]
-
-
-def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> CombinatorialMap:
-    """A uniform one-face map with n edges and genus g, exact, by trisection gluing.
-
-    Chapuy's bijection (Adv. Appl. Math. 2011) behind
-    2g eps_g(n) = sum_{p>=1} C(n+1-2g+2p, 2p+1) eps_{g-p}(n): gluing 2p+1
-    vertices of a genus-(g-p) map into one gives every genus-g map exactly
-    2g times.  So the genus steps p are drawn top-down with those weights,
-    the genus-0 base is a uniform plane tree, and the steps are applied
-    bottom-up, each to a uniform (2p+1)-subset of the current vertices.
-    Weights are computed only as far as the walk over p reaches, and no
-    step recurses.  Feasibility needs n >= 1 and 0 <= g <= n/2.
-    """
-    if n < 1 or not 0 <= 2 * g <= n:
-        raise ParameterError(f"genus {g} infeasible for {n} edges")
     steps = []
     h = g
     while h > 0:
@@ -297,6 +245,47 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
             raise ArithmeticError(f"trisection weights fall short at n={n}, h={h}")
         steps.append(p)
         h -= p
+    return steps
+
+
+def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> CombinatorialMap:
+    """A uniform one-face map with n edges and genus g, exact, by trisection gluing.
+
+    Chapuy's bijection (Adv. Appl. Math. 2011) behind
+    2g eps_g(n) = sum_{p>=1} C(n+1-2g+2p, 2p+1) eps_{g-p}(n): gluing 2p+1
+    vertices of a genus-(g-p) map into one gives every genus-g map exactly
+    2g times.  So the genus steps p are drawn top-down with those weights,
+    the genus-0 base is a uniform plane tree, and the steps are applied
+    bottom-up, each to a uniform (2p+1)-subset of the current vertices.
+    Feasibility needs ints n >= 1 and 0 <= g <= n/2.
+
+    The darts keep their labels from the tree's contour (dart d is step d
+    of the Dyck word) through every step, so no step relabels them.
+    ``face`` lists the darts in the current face order, from the dart after
+    the root round to the root, which stays last.  ``vid`` gives each dart
+    its vertex id: in the tree, the node the contour stands at before that
+    step.  A step ranks the vertices by their first corner in ``face``
+    (``dict.fromkeys`` over the darts' ids), draws 2p+1 ranks and finds
+    those vertices' first corners c_1 < ... < c_{2p+1}.  The new rotation
+    is tau∘sigma, tau the cycle through those corners, so the new face
+    walks the old one as [0,c_1) [c_2,c_3) ... [c_{2p},c_{2p+1}) [c_1,c_2)
+    ... [c_{2p-1},c_{2p}) [c_{2p+1},end): only the stretch from c_1 to
+    c_{2p+1} is rewritten.  The c_i lie in distinct cycles of sigma, so
+    tau∘sigma joins those 2p+1 cycles into one and leaves every other
+    cycle as it was.  A step therefore merges vertex ids and nothing else:
+    the darts of the smaller chosen vertices take the largest one's id.  A
+    dart only moves into a vertex at least twice as large as the one it
+    leaves, so there are O(n log n) moves in all.  Every other pass over
+    the 2n darts is a list, tuple or dict operation in C.  At the end the
+    face positions turn the tree's edge involution into the gluing.  The
+    oracle in ``tests/oracles.py`` does each step by relabelling every dart
+    (``vertex_corners``, ``glue_corners``), and the maps must be equal.
+    """
+    if type(n) is not int or type(g) is not int:
+        raise ParameterError(f"n and g must be ints, got {n!r} and {g!r}")
+    if n < 1 or not 0 <= 2 * g <= n:
+        raise ParameterError(f"genus {g} infeasible for {n} edges")
+    steps = _genus_steps(n, g, rng)
     if _log.isEnabledFor(logging.DEBUG):
         log10_attempts = math.log10(double_factorial_odd(n)) - math.log10(
             _genus_count_column(n)[g]
@@ -309,12 +298,46 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
             steps,
             log10_attempts,
         )
-    alpha = dyck_partners(sample_dyck_word(n, rng))
+    word = sample_dyck_word(n, rng)
+    n_darts = 2 * n
+    vid = []  # the node entered by step d has id d + 1, the tree's root 0
+    path = [0]
+    for d, s in enumerate(word):
+        vid.append(path[-1])
+        if s > 0:
+            path.append(d + 1)
+        else:
+            path.pop()
+    darts_of: dict[int, list[int]] = {}
+    for d, v in enumerate(vid):
+        darts_of.setdefault(v, []).append(d)
+    face = [*range(1, n_darts), 0]
     for p in reversed(steps):
-        corners = _vertex_corners(alpha)
-        chosen = sorted(rng.sample(range(len(corners)), 2 * p + 1))
-        alpha = _glue_corners(alpha, [corners[i] for i in chosen])
-    return from_polygon_gluing([(d, a) for d, a in enumerate(alpha) if d < a], n)
+        ids = itemgetter(*face)(vid)  # a tuple: face holds 2n >= 2 darts
+        order = list(dict.fromkeys(ids))
+        chosen = [order[k] for k in sorted(rng.sample(range(len(order)), 2 * p + 1))]
+        cuts = []
+        at = 0
+        for v in chosen:
+            at = ids.index(v, at)
+            cuts.append(at)
+        middle = []
+        for i in (*range(1, 2 * p, 2), *range(0, 2 * p, 2)):
+            middle += face[cuts[i] : cuts[i + 1]]
+        face[cuts[0] : cuts[-1]] = middle
+        big = max(chosen, key=lambda v: len(darts_of[v]))
+        merged = darts_of[big]
+        for v in chosen:
+            if v != big:
+                moved = darts_of.pop(v)
+                for d in moved:
+                    vid[d] = big
+                merged += moved
+    pos = [0] * n_darts  # dart -> face position; the root, last in face, keeps 0
+    for i, d in enumerate(face[:-1], 1):
+        pos[d] = i
+    alpha = dyck_partners(word)
+    return from_polygon_gluing([(pos[d], pos[a]) for d, a in enumerate(alpha) if d < a], n)
 
 
 def block_rotation(degrees: Sequence[int]) -> list[int]:

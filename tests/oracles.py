@@ -208,11 +208,58 @@ def rejection_fixed_genus(n: int, g: int, rng) -> CombinatorialMap:
             return m
 
 
+def vertex_corners(alpha) -> list[int]:
+    """One dart per vertex of a polygon gluing, sorted by face position.
+
+    ``alpha`` is the edge involution in face order (sigma(d) = alpha(d)+1
+    mod 2n).  Each vertex is represented by the dart d minimising
+    (d - 1) mod 2n, its first corner after the root corner; the root dart
+    0 ranks last.  This is how the fixed-genus sampler ranks the vertices
+    it draws from.
+    """
+    n_darts = len(alpha)
+    seen = bytearray(n_darts)
+    corners = []
+    for r in range(1, n_darts + 1):
+        d = r % n_darts
+        if seen[d]:
+            continue
+        corners.append(d)
+        while not seen[d]:
+            seen[d] = 1
+            d = alpha[d] + 1
+            if d == n_darts:
+                d = 0
+    return corners
+
+
+def glue_corners(alpha, corners) -> list[int]:
+    """Merge the vertices at ``corners`` (2p+1 of them, in face order).
+
+    The new rotation is tau∘sigma with tau the cycle (c_1 ... c_{2p+1}),
+    so the new face walks the old one as the slices [0,c_1) [c_2,c_3) ...
+    [c_{2p},c_{2p+1}) [c_1,c_2) ... [c_{2p+1},2n), the root dart counting
+    as 2n.  Returned relabelled in that order, as the edge involution of
+    the glued polygon: one face, and genus p higher.
+    """
+    n_darts = len(alpha)
+    cuts = [0, *[c or n_darts for c in corners], n_darts]
+    pos = [0] * n_darts  # old dart -> new label
+    moved: list[int] = []  # the old partners, in the new order
+    t = 0
+    for i in (*range(0, len(cuts) - 1, 2), *range(1, len(cuts) - 1, 2)):
+        lo, hi = cuts[i], cuts[i + 1]
+        pos[lo:hi] = range(t, t + hi - lo)
+        moved += alpha[lo:hi]
+        t += hi - lo
+    return [pos[a] for a in moved]
+
+
 def glue_corners_reference(alpha, corners) -> list[int]:
     """Merge the vertices at ``corners`` (2p+1 of them, in face order), as
-    `samplers._glue_corners` used to: walk the new face d -> tau(d+1), tau
+    `glue_corners` does, but by walking the new face d -> tau(d+1), tau
     the cycle (c_1 c_2 ... c_{2p+1}), from the root, one dart at a time,
-    and relabel in that order."""
+    and relabelling in that order."""
     n_darts = len(alpha)
     tau = dict(zip(corners, [*corners[1:], corners[0]]))
     pos = [-1] * n_darts

@@ -365,10 +365,14 @@ def test_spectral_bounds_bracket_exact_value():
 
 
 def test_package_import_leaves_numpy_unloaded():
-    # numpy loads only inside spectral_cheeger_bounds
+    # numpy loads only inside spectral_cheeger_bounds: not at import, not
+    # while sampling U(n, g), not in a core-expander run
     code = """
-import json, sys
+import json, random, sys
 import unimap, unimap.experiments, unimap.cli
+from unimap.samplers import sample_unicellular_fixed_genus
+sample_unicellular_fixed_genus(60, 24, random.Random(0))
+unimap.experiments.run_core_expander_experiment(0.4, 0.1, (30,), 2, 1)
 loaded = "numpy" in sys.modules
 from unimap.expansion import spectral_cheeger_bounds
 from unimap.maps import Multigraph

@@ -13,6 +13,7 @@ import pytest
 from unimap.maps import Multigraph
 from unimap.samplers import sample_polygon_gluing
 from unimap.series import series_C
+from unimap.trees import dyck_partners, sample_dyck_word
 
 from .oracles import (
     all_matchings,
@@ -25,9 +26,12 @@ from .oracles import (
     expected_marked_size,
     face_order_form,
     face_order_relabeling,
+    glue_corners,
+    glue_corners_reference,
     harer_zagier_table,
     polygon_map,
     relabel,
+    vertex_corners,
 )
 
 
@@ -143,3 +147,29 @@ def test_expected_marked_size_matches_series_ratio():
     num = sum(k * c[k] * beta**k for k in range(order + 1))
     den = sum(c[k] * beta**k for k in range(order + 1))
     assert expected_marked_size(beta) == pytest.approx(num / den, rel=1e-9)
+
+
+def _gluing_cases(seed: int, count: int, n_lo: int, n_hi: int):
+    """(alpha, corners) pairs as the fixed-genus sampler meets them: a
+    random plane tree, then a chain of random genus steps on it."""
+    rng = random.Random(seed)
+    while count:
+        n = rng.randint(n_lo, n_hi)
+        alpha = dyck_partners(sample_dyck_word(n, rng))
+        corners = vertex_corners(alpha)
+        while len(corners) >= 3 and count:
+            p = rng.randint(1, (len(corners) - 1) // 2)
+            chosen = [corners[i] for i in sorted(rng.sample(range(len(corners)), 2 * p + 1))]
+            yield alpha, chosen
+            count -= 1
+            alpha = glue_corners_reference(alpha, chosen)
+            corners = vertex_corners(alpha)
+
+
+def test_glue_corners_matches_the_face_walk():
+    # the slices against the dart-by-dart walk of the new face, root
+    # corner included, on steps drawn as the sampler draws them
+    cases = [*_gluing_cases(61, 3000, 1, 60), *_gluing_cases(1000, 6, 1000, 1000)]
+    assert sum(0 in corners for _, corners in cases) > 200
+    for alpha, corners in cases:
+        assert glue_corners(alpha, corners) == glue_corners_reference(alpha, corners)

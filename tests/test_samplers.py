@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import math
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unimap.errors import EnumerationCapError, ParameterError
-from unimap.maps import genus, vertex_degrees
+from unimap.maps import encode_map, genus, vertex_degrees
 from unimap.samplers import (
     DegreeSequence,
     count_one_vertex_maps,
@@ -26,8 +27,7 @@ from unimap.samplers import (
     _branch_size_tables,
     _genus_count_column,
     _genus_step_weight,
-    _glue_corners,
-    _vertex_corners,
+    _genus_steps,
 )
 from unimap.series import expected_plain_size
 from unimap.trees import dyck_partners, sample_dyck_word
@@ -38,10 +38,11 @@ from .oracles import (
     corner_genus,
     enumerate_pairings_recursive,
     expected_marked_size,
-    glue_corners_reference,
+    glue_corners,
     harer_zagier_table,
     polygon_map,
     rejection_fixed_genus,
+    vertex_corners,
 )
 
 
@@ -191,40 +192,52 @@ def test_vertex_gluing_hits_every_genus_g_map_2g_times():
         hits: Counter = Counter()
         for h, maps in by_genus.items():
             for alpha in maps:
-                corners = _vertex_corners(alpha)
+                corners = vertex_corners(alpha)
                 for p in range(1, (len(corners) - 1) // 2 + 1):
                     for chosen in itertools.combinations(corners, 2 * p + 1):
-                        glued = tuple(_glue_corners(alpha, chosen))
+                        glued = tuple(glue_corners(alpha, chosen))
                         hits[glued] += 1
                         assert corner_genus(polygon_map(_pairs(glued), n)) == h + p
         expected = {a: 2 * g for g, maps in by_genus.items() if g for a in maps}
         assert hits == expected
 
 
-def _gluing_cases(seed: int, count: int, n_lo: int, n_hi: int):
-    """(alpha, corners) pairs as the sampler meets them: a random plane
-    tree, then a chain of random genus steps on it."""
-    rng = random.Random(seed)
-    while count:
-        n = rng.randint(n_lo, n_hi)
-        alpha = dyck_partners(sample_dyck_word(n, rng))
-        corners = _vertex_corners(alpha)
-        while len(corners) >= 3 and count:
-            p = rng.randint(1, (len(corners) - 1) // 2)
-            chosen = [corners[i] for i in sorted(rng.sample(range(len(corners)), 2 * p + 1))]
-            yield alpha, chosen
-            count -= 1
-            alpha = glue_corners_reference(alpha, chosen)
-            corners = _vertex_corners(alpha)
+def _relabelling_sample(n: int, g: int, rng: random.Random):
+    """The fixed-genus sampler on the oracle's steps: the same draws through
+    the package's own functions, then each genus step ranks the vertices
+    and relabels every dart (`vertex_corners`, `glue_corners`)."""
+    steps = _genus_steps(n, g, rng)
+    alpha = dyck_partners(sample_dyck_word(n, rng))
+    for p in reversed(steps):
+        corners = vertex_corners(alpha)
+        chosen = sorted(rng.sample(range(len(corners)), 2 * p + 1))
+        alpha = glue_corners(alpha, [corners[i] for i in chosen])
+    return polygon_map(_pairs(alpha), n)
 
 
-def test_glue_corners_matches_the_face_walk():
-    # the slices against the dart-by-dart walk of the new face, root
-    # corner included, on steps drawn as the sampler draws them
-    cases = [*_gluing_cases(61, 3000, 1, 60), *_gluing_cases(1000, 6, 1000, 1000)]
-    assert sum(0 in corners for _, corners in cases) > 200
-    for alpha, corners in cases:
-        assert _glue_corners(alpha, corners) == glue_corners_reference(alpha, corners)
+def test_fixed_genus_sampler_replays_the_relabelling_steps():
+    # every (n, g) with n <= 60, g = 0 and n // 2 included, four seeds each
+    cases = [(n, g, s) for n in range(1, 61) for g in range(n // 2 + 1) for s in range(4)]
+    assert len(cases) >= 3000
+    for n, g, s in cases:
+        seed = f"replay:{n}:{g}:{s}"
+        expected = _relabelling_sample(n, g, random.Random(seed))
+        assert sample_unicellular_fixed_genus(n, g, random.Random(seed)) == expected, (n, g, s)
+
+
+# sha256 of the six n = 1000 samples below, each encode_map line ending in
+# "\n", as `_relabelling_sample` draws them
+FIXED_GENUS_1000_SHA256 = "150325a52242158b8aa549fac89349eb6891c2e809a641cabbc46c9ff3d87486"
+
+
+def test_fixed_genus_sampler_replays_the_relabelling_steps_at_1000():
+    digest = hashlib.sha256()
+    for g in (400, 100):
+        for seed in range(3):
+            m = sample_unicellular_fixed_genus(1000, g, random.Random(seed))
+            assert m == _relabelling_sample(1000, g, random.Random(seed)), (g, seed)
+            digest.update(encode_map(m).encode() + b"\n")
+    assert digest.hexdigest() == FIXED_GENUS_1000_SHA256
 
 
 def test_fixed_genus_sampler_chi_square_at_5_2():
@@ -254,6 +267,36 @@ def test_fixed_genus_sampler_matches_rejection_oracle():
     assert len(ours) == harer_zagier_table(4)[(4, 1)]
     stat = sum((ours[c] - theirs[c]) ** 2 / (ours[c] + theirs[c]) for c in ours)
     assert stat < 140
+
+
+class _UncalledRng:
+    """An rng stand-in that fails if anything is drawn from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "sampler, args",
+    [
+        pytest.param(sampler, args, id=f"{sampler.__name__}{args}")
+        for sampler, args in [
+            (sample_unicellular_fixed_genus, (5.0, 2)),
+            (sample_unicellular_fixed_genus, (6, 1.0)),
+            (sample_unicellular_fixed_genus, (True, 0)),
+            (sample_unicellular_fixed_genus, (6, True)),
+            (sample_polygon_gluing, (2.0,)),
+            (sample_polygon_gluing, (True,)),
+            (sample_pairing, (4.0,)),
+            (sample_pairing, (True,)),
+        ]
+    ],
+)
+def test_samplers_refuse_float_and_bool_sizes(sampler, args):
+    # a float size used to raise TypeError from range(), and a bool one
+    # sampled as 0 or 1
+    with pytest.raises(ParameterError, match="int"):
+        sampler(*args, _UncalledRng())
 
 
 def test_fixed_genus_sampler_rejects_bad_genus():
