@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .core import core, core_less_M
 from .errors import UnimapError
-from .expansion import cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
+from .expansion import CHEEGER_CAP, cheeger_exact, is_kappa_expander, spectral_cheeger_bounds
 from .experiments import (
     ExperimentReport,
     fraction_str,
@@ -302,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument(
         "--kappa", type=_parse_fraction, default=None, help="test h >= kappa, e.g. 1/3 or 0.2"
     )
-    p.add_argument("--cap", type=int, default=24, help="exact-search vertex cap")
+    p.add_argument("--cap", type=int, default=CHEEGER_CAP, help="exact-search vertex cap")
     p.add_argument("--out", required=True, metavar="WITNESS_JSON")
     p.set_defaults(func=_cmd_cheeger)
 

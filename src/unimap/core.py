@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
-from .errors import DecompositionError, MalformedMapError, ParameterError
+from .errors import DecompositionError, MalformedMapError, check_int
 from .maps import CombinatorialMap, face_tour, from_polygon_gluing
 from .trees import DoublyRootedTree, dyck_address, dyck_partners, entry_dart
 
@@ -316,10 +316,7 @@ def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
     `reconstruct`, but read off one walk around the face (see the module
     docstring): no branch tree is built.  M is checked before the map.
     """
-    if type(M) is not int:
-        raise ParameterError(f"M must be an int, got {M!r}")
-    if M < 2:
-        raise ParameterError(f"M must be at least 2, got {M}")
+    check_int("M", M, 2)
     segs = _Segments(m)
     tour, cut, mate = segs.tour, segs.cut, segs.mate
     first = _first_segment(segs, m)

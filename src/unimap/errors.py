@@ -41,3 +41,14 @@ class InfeasibleConstantsError(UnimapError, RuntimeError):
 
 class DecompositionError(UnimapError, ValueError):
     """A branch decomposition is internally inconsistent."""
+
+
+def check_int(name: str, value: object, least: int) -> None:
+    """The package's one size rule: refuse ``value`` unless it is an int >= ``least``.
+
+    A bool is refused, so that True does not pass for 1, and so is a float,
+    even an integral one, so that 2.0 never reaches ``range`` or list
+    repetition as a TypeError.
+    """
+    if type(value) is not int or value < least:
+        raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")

@@ -28,12 +28,14 @@ from .errors import (
     EmptySideError,
     EnumerationCapError,
     ParameterError,
+    check_int,
 )
 from .maps import Multigraph
 from .samplers import DegreeSequence
 from .trees import DoublyRootedTree, sample_doubly_rooted_tree
 
 __all__ = [
+    "CHEEGER_CAP",
     "CutWitness",
     "SubsetVolumeCount",
     "branch_substitution_transfer_check",
@@ -44,6 +46,10 @@ __all__ = [
     "spectral_cheeger_bounds",
     "wilson_interval",
 ]
+
+# most vertices cheeger_exact searches by default: its connected-subset
+# walk is exponential in the vertex count
+CHEEGER_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def _mask_precedes(a: int, b: int) -> bool:
     return a < x
 
 
-def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
+def cheeger_exact(g: Multigraph, *, cap: int = CHEEGER_CAP) -> CutWitness:
     """Minimum of h over all cuts, with an argmin witness.
 
     Enumerates connected subsets grown upward from their minimum vertex,
@@ -243,13 +249,16 @@ def cheeger_exact(g: Multigraph, *, cap: int = 24) -> CutWitness:
 
 
 def is_kappa_expander(
-    g: Multigraph, kappa: Fraction | int | str, *, cap: int = 24
+    g: Multigraph, kappa: Fraction | int | str, *, cap: int = CHEEGER_CAP
 ) -> tuple[bool, CutWitness | None]:
     """Whether every cut satisfies h >= kappa; a violating cut otherwise.
 
     A one-vertex graph has no cut at all, so it is vacuously an expander.
     """
-    kq = Fraction(kappa)
+    try:
+        kq = Fraction(kappa)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"kappa must be a rational number, got {kappa!r}") from exc
     if kq < 0:
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
     if g.n_vertices == 1:
@@ -310,8 +319,9 @@ def count_subset_volumes(
     """
     if not isinstance(d, DegreeSequence):
         d = DegreeSequence(tuple(d))
+    check_int("V", V, 1)
     total = d.total
-    if not 0 < 2 * V <= total:
+    if 2 * V > total:
         raise ParameterError(f"volume {V} outside (0, {total}/2]")
     dp = [0] * (V + 1)
     dp[0] = 1
@@ -324,8 +334,7 @@ def count_subset_volumes(
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval at 99% confidence."""
-    if trials <= 0:
-        raise ParameterError("trials must be positive")
+    check_int("trials", trials, 1)
     if not 0 <= successes <= trials:
         raise ParameterError("successes outside [0, trials]")
     p = successes / trials
@@ -373,8 +382,7 @@ def branch_substitution_transfer_check(
     Sizes are uniform on 1..M and trees uniform given the size.  Both
     Cheeger constants are exact, and the inequality is compared on ints.
     """
-    if M < 1:
-        raise ParameterError(f"M must be at least 1, got {M}")
+    check_int("M", M, 1)
     base = cheeger_exact(h_graph)
     # on two or more vertices, nothing crosses the best cut exactly when
     # the graph is disconnected
@@ -388,7 +396,7 @@ def branch_substitution_transfer_check(
         tree_edges, next_id = _tree_as_edges(drt, u, v, next_id)
         edges.extend(tree_edges)
     big = Multigraph(next_id, tuple(edges))
-    wit = cheeger_exact(big, cap=max(24, big.n_vertices))
+    wit = cheeger_exact(big, cap=max(CHEEGER_CAP, big.n_vertices))
     # h(big) >= h(H) / (2M+1) with both sides multiplied by the smaller
     # volumes, which are positive: every vertex of either graph has an edge
     return wit.boundary * min(base.vol_x, base.vol_complement) * (2 * M + 1) >= (

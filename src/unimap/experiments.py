@@ -31,7 +31,7 @@ from typing import Any
 # nothing here calls `core`; perfbench's tracer test reads
 # `experiments.core` to check that tracing leaves it as it found it
 from .core import core, core_and_branch_sizes, core_less_M  # noqa: F401
-from .errors import EnumerationCapError, ParameterError
+from .errors import EnumerationCapError, ParameterError, check_int
 from .expansion import cheeger_exact, wilson_interval
 from .maps import underlying_graph
 from .samplers import (
@@ -233,8 +233,7 @@ def profile_census(n: int) -> dict:
     from .census import census_chunks, chunk_tally
     from .parallel import fork_map
 
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"a census needs an int n >= 1, got {n!r}")
+    check_int("n", n, 1)
     enumerate_pairings(n)  # refuses n past the cap before any work starts
     counts: Counter = Counter()
     built = 0
@@ -290,8 +289,9 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     if len(set(p_list)) != len(p_list):
         raise ParameterError(f"p_list repeats a value: {p_list}")
     for p in p_list:
-        if type(p) is not int or p < 2 or p % 2 != 0:
-            raise ParameterError(f"one-vertex gluings need an even int p >= 2, got {p!r}")
+        check_int("p", p, 2)
+        if p % 2:
+            raise ParameterError(f"one-vertex gluings need an even p, got {p}")
         if p > ENUMERATION_CAP:
             raise EnumerationCapError(f"exhaustive check needs p <= {ENUMERATION_CAP}, got {p}")
     config = ExperimentConfig(name="one-vertex-law", parameters={"p_list": list(p_list)})
@@ -349,10 +349,10 @@ def verify_cm_unicellular(
     """P(one face) for the configuration model on a fixed degree sequence.
 
     Exact when the sequence has at most 14 darts (every pairing enumerated);
-    Monte Carlo with a 99% Wilson interval otherwise, in which case an int
-    seed and int trials are required.  The reference point is the 1/(3n)
-    asymptotic with the proved floor 1/(6n); parity-violating sequences
-    report probability exactly zero.
+    Monte Carlo with a 99% Wilson interval otherwise, in which case int
+    trials >= 1 and an int seed are required.  The reference point is the
+    1/(3n) asymptotic with the proved floor 1/(6n); parity-violating
+    sequences report probability exactly zero and draw nothing.
     """
     t0 = time.perf_counter()
     if not isinstance(degrees, DegreeSequence):
@@ -362,8 +362,12 @@ def verify_cm_unicellular(
         raise ParameterError(f"degree sum must be even, got {total}")
     n = total // 2
     exact = total <= 14
-    if not exact and (type(seed) is not int or type(trials) is not int):
-        raise ParameterError("the monte-carlo path requires an int seed and int trials")
+    params: dict = {"degrees": list(degrees.entries)}
+    if not exact and degrees.admits_unicellular:
+        check_int("trials", trials, 1)
+        params.update(trials=trials, seed=seed)
+    # the config refuses a seed that is not an int, before any sampling
+    config = ExperimentConfig(name="cm-unicellular", parameters=params)
 
     sigma = block_rotation(degrees.entries)
     floor = Fraction(1, 6 * n)
@@ -371,7 +375,6 @@ def verify_cm_unicellular(
         "probability": {"value": Fraction(1, 3 * n), "source": "asymptotic-target"},
         "floor": {"value": floor, "source": "closed-form"},
     }
-    params: dict = {"degrees": list(degrees.entries)}
     if not degrees.admits_unicellular:
         observed: dict = {
             "probability": Fraction(0),
@@ -388,7 +391,6 @@ def verify_cm_unicellular(
         }
         verdict = "pass" if observed["probability"] >= floor else "fail"
     else:
-        params.update(trials=trials, seed=seed)
         rngs = (random.Random(f"{seed}:cm:{t}") for t in range(trials))
         hits = sum(_cm_map_is_unicellular(sample_pairing(total, rng), sigma) for rng in rngs)
         lo, hi = wilson_interval(hits, trials)
@@ -405,7 +407,7 @@ def verify_cm_unicellular(
         else:
             verdict = "informational"
     return ExperimentReport(
-        config=ExperimentConfig(name="cm-unicellular", parameters=params),
+        config=config,
         observed=observed,
         expected=expected,
         verdict=verdict,
@@ -415,11 +417,11 @@ def verify_cm_unicellular(
 
 def _check_census_claim(what: str, n: int, g: int) -> None:
     """Refuse an (n, g) that a census claim cannot read, before any census."""
-    if type(n) is not int or type(g) is not int:
-        raise ParameterError(f"{what} needs n and g to be ints, got n={n!r}, g={g!r}")
+    check_int("n", n, 2)
+    check_int("g", g, 1)
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(f"{what} needs n <= {ENUMERATION_CAP}, got {n}")
-    if g < 1 or 2 * g > n:
+    if 2 * g > n:
         raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
 
 
@@ -572,10 +574,9 @@ def verify_substitution_transfer(
     from .transfer import transfer_violated
 
     t0 = time.perf_counter()
-    if any(type(x) is not int for x in (instances, max_h_vertices, max_m)):
-        raise ParameterError("instances, max_h_vertices and max_m must be ints")
-    if instances < 1 or max_h_vertices < 2 or max_m < 1:
-        raise ParameterError("need instances >= 1, max_h_vertices >= 2, max_m >= 1")
+    check_int("instances", instances, 1)
+    check_int("max_h_vertices", max_h_vertices, 2)
+    check_int("max_m", max_m, 1)
     config = ExperimentConfig(
         name="substitution-transfer",
         parameters={
@@ -688,10 +689,11 @@ def run_core_expander_experiment(
 
     t0 = time.perf_counter()
     n_list = tuple(n_list)
-    if type(trials) is not int or any(type(n) is not int for n in n_list):
-        raise ParameterError("trials and each n must be ints")
-    if not n_list or trials < 1:
-        raise ParameterError("need at least one n and one trial")
+    check_int("trials", trials, 1)
+    if not n_list:
+        raise ParameterError("need at least one n")
+    for n in n_list:
+        check_int("n", n, 1)
     if len(set(n_list)) != len(n_list):
         raise ParameterError(f"n_list repeats a value: {n_list}")
     pipe = derive_constants(theta, epsilon)
@@ -709,7 +711,7 @@ def run_core_expander_experiment(
     kappa = Fraction(str(pipe.kappa))
     genera = {n: _genus_for(theta, n) for n in n_list}
     for n, g in genera.items():
-        if n < 1 or 2 * g > n:
+        if 2 * g > n:
             raise ParameterError(f"no one-face map has n={n} edges and genus g={g}")
         _genus_count_column(n)
     units = [(n, g, t) for n, g in genera.items() for t in range(trials)]

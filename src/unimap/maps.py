@@ -86,6 +86,10 @@ class CombinatorialMap:
             raise MalformedMapError(f"n_darts must be positive and even, got {n}")
         if len(sigma) != n:
             raise MalformedMapError("alpha and sigma must have the same length")
+        # a float equal to a dart passes every range test below, and a bool
+        # is an int to Python, so the fields' types are checked first
+        if type(self.root) is not int or {*map(type, alpha), *map(type, sigma)} != {int}:
+            raise MalformedMapError("alpha, sigma and root must hold ints")
         if sorted(sigma) != list(range(n)):
             raise MalformedMapError("sigma is not a permutation of 0..n_darts-1")
         for d, a in enumerate(alpha):
@@ -203,13 +207,17 @@ class Multigraph:
         if self.n_vertices <= 0:
             raise MalformedGraphError("a multigraph needs at least one vertex")
         norm = []
-        deg = [0] * self.n_vertices
-        for u, v in self.edges:
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise MalformedGraphError(f"edge ({u},{v}) out of range")
-            norm.append((u, v) if u <= v else (v, u))
-            deg[u] += 1
-            deg[v] += 1
+        # a float vertex count or endpoint fails as a list index or size
+        try:
+            deg = [0] * self.n_vertices
+            for u, v in self.edges:
+                if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+                    raise MalformedGraphError(f"edge ({u},{v}) out of range")
+                norm.append((u, v) if u <= v else (v, u))
+                deg[u] += 1
+                deg[v] += 1
+        except TypeError as exc:
+            raise MalformedGraphError(f"vertices must be ints: {exc}") from exc
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "degrees", tuple(deg))
 
@@ -250,9 +258,10 @@ def decode_map(text: str) -> CombinatorialMap:
         alpha, sigma = tuple(obj["alpha"]), tuple(obj["sigma"])
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedMapError(f"cannot decode map: {exc}") from exc
-    # JSON true and false decode to bools, which Python counts as ints
-    if any(type(x) is not int for x in (n_darts, root, *alpha, *sigma)):
-        raise MalformedMapError("n_darts, root, alpha and sigma must hold JSON integers")
+    # JSON true and false decode to bools, which Python counts as ints;
+    # CombinatorialMap refuses them in the other fields
+    if type(n_darts) is not int:
+        raise MalformedMapError(f"n_darts must be a JSON integer, got {n_darts!r}")
     m = CombinatorialMap(alpha, sigma, root)
     if m.n_darts != n_darts:
         raise MalformedMapError(f"n_darts is {n_darts} but alpha has {m.n_darts} darts")

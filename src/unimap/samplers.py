@@ -21,7 +21,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Iterator, Sequence
 
-from .errors import EnumerationCapError, ParameterError
+from .errors import EnumerationCapError, ParameterError, check_int
 from .maps import CombinatorialMap, from_polygon_gluing
 from .series import eval_C, eval_D
 from .trees import dyck_partners, sample_dyck_word
@@ -64,10 +64,8 @@ class DegreeSequence:
         object.__setattr__(self, "entries", entries)
         if not entries:
             raise ParameterError("degree sequence is empty")
-        if any(type(d) is not int for d in entries):
-            raise ParameterError(f"degrees must be ints, got {entries}")
-        if any(d < 3 for d in entries):
-            raise ParameterError(f"degrees must be >= 3, got {entries}")
+        for d in entries:
+            check_int("degree", d, 3)
 
     @property
     def total(self) -> int:
@@ -85,8 +83,7 @@ class DegreeSequence:
 
 def double_factorial_odd(p: int) -> int:
     """(2p-1)!! = the number of perfect matchings on 2p points."""
-    if p < 0:
-        raise ParameterError(f"p must be nonnegative, got {p}")
+    check_int("p", p, 0)
     out = 1
     for k in range(1, 2 * p, 2):
         out *= k
@@ -101,8 +98,7 @@ def count_one_vertex_maps(p: int) -> Fraction:
     by p+1) and a non-integer rational for odd p, which is the quick sanity
     check that no one-vertex gluing parity is being miscounted.
     """
-    if p < 1:
-        raise ParameterError(f"p must be positive, got {p}")
+    check_int("p", p, 1)
     return Fraction(math.factorial(2 * p), 2**p * math.factorial(p) * (p + 1))
 
 
@@ -114,8 +110,9 @@ def sample_pairing(n_points: int, rng: random.Random) -> tuple[tuple[int, int], 
     all (n-1)!! matchings: each matching comes from the same number of
     orders, 2^(n/2) (n/2)!.
     """
-    if type(n_points) is not int or n_points <= 0 or n_points % 2:
-        raise ParameterError(f"n_points must be a positive even int, got {n_points!r}")
+    check_int("n_points", n_points, 2)
+    if n_points % 2:
+        raise ParameterError(f"n_points must be even, got {n_points}")
     order = list(range(n_points))
     rng.shuffle(order)
     pairs = ((a, b) if a < b else (b, a) for a, b in zip(order[0::2], order[1::2]))
@@ -132,8 +129,7 @@ def enumerate_pairings(
     not yet taken with a greater free one.  There are (2p-1)!! matchings,
     so the generator refuses to start beyond ``ENUMERATION_CAP`` pairs.
     """
-    if n_pairs < 0:
-        raise ParameterError(f"n_pairs must be nonnegative, got {n_pairs}")
+    check_int("n_pairs", n_pairs, 0)
     if n_pairs > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{n_pairs} pairs means {double_factorial_odd(n_pairs)} matchings; "
@@ -181,8 +177,7 @@ def sample_polygon_gluing(n: int, rng: random.Random) -> CombinatorialMap:
     The result is a uniform rooted one-face map with n edges; its genus is
     whatever the pairing dictates.
     """
-    if type(n) is not int or n < 1:
-        raise ParameterError(f"n must be a positive int, got {n!r}")
+    check_int("n", n, 1)
     return from_polygon_gluing(sample_pairing(2 * n, rng), n)
 
 
@@ -281,9 +276,9 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     oracle in ``tests/oracles.py`` does each step by relabelling every dart
     (``vertex_corners``, ``glue_corners``), and the maps must be equal.
     """
-    if type(n) is not int or type(g) is not int:
-        raise ParameterError(f"n and g must be ints, got {n!r} and {g!r}")
-    if n < 1 or not 0 <= 2 * g <= n:
+    check_int("n", n, 1)
+    check_int("g", g, 0)
+    if 2 * g > n:
         raise ParameterError(f"genus {g} infeasible for {n} edges")
     steps = _genus_steps(n, g, rng)
     if _log.isEnabledFor(logging.DEBUG):

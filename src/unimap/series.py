@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InfeasibleConstantsError, ParameterError
+from .errors import InfeasibleConstantsError, ParameterError, check_int
 
 __all__ = [
     "ConstantPipeline",
@@ -140,16 +140,9 @@ class TruncatedSeries:
         return TruncatedSeries(out)
 
 
-def _check_order(order: int) -> None:
-    """Refuse an order that is not an int >= 0; a bool is refused too, so
-    that True does not pass for order 1."""
-    if type(order) is not int or order < 0:
-        raise ParameterError(f"order must be an int >= 0, got {order!r}")
-
-
 def series_sqrt_one_minus_4z(order: int) -> TruncatedSeries:
     """sqrt(1-4z) expanded exactly: 1 - 2*sum_{k>=1} Cat(k-1) z^k."""
-    _check_order(order)
+    check_int("order", order, 0)
     coeffs: list[int] = [1]
     coeffs.extend(-2 * catalan(k - 1) for k in range(1, order + 1))
     return TruncatedSeries(coeffs)
@@ -160,7 +153,7 @@ def _ratio_series(order: int, shift: int) -> TruncatedSeries:
 
     Every division is exact, so the coefficients stay ints.
     """
-    _check_order(order)
+    check_int("order", order, 0)
     coeffs = [0] * (order + 1)
     c = 1
     for k in range(1, order + 1):
@@ -191,7 +184,7 @@ def series_C(order: int) -> TruncatedSeries:
 
 def series_D_closed_form(order: int) -> TruncatedSeries:
     """Expansion of (-2z + 1 - s)/(4z - 1 + s), s = sqrt(1-4z)."""
-    _check_order(order)
+    check_int("order", order, 0)
     pad = order + 2
     s = series_sqrt_one_minus_4z(pad)
     one = TruncatedSeries([1] + [0] * pad)
@@ -203,7 +196,7 @@ def series_D_closed_form(order: int) -> TruncatedSeries:
 
 def series_C_closed_form(order: int) -> TruncatedSeries:
     """Expansion of z(2 - 2s - 4z)/((4z - 1 + s)^2 s), s = sqrt(1-4z)."""
-    _check_order(order)
+    check_int("order", order, 0)
     pad = order + 4
     s = series_sqrt_one_minus_4z(pad)
     one = TruncatedSeries([1] + [0] * pad)
@@ -432,7 +425,6 @@ def tail_bound(beta_star: float, A: float, k: int) -> float:
         raise ParameterError(f"A must exceed 1, got {A}")
     if not 0.0 < A * beta_star < 0.25:
         raise ParameterError(f"A*beta* = {A * beta_star} outside (0, 1/4)")
-    if k < 0:
-        raise ParameterError(f"k must be nonnegative, got {k}")
+    check_int("k", k, 0)
     W = eval_D(A * beta_star) / (A * beta_star)
     return W / A**k

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, check_int
 from .maps import CombinatorialMap, from_polygon_gluing
 
 __all__ = [
@@ -57,8 +57,7 @@ def sample_dyck_word(n: int, rng: random.Random) -> list[int]:
     unique one with all prefix sums positive, and dropping its leading
     up-step leaves a uniform Dyck word.
     """
-    if n < 0:
-        raise ParameterError(f"n must be nonnegative, got {n}")
+    check_int("n", n, 0)
     if n == 0:
         return []
     steps = [1] * (n + 1) + [-1] * n
@@ -159,8 +158,7 @@ def entry_dart(word: Sequence[int], address: Sequence[int]) -> int:
 
 def enumerate_plane_trees(n_edges: int) -> list[tuple[int, ...]]:
     """All rooted plane trees with exactly ``n_edges`` edges, as Dyck words."""
-    if n_edges < 0:
-        raise ParameterError(f"n_edges must be nonnegative, got {n_edges}")
+    check_int("n_edges", n_edges, 0)
 
     # forests[w]: every forest of weight w = total edges + number of trees,
     # built from the lighter ones
@@ -179,8 +177,7 @@ def enumerate_plane_trees(n_edges: int) -> list[tuple[int, ...]]:
 
 def doubly_rooted_count(k: int) -> int:
     """dt_k = binom(2k-1, k-1), the number of doubly rooted trees with k edges."""
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+    check_int("k", k, 1)
     return math.comb(2 * k - 1, k - 1)
 
 
@@ -239,8 +236,7 @@ def sample_doubly_rooted_tree(k: int, rng: random.Random) -> DoublyRootedTree:
     pair is the canonical form; every canonical pair is equally likely and
     a draw is kept with probability (k+1)/(2k) >= 1/2.
     """
-    if k < 1:
-        raise ParameterError(f"k must be positive, got {k}")
+    check_int("k", k, 1)
     while True:
         word = sample_dyck_word(k, rng)
         v2 = rng.randrange(k) + 1

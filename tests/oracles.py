@@ -383,7 +383,7 @@ def core_less_M_by_reconstruct(dec: BranchDecomposition, M: int, reconstruct) ->
     the map; a collapsed root branch moves the mark to its single edge.
     """
     if M < 2:
-        raise ParameterError(f"M must be at least 2, got {M}")
+        raise ParameterError(f"M must be an int >= 2, got {M!r}")
     edge = DoublyRootedTree((1, -1), 1)
     branches = tuple(edge if b.n_edges >= M else b for b in dec.branches)
     marked = dec.marked_edge

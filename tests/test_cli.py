@@ -242,7 +242,7 @@ def test_core_subcommand_trim_is_pinned(tmp_path, capsys):
 @pytest.mark.parametrize(
     "pairs,M,message",
     [
-        (((0, 2), (1, 3)), "1", "M must be at least 2, got 1"),
+        (((0, 2), (1, 3)), "1", "M must be an int >= 2, got 1"),
         (((0, 1), (2, 3)), "1", "genus-zero map has an empty core"),
         (((0, 1), (2, 3)), "3", "genus-zero map has an empty core"),
     ],

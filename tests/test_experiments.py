@@ -368,7 +368,7 @@ def _no_census(monkeypatch) -> None:
 
 def test_one_vertex_law_refuses_a_non_int_p_before_any_census(monkeypatch):
     _no_census(monkeypatch)
-    with pytest.raises(ParameterError, match="int p"):
+    with pytest.raises(ParameterError, match="p must be an int >= 2, got 4.0"):
         verify_one_vertex_law((4.0,))
 
 
@@ -522,7 +522,7 @@ def test_d_power_coefficient_closed_form_matches_series_products():
 def test_exact_claims_refuse_a_non_int_n_or_g_before_any_census(monkeypatch, check, n, g):
     # 1.5 used to pass over an empty comparison, and True to write "g":true
     _no_census(monkeypatch)
-    with pytest.raises(ParameterError, match="ints"):
+    with pytest.raises(ParameterError, match="must be an int"):
         check(n, g)
 
 
@@ -655,7 +655,7 @@ def test_core_expander_refuses_non_int_counts_before_sampling(monkeypatch, n_lis
         raise AssertionError("sampled with bad counts")
 
     monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", no_sample)
-    with pytest.raises(ParameterError, match="ints"):
+    with pytest.raises(ParameterError, match="must be an int"):
         run_core_expander_experiment(0.4, 0.1, n_list, trials, 0)
 
 
@@ -665,7 +665,8 @@ def test_core_expander_refuses_no_n_or_no_trial_before_sampling(monkeypatch, n_l
         raise AssertionError("sampled with no n or no trial")
 
     monkeypatch.setattr(unimap.experiments, "sample_unicellular_fixed_genus", no_sample)
-    with pytest.raises(ParameterError, match="at least one n and one trial"):
+    text = "trials must be an int >= 1, got 0" if n_list else "need at least one n"
+    with pytest.raises(ParameterError, match=text):
         run_core_expander_experiment(0.4, 0.1, n_list, trials, 0)
 
 
@@ -675,7 +676,9 @@ def test_core_expander_refuses_an_infeasible_n_before_any_trial(monkeypatch, n_l
         raise AssertionError("a trial started for an infeasible n")
 
     monkeypatch.setattr(unimap.parallel, "fork_map", no_work)
-    with pytest.raises(ParameterError, match=f"n={n_list[-1]} edges and genus g="):
+    n = n_list[-1]
+    text = f"n={n} edges and genus g=" if n >= 1 else f"n must be an int >= 1, got {n}"
+    with pytest.raises(ParameterError, match=text):
         run_core_expander_experiment(0.4, 0.1, n_list, 2, 0)
 
 

@@ -177,25 +177,31 @@ def _callee(func: ast.expr) -> str | None:
     return None
 
 
+def _scoped_nodes(tree: ast.AST):
+    """Every node under `tree` with the dotted name of the functions and
+    classes it lies in; a def or class lies in its own name."""
+    stack = [((), tree)]
+    while stack:
+        prefix, node = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            path = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                path = (*prefix, child.name)
+            yield ".".join(path), child
+            stack.append((path, child))
+
+
 def test_no_function_calls_its_own_name():
     # a recursive walk reaches Python's recursion limit on a deep enough
     # input, so the package walks with loops and explicit stacks
     found = set()
     for name in MODULES:
-        stack = [((), _module_tree(importlib.import_module(name)))]
-        while stack:
-            prefix, node = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    stack.append((prefix, child))
-                    continue
-                path = (*prefix, child.name)
-                stack.append((path, child))
-                if not isinstance(child, ast.ClassDef) and any(
-                    isinstance(sub, ast.Call) and _callee(sub.func) == child.name
-                    for sub in ast.walk(child)
-                ):
-                    found.add((name, ".".join(path)))
+        for scope, node in _scoped_nodes(_module_tree(importlib.import_module(name))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(sub, ast.Call) and _callee(sub.func) == node.name
+                for sub in ast.walk(node)
+            ):
+                found.add((name, scope))
     assert found == set(RECURSION_BY_DESIGN)
 
 
@@ -224,3 +230,34 @@ def test_only_parallel_forks_and_marshals():
         for use in _process_machinery(ast.parse(path.read_text()))
     }
     assert found == {("parallel.py", use) for use in ("os.fork", "os._exit", "marshal")}
+
+
+# `type(...) is not int` outside errors.py, each with its reason
+SIZE_RULE_EXCEPTIONS = {
+    ("maps.py", "CombinatorialMap.__post_init__"):
+        "darts and root are map fields, refused with MalformedMapError",
+    ("maps.py", "decode_map"): "n_darts is a field of the map's JSON, refused with MalformedMapError",
+    ("experiments.py", "ExperimentConfig.__post_init__"): "a seed is no size: any int may seed",
+}
+
+
+def _is_int_type_test(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and isinstance(node.left.func, ast.Name)
+        and node.left.func.id == "type"
+        and any(isinstance(c, ast.Name) and c.id == "int" for c in node.comparators)
+    )
+
+
+def test_size_rule_lives_in_errors():
+    # "a size is an int, not a bool, and at least some least value" is
+    # written once, in errors.check_int, which every size argument calls
+    found = {
+        (path.name, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope, node in _scoped_nodes(ast.parse(path.read_text()))
+        if _is_int_type_test(node)
+    }
+    assert found == {("errors.py", "check_int"), *SIZE_RULE_EXCEPTIONS}

@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unimap.errors import GenusError, MalformedMapError
+from unimap.errors import GenusError, MalformedGraphError, MalformedMapError
 from unimap.maps import (
     CombinatorialMap,
     Multigraph,
@@ -68,6 +68,24 @@ def test_malformed_inputs_rejected():
         CombinatorialMap((1, 0), (1, 2, 0), 0)  # sigma longer than alpha
     with pytest.raises(MalformedMapError):
         CombinatorialMap((1, 0, 3, 2), (1, 0, 1, 2), 0)  # sigma not a permutation
+
+
+@pytest.mark.parametrize(
+    "alpha, sigma, root",
+    [((1, 0), (0, 1.0), 0), ((1, 0), (0, 1), 1.0), ((1, 0), (0, 1), True), ((1.0, 0), (0, 1), 0)],
+    ids=repr,
+)
+def test_map_fields_must_be_ints(alpha, sigma, root):
+    # a float equal to a dart passes every range test, and face_tour used
+    # to raise TypeError on it later; a float alpha entry raised TypeError
+    with pytest.raises(MalformedMapError, match="must hold ints"):
+        CombinatorialMap(alpha, sigma, root)
+
+
+@pytest.mark.parametrize("n_vertices, edges", [(2, ((0, 1.0),)), (2.0, ((0, 1),))], ids=repr)
+def test_multigraph_refuses_non_int_vertices(n_vertices, edges):
+    with pytest.raises(MalformedGraphError, match="vertices must be ints"):
+        Multigraph(n_vertices, edges)
 
 
 @pytest.mark.parametrize(
@@ -144,14 +162,15 @@ def test_encode_decode_round_trip():
 
 
 def test_maps_with_bool_darts_round_trip():
-    # Python counts bools as ints, so both constructors take bool darts;
-    # the encoding writes them as JSON integers, which decode_map accepts
+    # Python counts bools as ints, so a gluing, which skips the map checks,
+    # takes bool sides; the encoding writes them as JSON integers, which
+    # decode_map accepts.  CombinatorialMap refuses bool darts and roots.
     glued = from_polygon_gluing(((False, True),), 1)
-    built = CombinatorialMap((True, False), (0, 1), False)
-    for m in (glued, built):
-        text = encode_map(m)
-        assert "true" not in text and "false" not in text
-        assert decode_map(text) == m
+    text = encode_map(glued)
+    assert "true" not in text and "false" not in text
+    assert decode_map(text) == glued
+    with pytest.raises(MalformedMapError, match="must hold ints"):
+        CombinatorialMap((True, False), (0, 1), False)
 
 
 def test_decode_map_rejects_a_dart_count_that_disagrees_with_alpha():

@@ -324,7 +324,7 @@ def test_degree_sequence_validation():
 )
 def test_degree_sequence_refuses_non_int_degrees(entries):
     # a float or bool degree used to reach block_rotation's range() as a TypeError
-    with pytest.raises(ParameterError, match="ints"):
+    with pytest.raises(ParameterError, match="degree must be an int >= 3"):
         DegreeSequence(entries)
 
 
