@@ -49,10 +49,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 from .errors import DecompositionError, MalformedMapError, check_int
-from .maps import CombinatorialMap, face_tour, from_polygon_gluing
+from .maps import CombinatorialMap, face_tour, from_face_word
 from .trees import DoublyRootedTree, dyck_address, dyck_partners, entry_dart
 
 __all__ = [
@@ -266,10 +267,7 @@ def _rooted_core(segs: _Segments, m: CombinatorialMap) -> tuple[int, Combinatori
     stands for (see `_first_segment`)."""
     first = _first_segment(segs, m)
     # core dart i of the emitted core is the i-th segment from `first`
-    n_core = len(segs.mate)
-    partner = [(segs.mate[(first + i) % n_core] - first) % n_core for i in range(n_core)]
-    edges = [(i, a) for i, a in enumerate(partner) if i < a]
-    return first, from_polygon_gluing(edges, len(edges))
+    return first, from_face_word([*range(first, len(segs.mate)), *range(first)], segs.mate)
 
 
 def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
@@ -280,33 +278,22 @@ def reconstruct(dec: BranchDecomposition) -> CombinatorialMap:
     of the edge and ``[exit, 2k)`` for the larger, where ``exit`` is
     v2's exit.  The tour is then rotated to start at the root.
     """
-    half: dict[int, tuple[int, int, int]] = {}
-    for i, (b, (lo, hi)) in enumerate(zip(dec.branches, dec.attachments)):
-        half[lo] = (i, 0, b.exit)
-        half[hi] = (i, b.exit, len(b.word))
+    # the darts are the steps of the branches' words laid end to end; the
+    # words are balanced, so their partners are those of the joined word
+    partner = dyck_partners(list(chain.from_iterable([b.word for b in dec.branches])))
+    half: dict[int, range] = {}
+    end = 0
+    for b, (lo, hi) in zip(dec.branches, dec.attachments):
+        off, mid, end = end, end + b.exit, end + len(b.word)
+        half[lo], half[hi] = range(off, mid), range(mid, end)
+    face = list(chain.from_iterable(map(half.__getitem__, face_tour(dec.core))))
 
-    place = [[0] * len(b.word) for b in dec.branches]
-    t = 0
-    for c in face_tour(dec.core):
-        i, start, stop = half[c]
-        row = place[i]
-        for d in range(start, stop):
-            row[d] = t
-            t += 1
-
-    partners = [dyck_partners(b.word) for b in dec.branches]
     i0 = dec.root_branch_index
-    b0 = dec.branches[i0]
-    down = entry_dart(b0.word, dec.marked_edge)
-    up = partners[i0][down]
-    root = place[i0][down if up >= b0.exit else up]
-    pairing = [
-        ((row[d] - root) % t, (row[e] - root) % t)
-        for partner, row in zip(partners, place)
-        for d, e in enumerate(partner)
-        if d < e
-    ]
-    return from_polygon_gluing(pairing, t // 2)
+    lo, hi = dec.attachments[i0]
+    down = half[lo].start + entry_dart(dec.branches[i0].word, dec.marked_edge)
+    up = partner[down]
+    root = face.index(down if up in half[hi] else up)
+    return from_face_word(face[root:] + face[:root], partner)
 
 
 def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
@@ -331,12 +318,7 @@ def core_less_M(m: CombinatorialMap, M: int) -> CombinatorialMap:
         else:
             kept.extend(tour[cut[j] : cut[j + 1]])
     root = 0 if segs.size(segs.owner[m.root]) >= M else kept.index(m.root)
-    kept = kept[root:] + kept[:root]
-    place = [0] * len(partner)
-    for t, d in enumerate(kept):
-        place[d] = t
-    pairing = [(t, place[partner[d]]) for t, d in enumerate(kept) if t < place[partner[d]]]
-    return from_polygon_gluing(pairing, len(kept) // 2)
+    return from_face_word(kept[root:] + kept[:root], partner)
 
 
 def branch_size_profile(m: CombinatorialMap) -> tuple[int, tuple[int, ...]]:

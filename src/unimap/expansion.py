@@ -257,7 +257,7 @@ def is_kappa_expander(
     """
     try:
         kq = Fraction(kappa)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"kappa must be a rational number, got {kappa!r}") from exc
     if kq < 0:
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")

@@ -14,9 +14,11 @@ Maps are immutable; every mutating operation elsewhere in the package builds
 a new map.  Equality is dart-for-dart.  A one-face map has one canonical
 labelling, the one :func:`from_polygon_gluing` produces: darts numbered in
 face order from the root, so the face permutation is ``(0 1 ... 2n-1)``.
-Gluings, fixed-genus samples, trees, cores and reconstructions are all
-built by it, and two maps in this labelling are rooted-isomorphic exactly
-when they are equal.
+Two maps in this labelling are rooted-isomorphic exactly when they are
+equal.  Gluings are built by :func:`from_polygon_gluing` directly; every
+other one-face map the package builds (fixed-genus samples, trees, cores,
+reconstructions and trimmed maps) is a face word handed to
+:func:`from_face_word`, which numbers each dart by its place in the word.
 
 A gluing is checked once, by its pairing: :func:`from_polygon_gluing`
 proves that the pairs partition the polygon's sides, which makes the
@@ -29,9 +31,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Sequence
 
-from .errors import GenusError, MalformedGraphError, MalformedMapError
+from .errors import GenusError, MalformedGraphError, MalformedMapError, ParameterError, check_int
 
 __all__ = [
     "CombinatorialMap",
@@ -39,6 +42,7 @@ __all__ = [
     "decode_map",
     "encode_map",
     "face_tour",
+    "from_face_word",
     "from_polygon_gluing",
     "genus",
     "parse_multigraph",
@@ -190,6 +194,44 @@ def from_polygon_gluing(pairing: Sequence[tuple[int, int]], n: int) -> Combinato
     return m
 
 
+def from_face_word(face: Sequence[int], partner: Sequence[int]) -> CombinatorialMap:
+    """The one-face map whose face visits the darts of ``face`` in order.
+
+    ``face`` lists the darts root first and ``partner[d]`` is the other
+    dart of d's edge; darts are indices of ``partner``, and one that
+    ``face`` leaves out is never read.  Dart ``face[t]`` becomes dart t,
+    so the result is the polygon gluing that pairs the places of each
+    edge's two darts.
+
+    The word is checked through its places: ``mate[t]`` is the place of
+    the partner of the dart at place t (-1 for a partner outside
+    ``face``), and the gluing pairs t with ``mate[t]`` wherever
+    ``t < mate[t]``.  Once :func:`from_polygon_gluing` has accepted those
+    pairs, its alpha equals ``mate`` exactly when every dart of ``face``
+    is met once, is not its own partner, and its partner partners it
+    back: a dart met twice keeps only its last place, so no mate points
+    back at its earlier one.  Any failure raises :class:`MalformedMapError`.
+    """
+    try:
+        size = len(face)
+        if size < 2 or size % 2:
+            raise MalformedMapError(f"a face word needs a positive even length, got {size}")
+        place = [-1] * len(partner)
+        for t, d in enumerate(face):
+            place[d] = t
+        ends = itemgetter(*face)(partner)
+        mate = itemgetter(*ends)(place)
+    except (IndexError, TypeError) as exc:
+        raise MalformedMapError(f"not a face word over partner's darts: {exc}") from exc
+    # Python would read a negative dart from the end of partner or place
+    if min(face) < 0 or min(ends) < 0:
+        raise MalformedMapError("darts must be indices of partner, not negative")
+    m = from_polygon_gluing([(t, u) for t, u in enumerate(mate) if t < u], size // 2)
+    if m.alpha != mate:
+        raise MalformedMapError("partner is not an involution on the darts of face, met once each")
+    return m
+
+
 @dataclass(frozen=True)
 class Multigraph:
     """An undirected multigraph; loops and parallel edges allowed.
@@ -204,10 +246,12 @@ class Multigraph:
     degrees: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_vertices <= 0:
-            raise MalformedGraphError("a multigraph needs at least one vertex")
+        try:
+            check_int("n_vertices", self.n_vertices, 1)
+        except ParameterError as exc:
+            raise MalformedGraphError(f"vertices must be ints 0..n_vertices-1, and {exc}") from exc
         norm = []
-        # a float vertex count or endpoint fails as a list index or size
+        # a float endpoint fails as a list index
         try:
             deg = [0] * self.n_vertices
             for u, v in self.edges:

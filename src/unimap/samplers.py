@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import EnumerationCapError, ParameterError, check_int
-from .maps import CombinatorialMap, from_polygon_gluing
+from .maps import CombinatorialMap, from_face_word, from_polygon_gluing
 from .series import eval_C, eval_D
 from .trees import dyck_partners, sample_dyck_word
 
@@ -272,7 +272,8 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     dart only moves into a vertex at least twice as large as the one it
     leaves, so there are O(n log n) moves in all.  Every other pass over
     the 2n darts is a list, tuple or dict operation in C.  At the end the
-    face positions turn the tree's edge involution into the gluing.  The
+    face, turned to put the root first, and the tree's edge involution go
+    to ``from_face_word``, which numbers the darts in face order.  The
     oracle in ``tests/oracles.py`` does each step by relabelling every dart
     (``vertex_corners``, ``glue_corners``), and the maps must be equal.
     """
@@ -294,7 +295,6 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
             log10_attempts,
         )
     word = sample_dyck_word(n, rng)
-    n_darts = 2 * n
     vid = []  # the node entered by step d has id d + 1, the tree's root 0
     path = [0]
     for d, s in enumerate(word):
@@ -306,7 +306,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     darts_of: dict[int, list[int]] = {}
     for d, v in enumerate(vid):
         darts_of.setdefault(v, []).append(d)
-    face = [*range(1, n_darts), 0]
+    face = [*range(1, 2 * n), 0]
     for p in reversed(steps):
         ids = itemgetter(*face)(vid)  # a tuple: face holds 2n >= 2 darts
         order = list(dict.fromkeys(ids))
@@ -328,11 +328,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
                 for d in moved:
                     vid[d] = big
                 merged += moved
-    pos = [0] * n_darts  # dart -> face position; the root, last in face, keeps 0
-    for i, d in enumerate(face[:-1], 1):
-        pos[d] = i
-    alpha = dyck_partners(word)
-    return from_polygon_gluing([(pos[d], pos[a]) for d, a in enumerate(alpha) if d < a], n)
+    return from_face_word([face[-1], *face[:-1]], dyck_partners(word))
 
 
 def block_rotation(degrees: Sequence[int]) -> list[int]:

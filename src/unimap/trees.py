@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ParameterError, check_int
-from .maps import CombinatorialMap, from_polygon_gluing
+from .maps import CombinatorialMap, from_face_word
 
 __all__ = [
     "DoublyRootedTree",
@@ -132,7 +132,7 @@ def children_to_map(word: Sequence[int]) -> CombinatorialMap:
     partner = dyck_partners(word)
     if not partner:
         raise ParameterError("a map needs at least one edge")
-    return from_polygon_gluing([(d, a) for d, a in enumerate(partner) if d < a], len(partner) // 2)
+    return from_face_word(range(len(partner)), partner)
 
 
 def entry_dart(word: Sequence[int], address: Sequence[int]) -> int:
@@ -210,7 +210,8 @@ class DoublyRootedTree:
                 raise ParameterError(f"not a Dyck word: step {s!r} at height {height}")
         if height:
             raise ParameterError("unbalanced Dyck word")
-        if not 0 < self.exit <= first_return or word[self.exit] != -1:
+        check_int("exit", self.exit, 1)
+        if self.exit > first_return or word[self.exit] != -1:
             raise ParameterError(f"exit {self.exit} is not a -1 step under the first child")
 
     @property

@@ -703,5 +703,7 @@ def doubly_rooted_check_by_partners(word, exit) -> None:
             raise ParameterError(f"not a Dyck word: step {s!r} at height {len(opened)}")
     if opened:
         raise ParameterError("unbalanced Dyck word")
-    if not partner or not 0 < exit <= partner[0] or word[exit] != -1:
+    if type(exit) is not int or exit < 1:
+        raise ParameterError(f"exit must be an int >= 1, got {exit!r}")
+    if not partner or exit > partner[0] or word[exit] != -1:
         raise ParameterError(f"exit {exit} is not a -1 step under the first child")

@@ -349,7 +349,7 @@ def test_is_kappa_expander():
     assert ok and wit is None  # no cut exists: vacuously an expander
     with pytest.raises(ParameterError):
         is_kappa_expander(C4, Fraction(-1, 2))
-    for bad in ("abc", "1/0"):
+    for bad in ("abc", "1/0", None, []):
         with pytest.raises(ParameterError, match="kappa must be a rational number"):
             is_kappa_expander(C4, bad)
 

@@ -232,6 +232,34 @@ def test_only_parallel_forks_and_marshals():
     assert found == {("parallel.py", use) for use in ("os.fork", "os._exit", "marshal")}
 
 
+def _gluing_callers(tree: ast.Module) -> set[str]:
+    """The functions of a module whose code calls `from_polygon_gluing`,
+    by its bare name or as an attribute (``maps.from_polygon_gluing``)."""
+    found = set()
+    for scope, node in _scoped_nodes(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "from_polygon_gluing":
+                found.add(scope)
+    return found
+
+
+def test_only_face_words_and_gluings_call_from_polygon_gluing():
+    # every other one-face map is a face word handed to from_face_word,
+    # so how a face order becomes the canonical labelling is written once
+    found = {
+        (path.stem, scope)
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _gluing_callers(ast.parse(path.read_text()))
+    }
+    assert found == {
+        ("maps", "from_face_word"),
+        ("samplers", "sample_polygon_gluing"),
+        ("census", "turn_classes"),
+    }
+
+
 # `type(...) is not int` outside errors.py, each with its reason
 SIZE_RULE_EXCEPTIONS = {
     ("maps.py", "CombinatorialMap.__post_init__"):

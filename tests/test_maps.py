@@ -15,6 +15,7 @@ from unimap.maps import (
     decode_map,
     encode_map,
     face_tour,
+    from_face_word,
     from_polygon_gluing,
     genus,
     parse_multigraph,
@@ -29,6 +30,7 @@ from .oracles import (
     corner_genus,
     face_order_form,
     polygon_map,
+    relabel,
     write_multigraph,
 )
 
@@ -82,7 +84,11 @@ def test_map_fields_must_be_ints(alpha, sigma, root):
         CombinatorialMap(alpha, sigma, root)
 
 
-@pytest.mark.parametrize("n_vertices, edges", [(2, ((0, 1.0),)), (2.0, ((0, 1),))], ids=repr)
+@pytest.mark.parametrize(
+    "n_vertices, edges",
+    [(2, ((0, 1.0),)), (2.0, ((0, 1),)), (True, ()), (0, ())],  # True would pass for 1
+    ids=repr,
+)
 def test_multigraph_refuses_non_int_vertices(n_vertices, edges):
     with pytest.raises(MalformedGraphError, match="vertices must be ints"):
         Multigraph(n_vertices, edges)
@@ -125,6 +131,50 @@ def test_gluing_equals_the_checked_map():
         m, checked = from_polygon_gluing(pairing, n), polygon_map(pairing, n)
         assert m == checked
         assert hash(m) == hash(checked)
+
+
+def test_face_word_builds_the_face_order_form():
+    # every one-face map with n <= 6 edges, its darts renamed at random:
+    # the face tour and alpha give back the polygon-gluing labelling
+    rng = random.Random(31)
+    for n in range(1, 7):
+        for pairing in all_matchings(tuple(range(2 * n))):
+            m = relabel(polygon_map(pairing, n), rng)
+            assert from_face_word(face_tour(m), m.alpha) == face_order_form(m)
+
+
+def test_face_word_reads_only_the_darts_of_the_face():
+    # darts 1 and 4 are left out, and their partner entries never read
+    assert from_face_word([5, 0, 2, 3], [3, None, 5, 0, "x", 2]) == SQUARE
+
+
+@pytest.mark.parametrize(
+    "face, partner",
+    [
+        ([0, 1, 2], [1, 0, 2]),  # odd length
+        ([], []),  # no dart
+        ([0], [0]),  # one dart
+        ([0, 2], [1, 0, 3, 2]),  # skips darts 1 and 3, the partners of 0 and 2
+        ([0, 1, 2, 2], [1, 0, 3, 2]),  # repeats dart 2 and skips its partner 3
+        ([0, 1, 0, 1], [1, 0]),  # repeats both darts of an edge
+        ([0, 1, 2, 3], [1, 2, 3, 0]),  # partner not an involution
+        # the next two glue a valid square from their places, which only
+        # the comparison of its alpha with the places' mates refuses
+        ([0, 1, 2, 3], [1, 0, 3, 1]),  # 3's partner is 1, whose partner is 0
+        ([0, 0, 1, 1], [0, 1]),  # each dart met twice and its own partner
+        ([0, 1, 2, 3], [0, 1, 3, 2]),  # darts 0 and 1 their own partners
+        ([0, 1, 2, 3], [1, 0, 3, 5]),  # partner past the darts
+        ([0, 1, 2, -1], [1, 0, 3, 2]),  # dart -1, which Python reads as dart 3
+        ([0, 1, 2, 3], [1, 0, -1, 2]),  # partner -1, which Python reads as 3
+        ([0, 1, 2, 3], [1, 0, 3.0, 2]),  # a float partner
+        ([0, 1.0], [1, 0]),  # a float dart
+        ([0, 1], None),  # no partner table
+    ],
+    ids=repr,
+)
+def test_malformed_face_words_rejected(face, partner):
+    with pytest.raises(MalformedMapError):
+        from_face_word(face, partner)
 
 
 def test_gluing_sets_every_field():

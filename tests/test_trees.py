@@ -149,6 +149,8 @@ def test_doubly_rooted_validation():
         ((1, -1), 0),  # exit 0
         ((1, 1, -1, -1), 1),  # exit on a +1 step
         ((1, -1, 1, -1), 3),  # v2 must sit under child 0
+        ((1, -1), True),  # a bool, which would pass for step 1
+        ((1, -1), 1.0),  # a float, which fails as an index into the word
     ]:
         with pytest.raises(ParameterError):
             DoublyRootedTree(word, exit)
