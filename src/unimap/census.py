@@ -6,7 +6,9 @@ prefix, one gluing per class of turns.  `census_chunks` gives the prefixes
 that cut the whole walk into chunks, in enumeration order, and
 `chunk_tally` tallies the branch-size profiles of one chunk, so that
 `unimap.parallel.fork_map` can deal the chunks across processes (see
-`unimap.experiments.profile_census`).
+`unimap.experiments.profile_census`).  The tallies' counts are class
+sizes, which sum to (2n-1)!! over all chunks, so a class lost, counted
+twice or given the wrong size moves that total.
 """
 
 from __future__ import annotations
@@ -21,9 +23,7 @@ from .samplers import enumerate_pairings
 __all__ = ["census_chunks", "chunk_tally", "turn_classes"]
 
 
-def turn_classes(
-    n: int, prefix: tuple = (), built: list[int] | None = None
-) -> Iterator[tuple[CombinatorialMap, int]]:
+def turn_classes(n: int, prefix: tuple = ()) -> Iterator[tuple[CombinatorialMap, int]]:
     """One polygon gluing per class of turns, with the size of its class,
     among the pairings that start with `prefix`.
 
@@ -34,16 +34,15 @@ def turn_classes(
     The class is represented by the gluing whose word is least among its
     shifts, and its size is the word's period p: the least r > 0 with an
     equal shift, else 2n.  Its members are the representative rooted at
-    darts 0..p-1.  Every pairing is still built, and so validated, by
+    darts 0..p-1, so the periods of all classes sum to the number of
+    pairings walked.  Every pairing is still built, and so validated, by
     `from_polygon_gluing`, whose check of the pairing is the only one a
-    gluing gets; their number is appended to `built` once the walk ends.
-    The word is built only for a pairing that passes `_least_chord_first`.
+    gluing gets.  The word is built only for a pairing that passes
+    `_least_chord_first`.
     """
     n_darts = 2 * n
-    walked = 0
     for pairing in enumerate_pairings(n, prefix):
         m = from_polygon_gluing(pairing, n)
-        walked += 1
         if not _least_chord_first(pairing, n_darts):
             continue
         c = [(a - d) % n_darts for d, a in enumerate(m.alpha)]
@@ -56,8 +55,6 @@ def turn_classes(
                 break
         if period:
             yield m, period
-    if built is not None:
-        built.append(walked)
 
 
 def _least_chord_first(pairing: tuple[tuple[int, int], ...], n_darts: int) -> bool:
@@ -95,16 +92,16 @@ def census_chunks(n: int) -> Iterator[tuple]:
                 yield ((0, b), (a, c))
 
 
-def chunk_tally(n: int, prefix: tuple) -> tuple[dict, int]:
-    """The census chunk of the pairings that start with `prefix`: its tally
-    and the gluings built."""
+def chunk_tally(n: int, prefix: tuple) -> dict:
+    """The tally of the census chunk of the pairings that start with
+    `prefix`: each class's p rootings are counted under their keys, so the
+    counts sum to the number of pairings in the chunk."""
     counts: Counter = Counter()
-    built: list[int] = []
-    for m, period in turn_classes(n, prefix, built):
+    for m, period in turn_classes(n, prefix):
         g = (n + 1 - m.n_vertices()) // 2  # Euler with one face: V - n + 1 = 2 - 2g
         if g == 0:
             counts[(0, 0, 0, ())] += period
             continue
         for marked, others, rootings in _Segments(m).rootings(period):
             counts[(g, 1 + len(others), marked, others)] += rootings
-    return dict(counts), sum(built)
+    return dict(counts)

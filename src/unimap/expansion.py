@@ -150,6 +150,7 @@ def cheeger_exact(g: Multigraph, *, cap: int = CHEEGER_CAP) -> CutWitness:
     soon as its subset holds a vertex with a leaf among them, and skips an
     anchor with a leaf below it once its singleton is scored.
     """
+    check_int("cap", cap, 2)  # a graph with fewer vertices has no cut
     n = g.n_vertices
     if n < 2:
         raise EmptySideError("expansion needs at least two vertices")
@@ -257,7 +258,7 @@ def is_kappa_expander(
     """
     try:
         kq = Fraction(kappa)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (OverflowError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"kappa must be a rational number, got {kappa!r}") from exc
     if kq < 0:
         raise ParameterError(f"kappa must be nonnegative, got {kappa}")
@@ -335,7 +336,8 @@ def count_subset_volumes(
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval at 99% confidence."""
     check_int("trials", trials, 1)
-    if not 0 <= successes <= trials:
+    check_int("successes", successes, 0)
+    if successes > trials:
         raise ParameterError("successes outside [0, trials]")
     p = successes / trials
     z = 2.5758293035489004  # two-sided 99% quantile of the standard normal

@@ -226,8 +226,9 @@ def profile_census(n: int) -> dict:
 
     The chunks of `census.census_chunks` go through `parallel.fork_map`,
     and their tallies add.  Keys are sorted, so the dict does not depend on
-    the split.  The census raises unless the chunks built (2n-1)!! gluings
-    in all.
+    the split.  The census raises unless its counts, the class sizes, sum
+    to (2n-1)!!: a class lost, counted twice or given the wrong size moves
+    that total.
     """
     # imported here, so that a process that runs no census does not carry them
     from .census import census_chunks, chunk_tally
@@ -236,12 +237,11 @@ def profile_census(n: int) -> dict:
     check_int("n", n, 1)
     enumerate_pairings(n)  # refuses n past the cap before any work starts
     counts: Counter = Counter()
-    built = 0
-    for tally, walked in fork_map(partial(chunk_tally, n), list(census_chunks(n))):
+    for tally in fork_map(partial(chunk_tally, n), list(census_chunks(n))):
         counts.update(tally)
-        built += walked
-    if built != double_factorial_odd(n):
-        raise RuntimeError(f"the census built {built} of {double_factorial_odd(n)} gluings")
+    total, pairings = sum(counts.values()), double_factorial_odd(n)
+    if total != pairings:
+        raise RuntimeError(f"the census's class sizes sum to {total}, not {pairings}")
     return dict(sorted(counts.items()))
 
 

@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Sequence
 
-from .errors import GenusError, MalformedGraphError, MalformedMapError, ParameterError, check_int
+from .errors import GenusError, MalformedGraphError, MalformedMapError, check_int
 
 __all__ = [
     "CombinatorialMap",
@@ -246,22 +247,24 @@ class Multigraph:
     degrees: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        n, edges = self.n_vertices, self.edges
+        # a float equal to a vertex passes the range test, and a bool is an
+        # int to Python, so the endpoints' types are checked first; an edge
+        # that is not a pair fails to unpack
         try:
-            check_int("n_vertices", self.n_vertices, 1)
-        except ParameterError as exc:
-            raise MalformedGraphError(f"vertices must be ints 0..n_vertices-1, and {exc}") from exc
-        norm = []
-        # a float endpoint fails as a list index
-        try:
-            deg = [0] * self.n_vertices
-            for u, v in self.edges:
-                if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                    raise MalformedGraphError(f"edge ({u},{v}) out of range")
-                norm.append((u, v) if u <= v else (v, u))
-                deg[u] += 1
-                deg[v] += 1
-        except TypeError as exc:
-            raise MalformedGraphError(f"vertices must be ints: {exc}") from exc
+            check_int("n_vertices", n, 1)
+            types = {*map(type, chain.from_iterable(edges))}
+            norm = [(u, v) if u <= v else (v, u) for u, v in edges]
+        except (TypeError, ValueError) as exc:
+            raise MalformedGraphError(f"vertices must be ints, two to an edge: {exc}") from exc
+        if types - {int}:
+            raise MalformedGraphError("vertices must be ints, not bools or floats")
+        deg = [0] * n
+        for u, v in norm:
+            if not 0 <= u <= v < n:
+                raise MalformedGraphError(f"edge ({u},{v}) out of range")
+            deg[u] += 1
+            deg[v] += 1
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "degrees", tuple(deg))
 

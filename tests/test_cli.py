@@ -546,6 +546,7 @@ BAD_MAPS = {
         (("verify", "--claim", "one-vertex-law", "--p"), ""),
         (("verify", "--claim", "one-vertex-law", "--p", "2", "2"), ""),
         (("verify", "--claim", "substitution-transfer", "--instances", "0"), "instances"),
+        (("verify", "--claim", "decomposition-identity", "--n", "4", "--genus", "3"), "g=3"),
         (("experiment", "core-expander", "--theta", "0.4", "--epsilon", "0.1", "--n", "20,20",
           "--trials", "2", "--seed", "3", "--out", "{tmp}/ce"), ""),
         (("experiment", "core-expander", "--theta", "0.4", "--epsilon", "0.1", "--n", "20,1",
@@ -577,6 +578,7 @@ BAD_MAPS = {
         "empty-p-list",
         "repeated-p",
         "transfer-instances-zero",
+        "verify-genus-past-half-n",
         "core-expander-repeated-n",
         "core-expander-infeasible-n",
         "negative-order-T",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -337,6 +338,8 @@ def test_cheeger_exact_edge_cases():
     disconnected = Multigraph(4, ((0, 1), (2, 3)))
     assert cheeger_exact(disconnected).h_value == 0
     assert cheeger_exact(disconnected).boundary == 0
+    with pytest.raises(ParameterError, match="cap must be an int >= 2, got '24'"):
+        cheeger_exact(C4, cap="24")  # tests/test_sizes.py checks bools and floats
 
 
 def test_is_kappa_expander():
@@ -349,7 +352,7 @@ def test_is_kappa_expander():
     assert ok and wit is None  # no cut exists: vacuously an expander
     with pytest.raises(ParameterError):
         is_kappa_expander(C4, Fraction(-1, 2))
-    for bad in ("abc", "1/0", None, []):
+    for bad in ("abc", "1/0", None, [], math.inf, -math.inf):
         with pytest.raises(ParameterError, match="kappa must be a rational number"):
             is_kappa_expander(C4, bad)
 
@@ -439,6 +442,8 @@ def test_wilson_interval_known_values():
         wilson_interval(5, 0)
     with pytest.raises(ParameterError):
         wilson_interval(7, 5)
+    with pytest.raises(ParameterError, match="successes must be an int >= 0"):
+        wilson_interval(0.5, 1)  # a count, not a share
 
 
 def test_branch_substitution_transfer_on_cycles():

@@ -181,10 +181,9 @@ def test_census_shares_cover_every_chunk_once(monkeypatch, tmp_path, k):
     # each walk, in whichever process, appends its prefix and pid to a file
     log = tmp_path / "walked"
 
-    def record(n, prefix, built):
+    def record(n, prefix):
         with open(log, "a") as f:
             f.write(f"{os.getpid()} {json.dumps(prefix)}\n")
-        built.append(0)
         return iter(())
 
     monkeypatch.setattr(unimap.census, "turn_classes", record)
@@ -209,15 +208,23 @@ def test_census_chunks_cut_the_enumeration_in_order():
     assert list(census_chunks(5)) == [()]
 
 
-def test_census_raises_unless_every_gluing_is_built(monkeypatch):
-    # a share that builds one gluing too few, in a forked child as well
-    def one_short(n, prefix, built):
-        yield from turn_classes(n, prefix, built)
-        built[-1] -= 1
+def test_census_raises_unless_the_class_sizes_sum_to_every_gluing(monkeypatch):
+    # chunk 1 goes to the forked share when two CPUs are given; its tally
+    # loses one rooting.  The last chunk holds no class representative, so
+    # no fault there could show in the total.
+    chunks = list(census_chunks(6))
+    tally = unimap.census.chunk_tally
+    assert tally(6, chunks[1]) and tally(6, chunks[-1]) == {}
 
-    monkeypatch.setattr(unimap.census, "turn_classes", one_short)
+    def one_short(n, prefix):
+        counts = tally(n, prefix)
+        if prefix == chunks[1]:
+            counts[min(counts)] -= 1
+        return counts
+
+    monkeypatch.setattr(unimap.census, "chunk_tally", one_short)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(RuntimeError, match="built"):
+    with pytest.raises(RuntimeError, match="class sizes sum to 10394, not 10395"):
         profile_census.__wrapped__(6)
 
 
@@ -460,6 +467,22 @@ def test_cm_unicellular_parity_flag():
     r = verify_cm_unicellular((3, 3, 3, 3))
     assert r.observed["probability"] == 0
     assert "parity" in r.observed["note"]
+
+
+def test_cm_unicellular_refuses_an_odd_degree_sum():
+    with pytest.raises(ParameterError, match="degree sum must be even, got 7"):
+        verify_cm_unicellular((3, 4))
+
+
+@pytest.mark.parametrize("check", (verify_decomposition_identity, verify_branch_profile_law))
+def test_census_claims_refuse_a_genus_past_half_n_before_any_census(monkeypatch, check):
+    def no_census(*args):
+        raise AssertionError("a census started for a bad genus")
+
+    for attr in ("profile_census", "min_degree3_census"):
+        monkeypatch.setattr(unimap.experiments, attr, no_census)
+    with pytest.raises(ParameterError, match="need 1 <= g <= n/2, got g=3, n=4"):
+        check(4, 3)
 
 
 def test_cm_unicellular_monte_carlo_requires_seed():

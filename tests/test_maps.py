@@ -86,7 +86,16 @@ def test_map_fields_must_be_ints(alpha, sigma, root):
 
 @pytest.mark.parametrize(
     "n_vertices, edges",
-    [(2, ((0, 1.0),)), (2.0, ((0, 1),)), (True, ()), (0, ())],  # True would pass for 1
+    [
+        (2, ((0, 1.0),)),
+        (2.0, ((0, 1),)),
+        (True, ()),  # True would pass for 1
+        (0, ()),
+        (2, ((True, 0),)),  # would equal the graph with edge (0, 1)
+        (2, ((0, False),)),
+        (2, ((0, 1, 2),)),  # not a pair
+        (2, ((0,),)),
+    ],
     ids=repr,
 )
 def test_multigraph_refuses_non_int_vertices(n_vertices, edges):

@@ -299,6 +299,11 @@ def test_samplers_refuse_float_and_bool_sizes(sampler, args):
         sampler(*args, _UncalledRng())
 
 
+def test_sample_pairing_refuses_an_odd_point_count_before_any_draw():
+    with pytest.raises(ParameterError, match="n_points must be even, got 3"):
+        sample_pairing(3, _UncalledRng())
+
+
 def test_fixed_genus_sampler_rejects_bad_genus():
     rng = random.Random(1)
     with pytest.raises(ParameterError):

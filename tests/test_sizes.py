@@ -15,7 +15,9 @@ from unimap.core import core_less_M
 from unimap.errors import ParameterError
 from unimap.expansion import (
     branch_substitution_transfer_check,
+    cheeger_exact,
     count_subset_volumes,
+    is_kappa_expander,
     wilson_interval,
 )
 from unimap.experiments import (
@@ -88,6 +90,9 @@ SIZES = {
     "series_C_closed_form(order)": (series_C_closed_form, 0),
     "tail_bound(k)": (lambda v: tail_bound(0.1, 1.5, v), 0),
     "wilson_interval(trials)": (lambda v: wilson_interval(0, v), 1),
+    "wilson_interval(successes)": (lambda v: wilson_interval(v, 1), 0),
+    "cheeger_exact(cap)": (lambda v: cheeger_exact(EDGE, cap=v), 2),
+    "is_kappa_expander(cap)": (lambda v: is_kappa_expander(EDGE, 0, cap=v), 2),
     "branch_substitution_transfer_check(M)": (
         lambda v: branch_substitution_transfer_check(EDGE, v, _UncalledRng()),
         1,
