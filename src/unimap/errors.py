@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 
 class UnimapError(Exception):
     """Base class for all package-specific errors."""
@@ -52,3 +54,20 @@ def check_int(name: str, value: object, least: int) -> None:
     """
     if type(value) is not int or value < least:
         raise ParameterError(f"{name} must be an int >= {least}, got {value!r}")
+
+
+def check_ints(name: str, values: Iterable[object], least: int) -> tuple:
+    """The package's one list rule: a non-empty list of distinct sizes.
+
+    Each value must pass ``check_int(name, value, least)``; the values are
+    returned as a tuple.  The ints are checked before the repeats, so an
+    unhashable value is refused as a size, not met by ``set``.
+    """
+    values = tuple(values)
+    if not values:
+        raise ParameterError(f"need at least one {name}")
+    for value in values:
+        check_int(name, value, least)
+    if len(set(values)) != len(values):
+        raise ParameterError(f"{name} repeats a value: {values}")
+    return values

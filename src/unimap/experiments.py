@@ -31,14 +31,15 @@ from typing import Any
 # nothing here calls `core`; perfbench's tracer test reads
 # `experiments.core` to check that tracing leaves it as it found it
 from .core import core, core_and_branch_sizes, core_less_M  # noqa: F401
-from .errors import EnumerationCapError, ParameterError, check_int
+from .errors import EnumerationCapError, ParameterError, check_int, check_ints
 from .expansion import cheeger_exact, wilson_interval
 from .maps import underlying_graph
 from .samplers import (
-    ENUMERATION_CAP,
     DegreeSequence,
     _genus_count_column,
     block_rotation,
+    check_enumerable,
+    check_genus,
     count_one_vertex_maps,
     double_factorial_odd,
     enumerate_pairings,
@@ -235,7 +236,7 @@ def profile_census(n: int) -> dict:
     from .parallel import fork_map
 
     check_int("n", n, 1)
-    enumerate_pairings(n)  # refuses n past the cap before any work starts
+    check_enumerable(n)
     counts: Counter = Counter()
     for tally in fork_map(partial(chunk_tally, n), list(census_chunks(n))):
         counts.update(tally)
@@ -283,17 +284,11 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     count (2p)!/(2^p p! (p+1)).
     """
     t0 = time.perf_counter()
-    p_list = tuple(p_list)
-    if not p_list:
-        raise ParameterError("need at least one p")
-    if len(set(p_list)) != len(p_list):
-        raise ParameterError(f"p_list repeats a value: {p_list}")
+    p_list = check_ints("p", p_list, 2)
     for p in p_list:
-        check_int("p", p, 2)
         if p % 2:
             raise ParameterError(f"one-vertex gluings need an even p, got {p}")
-        if p > ENUMERATION_CAP:
-            raise EnumerationCapError(f"exhaustive check needs p <= {ENUMERATION_CAP}, got {p}")
+        check_enumerable(p)
     config = ExperimentConfig(name="one-vertex-law", parameters={"p_list": list(p_list)})
     observed: dict = {}
     expected: dict = {}
@@ -301,7 +296,7 @@ def verify_one_vertex_law(p_list: tuple[int, ...] = (2, 4, 6)) -> ExperimentRepo
     for p in p_list:
         total = double_factorial_odd(p)
         # one vertex means genus p/2, by Euler with one face
-        ones = sum(c for (g, *_), c in profile_census(p).items() if 2 * g == p)
+        ones = sum(c for (g, *_), c in profile_census(p).items() if g == p // 2)
         prob = Fraction(ones, total)
         law = Fraction(1, p + 1)
         formula = count_one_vertex_maps(p)
@@ -415,14 +410,14 @@ def verify_cm_unicellular(
     )
 
 
-def _check_census_claim(what: str, n: int, g: int) -> None:
-    """Refuse an (n, g) that a census claim cannot read, before any census."""
+def _check_census_claim(n: int, g: int) -> None:
+    """Refuse an (n, g) that a census claim cannot read, before any census:
+    ints n >= 2 and g >= 1, n within the enumeration cap
+    (``check_enumerable``) and 2g <= n (``check_genus``)."""
     check_int("n", n, 2)
     check_int("g", g, 1)
-    if n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{what} needs n <= {ENUMERATION_CAP}, got {n}")
-    if 2 * g > n:
-        raise ParameterError(f"need 1 <= g <= n/2, got g={g}, n={n}")
+    check_enumerable(n)
+    check_genus(n, g)
 
 
 def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
@@ -433,7 +428,7 @@ def verify_decomposition_identity(n: int, g: int) -> ExperimentReport:
     sides by exhaustive enumeration plus exact series coefficients, every e.
     """
     t0 = time.perf_counter()
-    _check_census_claim("identity check", n, g)
+    _check_census_claim(n, g)
     config = ExperimentConfig(name="decomposition-identity", parameters={"n": n, "g": g})
     census = profile_census(n)
     by_edges: Counter = Counter()
@@ -502,7 +497,7 @@ def verify_branch_profile_law(n: int, g: int) -> ExperimentReport:
     evaluated at two different beta values to confirm beta cancels.
     """
     t0 = time.perf_counter()
-    _check_census_claim("profile law check", n, g)
+    _check_census_claim(n, g)
     config = ExperimentConfig(name="branch-profile", parameters={"n": n, "g": g})
     census = profile_census(n)
     by_e: dict[int, Counter] = {}
@@ -688,14 +683,8 @@ def run_core_expander_experiment(
     from .parallel import fork_map
 
     t0 = time.perf_counter()
-    n_list = tuple(n_list)
     check_int("trials", trials, 1)
-    if not n_list:
-        raise ParameterError("need at least one n")
-    for n in n_list:
-        check_int("n", n, 1)
-    if len(set(n_list)) != len(n_list):
-        raise ParameterError(f"n_list repeats a value: {n_list}")
+    n_list = check_ints("n", n_list, 1)
     pipe = derive_constants(theta, epsilon)
     config = ExperimentConfig(
         name="core-expander",
@@ -711,8 +700,7 @@ def run_core_expander_experiment(
     kappa = Fraction(str(pipe.kappa))
     genera = {n: _genus_for(theta, n) for n in n_list}
     for n, g in genera.items():
-        if 2 * g > n:
-            raise ParameterError(f"no one-face map has n={n} edges and genus g={g}")
+        check_genus(n, g)
         _genus_count_column(n)
     units = [(n, g, t) for n, g in genera.items() for t in range(trials)]
     flat = fork_map(partial(_sample_record, seed, pipe.M, m_grid), units)

@@ -29,9 +29,10 @@ from .trees import dyck_partners, sample_dyck_word
 _log = logging.getLogger(__name__)
 
 __all__ = [
-    "ENUMERATION_CAP",
     "DegreeSequence",
     "block_rotation",
+    "check_enumerable",
+    "check_genus",
     "count_one_vertex_maps",
     "double_factorial_odd",
     "enumerate_pairings",
@@ -119,6 +120,19 @@ def sample_pairing(n_points: int, rng: random.Random) -> tuple[tuple[int, int], 
     return tuple(sorted(pairs))
 
 
+def check_enumerable(n_pairs: int) -> None:
+    """The package's one enumeration cap: refuse ``n_pairs`` unless it is an
+    int >= 0 whose (2p-1)!! matchings an exhaustive walk may visit, that is
+    at most ``ENUMERATION_CAP`` pairs.  Every exhaustive check calls it
+    before any work starts."""
+    check_int("n_pairs", n_pairs, 0)
+    if n_pairs > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{n_pairs} pairs means {double_factorial_odd(n_pairs)} matchings; "
+            f"exhaustive enumeration stops at {ENUMERATION_CAP} pairs"
+        )
+
+
 def enumerate_pairings(
     n_pairs: int, prefix: tuple[tuple[int, int], ...] = ()
 ) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -126,15 +140,10 @@ def enumerate_pairings(
 
     With a `prefix`, only those whose first pairs are `prefix`, which must
     then be pairs as the enumeration makes them: each pairs the least point
-    not yet taken with a greater free one.  There are (2p-1)!! matchings,
-    so the generator refuses to start beyond ``ENUMERATION_CAP`` pairs.
+    not yet taken with a greater free one.  ``check_enumerable`` refuses
+    ``n_pairs`` before the generator starts.
     """
-    check_int("n_pairs", n_pairs, 0)
-    if n_pairs > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{n_pairs} pairs means {double_factorial_odd(n_pairs)} matchings; "
-            f"exhaustive enumeration stops at {ENUMERATION_CAP} pairs"
-        )
+    check_enumerable(n_pairs)
     free = list(range(2 * n_pairs))
     for a, b in prefix:
         if not free or a != free[0] or b not in free[1:]:
@@ -243,6 +252,16 @@ def _genus_steps(n: int, g: int, rng: random.Random) -> list[int]:
     return steps
 
 
+def check_genus(n: int, g: int) -> None:
+    """The package's one genus bound: refuse (n, g) unless ints n >= 1 and
+    g >= 0 admit a one-face map, which by Euler has n + 1 - 2g >= 1
+    vertices, so 2g <= n."""
+    check_int("n", n, 1)
+    check_int("g", g, 0)
+    if 2 * g > n:
+        raise ParameterError(f"no one-face map has n={n} edges and genus g={g}")
+
+
 def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> CombinatorialMap:
     """A uniform one-face map with n edges and genus g, exact, by trisection gluing.
 
@@ -252,7 +271,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     2g times.  So the genus steps p are drawn top-down with those weights,
     the genus-0 base is a uniform plane tree, and the steps are applied
     bottom-up, each to a uniform (2p+1)-subset of the current vertices.
-    Feasibility needs ints n >= 1 and 0 <= g <= n/2.
+    ``check_genus`` decides which (n, g) are feasible.
 
     The darts keep their labels from the tree's contour (dart d is step d
     of the Dyck word) through every step, so no step relabels them.
@@ -277,10 +296,7 @@ def sample_unicellular_fixed_genus(n: int, g: int, rng: random.Random) -> Combin
     oracle in ``tests/oracles.py`` does each step by relabelling every dart
     (``vertex_corners``, ``glue_corners``), and the maps must be equal.
     """
-    check_int("n", n, 1)
-    check_int("g", g, 0)
-    if 2 * g > n:
-        raise ParameterError(f"genus {g} infeasible for {n} edges")
+    check_genus(n, g)
     steps = _genus_steps(n, g, rng)
     if _log.isEnabledFor(logging.DEBUG):
         log10_attempts = math.log10(double_factorial_odd(n)) - math.log10(

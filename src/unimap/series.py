@@ -252,17 +252,16 @@ def solve_beta(c: float) -> float:
         return c * expected_plain_size(beta) - 1.0
 
     lo, hi = 0.0, 0.25 - 1e-17
-    # expected_plain_size(0+) -> 1, so residual(0+) = c - 1 < 0
-    for _ in range(200):
+    # expected_plain_size(0+) -> 1, so residual(0+) = c - 1 < 0.  The
+    # tolerance is absolute, since every root lies in [0, 1/4), where floats
+    # are spaced far below 1e-15: mid always falls strictly inside (lo, hi),
+    # and the loop ends after about 48 halvings.
+    while hi - lo >= 1e-15:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
         if residual(mid) >= 0.0:
             hi = mid
         else:
             lo = mid
-        if hi - lo < 1e-15:  # absolute: every root lies in [0, 1/4)
-            break
     return 0.5 * (lo + hi)
 
 
@@ -274,9 +273,11 @@ def solve_beta_closed_form(c: float) -> float:
 
 
 def _xlogx(x: float) -> float:
-    """x*log(x) with the continuous extension 0 at x = 0."""
-    if x < 0.0:
-        raise ParameterError(f"negative argument {x} in rate function")
+    """x*log(x) with the continuous extension 0 at x = 0.
+
+    ``rate_function``, its only caller, refuses every (u, y) that would
+    make an argument negative.
+    """
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
@@ -345,7 +346,8 @@ def derive_constants(
         raise ParameterError(f"eta must lie in (0, 1), got {eta}")
 
     beta_star = solve_beta(theta)
-    A = 2.0 if beta_star < 1e-12 else math.sqrt(1.0 / (4.0 * beta_star))
+    # theta < 1/2 keeps beta* above 0.147, so A is finite
+    A = math.sqrt(1.0 / (4.0 * beta_star))
     B = (1.0 + A) / 2.0
     r = B / A
     W = eval_D(A * beta_star) / (A * beta_star)
@@ -375,14 +377,14 @@ def derive_constants(
         raise InfeasibleConstantsError(
             f"no feasible delta at eta={eta}: even the smallest grid value fails"
         )
+    # index 1 is feasible, and the search tests it before hi_idx could
+    # reach 1, so it ends with lo_idx >= 1
     while hi_idx - lo_idx > 1:
         mid = (lo_idx + hi_idx) // 2
         if feasible(mid):
             lo_idx = mid
         else:
             hi_idx = mid
-    if lo_idx == 0:
-        raise InfeasibleConstantsError(f"no feasible delta at eta={eta}")
     delta = lo_idx * 1e-3
 
     # the least M >= 1 whose tail factor fits the budget, solved for in

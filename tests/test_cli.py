@@ -558,6 +558,7 @@ BAD_MAPS = {
         (("enumerate", "--n", "0"), "--n"),
         (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "0"), "--count"),
         (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "-3"), "--count"),
+        (("sample-unicellular", "--n", "4", "--genus", "1", "--seed", "1", "--count", "x"), "--count"),
         (("sample-cm", "--degrees", "3,3", "--seed", "1", "--count", "0"), "--count"),
         (("sample-cm", "--degrees", "3,3", "--seed", "1", "--count", "-3"), "--count"),
     ],
@@ -588,6 +589,7 @@ BAD_MAPS = {
         "enumerate-n-zero",
         "sample-unicellular-count-zero",
         "sample-unicellular-count-negative",
+        "sample-unicellular-count-not-an-int",
         "sample-cm-count-zero",
         "sample-cm-count-negative",
     ],

@@ -481,7 +481,7 @@ def test_census_claims_refuse_a_genus_past_half_n_before_any_census(monkeypatch,
 
     for attr in ("profile_census", "min_degree3_census"):
         monkeypatch.setattr(unimap.experiments, attr, no_census)
-    with pytest.raises(ParameterError, match="need 1 <= g <= n/2, got g=3, n=4"):
+    with pytest.raises(ParameterError, match="no one-face map has n=4 edges and genus g=3"):
         check(4, 3)
 
 

@@ -289,3 +289,27 @@ def test_size_rule_lives_in_errors():
         if _is_int_type_test(node)
     }
     assert found == {("errors.py", "check_int"), *SIZE_RULE_EXCEPTIONS}
+
+
+def _is_repeat_test(node: ast.AST) -> bool:
+    """A comparison of ``len(set(x))`` with ``len(x)``, either way round."""
+    if not isinstance(node, ast.Compare) or len(node.comparators) != 1:
+        return False
+    sides = {ast.unparse(node.left), ast.unparse(node.comparators[0])}
+    return any(f"len(set({side[4:-1]}))" in sides for side in sides if side.startswith("len("))
+
+
+def test_cap_and_list_rules_have_one_owner_each():
+    # the enumeration cap is named only where samplers.check_enumerable
+    # decides it, and "no repeated value" is tested only in
+    # errors.check_ints, which every list of sizes goes through
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    cap = {name for name, tree in trees.items() if "ENUMERATION_CAP" in _uses(tree)}
+    repeats = {
+        (name, scope)
+        for name, tree in trees.items()
+        for scope, node in _scoped_nodes(tree)
+        if _is_repeat_test(node)
+    }
+    assert cap == {"samplers.py"}
+    assert repeats == {("errors.py", "check_ints")}

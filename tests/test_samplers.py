@@ -389,6 +389,8 @@ def test_sample_branch_size_laws_differ_correctly():
     assert odds_marked == pytest.approx(2 * odds_plain, rel=0.15)
     with pytest.raises(ParameterError):
         sample_branch_size("Z", beta, rng)
+    with pytest.raises(ParameterError, match="beta must lie in"):
+        sample_branch_size("X", 0.3, rng)
 
 
 @settings(max_examples=30, deadline=None)

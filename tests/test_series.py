@@ -46,6 +46,8 @@ def test_truncated_series_algebra():
     assert q * TruncatedSeries([1, 1, 0]) == a
     with pytest.raises(ZeroDivisionError):
         a / _zero(2)
+    with pytest.raises(ArithmeticError, match="quotient is not a power series"):
+        TruncatedSeries([1, 1]) / TruncatedSeries([0, 1])
 
 
 def test_int_and_fraction_coefficients_compare_and_hash_alike():
@@ -141,6 +143,15 @@ def test_solve_beta_edges():
         solve_beta(0.0)
     with pytest.raises(ParameterError):
         solve_beta(1.5)
+    for c in (0, 1.5):
+        with pytest.raises(ParameterError, match=f"c must lie in \\(0, 1\\], got {c}"):
+            solve_beta_closed_form(c)
+
+
+@pytest.mark.parametrize("evaluate,z", [(eval_D, 0.3), (eval_C, -0.1)], ids=["D", "C"])
+def test_series_values_refuse_a_point_outside_the_disc(evaluate, z):
+    with pytest.raises(ParameterError, match=f"must lie in \\(0, 1/4\\), got {z}"):
+        evaluate(z)
 
 
 def test_rate_function_matches_literal_product_form():

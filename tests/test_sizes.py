@@ -12,7 +12,7 @@ import pytest
 import unimap.experiments
 import unimap.parallel
 from unimap.core import core_less_M
-from unimap.errors import ParameterError
+from unimap.errors import ParameterError, check_ints
 from unimap.expansion import (
     branch_substitution_transfer_check,
     cheeger_exact,
@@ -32,6 +32,8 @@ from unimap.experiments import (
 from unimap.maps import Multigraph, from_polygon_gluing
 from unimap.samplers import (
     DegreeSequence,
+    check_enumerable,
+    check_genus,
     count_one_vertex_maps,
     double_factorial_odd,
     enumerate_pairings,
@@ -67,7 +69,11 @@ SIZES = {
     "double_factorial_odd(p)": (double_factorial_odd, 0),
     "count_one_vertex_maps(p)": (count_one_vertex_maps, 1),
     "sample_pairing(n_points)": (lambda v: sample_pairing(v, _UncalledRng()), 2),
+    "check_ints(values)": (lambda v: check_ints("n", (4, v), 1), 1),
+    "check_enumerable(n_pairs)": (check_enumerable, 0),
     "enumerate_pairings(n_pairs)": (enumerate_pairings, 0),
+    "check_genus(n)": (lambda v: check_genus(v, 0), 1),
+    "check_genus(g)": (lambda v: check_genus(4, v), 0),
     "sample_polygon_gluing(n)": (lambda v: sample_polygon_gluing(v, _UncalledRng()), 1),
     "sample_unicellular_fixed_genus(n)": (
         lambda v: sample_unicellular_fixed_genus(v, 0, _UncalledRng()),

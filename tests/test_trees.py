@@ -64,6 +64,11 @@ def test_dyck_sampler_uniform_on_small_support():
         assert 830 <= c <= 1170
 
 
+def test_children_to_map_refuses_the_empty_tree():
+    with pytest.raises(ParameterError, match="a map needs at least one edge"):
+        children_to_map(())
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_children_to_map_is_a_plane_tree(k):
     for word in enumerate_plane_trees(k):
